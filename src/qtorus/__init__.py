@@ -37,6 +37,7 @@ from .link_invariants import (
     shifted_invariant_singlet,
     shifted_invariant_triplet,
     singlet_shift_exponent,
+    summand_floor,
     triplet_shift_exponent,
 )
 from .qseries import QSeries, euler_product, exact_div, invert_unit

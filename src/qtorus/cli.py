@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--components", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--coset", type=int, default=0)
+    p.add_argument("--coset", type=int, help="triplet coset (default 0)")
     p.add_argument("--colour", type=int)
     p.add_argument(
         "--max-weight", type=int, default=10,
@@ -147,12 +147,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_order(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(ORDER_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_ORDER
+    source = "--order"
+    if value is None:
+        env = os.environ.get(ORDER_ENV)
+        if not env:
+            return DEFAULT_ORDER
+        source = ORDER_ENV
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{ORDER_ENV} must be an integer, got {env!r}") from None
+    if value <= 0:
+        raise ValueError(f"{source} must be positive, got {value}")
+    return value
 
 
 def config_from_args(args: argparse.Namespace) -> CliConfig:
@@ -207,7 +214,10 @@ def _run_kostka(config: CliConfig) -> tuple[int, str]:
 
 def _run_schur(config: CliConfig) -> tuple[int, str]:
     shape = parse_partition(config.params["shape"])
-    series = principal_spec(shape, config.params["rank"])
+    rank = config.params["rank"]
+    if rank < 1:
+        raise ValueError(f"--rank must be positive, got {rank}")
+    series = principal_spec(shape, rank)
     return 0, _render_series(series, config)
 
 
@@ -251,9 +261,13 @@ def _require(params: dict, names: list[str], mode: str) -> None:
 
 def _run_verify(config: CliConfig) -> tuple[int, str]:
     mode = config.params["mode"]
+    if mode == "props":
+        return _run_props(config)
     order = _resolve_order(config.order)
     if mode == "singlet":
         _require(config.params, ["components", "p", "colour"], mode)
+        if "coset" in config.params:
+            raise ValueError("verify singlet does not take --coset")
         report = verify_singlet_theorem(
             config.params["rank"],
             config.params["components"],
@@ -261,9 +275,10 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
             config.params["colour"],
             order,
         )
-        reports = [report]
-    elif mode == "triplet":
+    else:
         _require(config.params, ["p", "colour"], mode)
+        if "components" in config.params:
+            raise ValueError("verify triplet does not take --components")
         report = verify_triplet_theorem(
             config.params["rank"],
             config.params["p"],
@@ -271,15 +286,11 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
             config.params["colour"],
             order,
         )
-        reports = [report]
-    else:
-        return _run_props(config)
-    passed = all(r.passed for r in reports)
     if config.output == "json":
-        text = _dumps([r.to_json_dict() for r in reports])
+        text = _dumps([report.to_json_dict()])
     else:
-        text = "\n".join(r.describe() for r in reports)
-    return (0 if passed else 1), text
+        text = report.describe()
+    return (0 if report.passed else 1), text
 
 
 def _map_ordered(fn, items, jobs: int):

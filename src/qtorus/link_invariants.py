@@ -41,29 +41,64 @@ class TorusLinkSpec:
             raise ValueError("colour must be nonnegative")
 
 
-def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSeries]]:
+def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
+    """Lowest exponent of the summand at ``lam``; see :func:`jones_summands`."""
+    r = spec.rank
+    lowest_weight = sum(l * (r + 1 - 2 * i) for i, l in enumerate(lam, 1))
+    return Fraction(spec.p * kappa(lam) - lowest_weight, 2)
+
+
+def jones_summands(
+    spec: TorusLinkSpec, below: Fraction | None = None
+) -> Iterator[tuple[Partition, int, QSeries]]:
     """Per-partition contributions (shape, Kostka weight, term series).
 
     The sum runs over partitions of colour * components with at most
     min(rank, components) rows; shapes with Kostka weight zero are skipped.
+
+    With ``below`` set, a shape whose floor is at or above it is skipped
+    before its Kostka number and principal specialization are computed, and
+    each kept term is truncated at ``below``.
+
+    Proof that the floor p*kappa(lam)/2 - sum_i lam_i*rho_i, with rho_i =
+    (r+1-2i)/2 strictly decreasing, is each term's lowest exponent: the
+    principal specialization is the sum over the weights mu of s_lam of
+    K(lam, mu) q^(sum mu_i rho_i).  With mu+ the decreasing sort of mu, which
+    lam dominates, the rearrangement inequality gives sum mu_i rho_i >=
+    -sum mu+_i rho_i, and Abel summation gives sum (lam_i - mu+_i) rho_i =
+    sum_k (partial-sum gap at k)(rho_k - rho_(k+1)) >= 0.  Both are equalities
+    only at mu = w0.lam = (lam_r, ..., lam_1), where K(lam, lam) = 1.  So the
+    lowest term is weight * q^floor, kept by the truncation when floor <
+    below; every kept term is re-checked against the floor.  Without
+    ``below`` nothing is pruned and no floor is computed.
     """
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     content = (n,) * c
     for lam in partitions_of(n * c, min(r, c)):
+        if below is not None:
+            floor = summand_floor(spec, lam)
+            if floor >= below:
+                continue
         weight = kostka(lam, content)
         if weight == 0:
             continue
         framing = Fraction(p * kappa(lam), 2)
         term = QSeries.monomial(weight, framing) * principal_spec(lam, r)
+        if below is not None:
+            term = term.truncate(below)
+            if term.low != floor:
+                raise AssertionError(f"summand {lam} starts at {term.low}, not {floor}")
         yield lam, weight, term
 
 
-def jones_torus_link(spec: TorusLinkSpec) -> QSeries:
-    """The specialized coloured invariant, as an exact Laurent polynomial."""
+def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
+    """The specialized coloured invariant, as an exact Laurent polynomial,
+    or truncated at ``below`` when that is given."""
     total = QSeries.zero()
-    for _, _, term in jones_summands(spec):
+    for _, _, term in jones_summands(spec, below):
         total = total + term
-    return QSeries(total.terms, grain=2)
+    series = QSeries(total.terms, grain=2)
+    return series if below is None else series.truncate(below)
 
 
 def singlet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
@@ -76,25 +111,38 @@ def triplet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
     return Fraction(p, 2) * (Fraction(-n * n * (r + 1) ** 2, r) + n * r * (r + 1))
 
 
-def shifted_invariant_singlet(spec: TorusLinkSpec) -> QSeries:
+def _shifted(
+    spec: TorusLinkSpec, shift: Fraction, grain: int, cutoff: Fraction | int | None
+) -> QSeries:
+    below = None if cutoff is None else Fraction(cutoff) - shift
+    shifted = QSeries.monomial(1, shift) * jones_torus_link(spec, below)
+    series = QSeries(shifted.terms, grain=grain)
+    return series if cutoff is None else series.truncate(cutoff)
+
+
+def shifted_invariant_singlet(
+    spec: TorusLinkSpec, cutoff: Fraction | int | None = None
+) -> QSeries:
     """Monomial-shifted invariant whose colour limit is a singlet character
-    series; defined for 2 <= components <= rank."""
+    series; defined for 2 <= components <= rank.  With ``cutoff`` set it
+    equals the exact series truncated there, without building the rest."""
     if not 2 <= spec.components <= spec.rank:
         raise ValueError(
             f"need 2 <= components <= rank, got components={spec.components} "
             f"rank={spec.rank}"
         )
-    shifted = QSeries.monomial(1, singlet_shift_exponent(spec)) * jones_torus_link(spec)
-    return QSeries(shifted.terms, grain=2)
+    return _shifted(spec, singlet_shift_exponent(spec), 2, cutoff)
 
 
-def shifted_invariant_triplet(spec: TorusLinkSpec) -> QSeries:
+def shifted_invariant_triplet(
+    spec: TorusLinkSpec, cutoff: Fraction | int | None = None
+) -> QSeries:
     """Monomial-shifted invariant whose colour limit (along one residue class
-    of colours) is a triplet character series; needs components = rank + 1."""
+    of colours) is a triplet character series; needs components = rank + 1.
+    ``cutoff`` truncates as in :func:`shifted_invariant_singlet`."""
     if spec.components != spec.rank + 1:
         raise ValueError(
             f"need components = rank + 1, got components={spec.components} "
             f"rank={spec.rank}"
         )
-    shifted = QSeries.monomial(1, triplet_shift_exponent(spec)) * jones_torus_link(spec)
-    return QSeries(shifted.terms, grain=lcm(2, 2 * spec.rank))
+    return _shifted(spec, triplet_shift_exponent(spec), lcm(2, 2 * spec.rank), cutoff)

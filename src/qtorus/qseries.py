@@ -368,14 +368,15 @@ def _dense(series: QSeries, low: Fraction, g: int) -> list[int]:
 def euler_product(cutoff: _ExponentLike) -> QSeries:
     """The product of (1 - q^k) over k >= 1, truncated at ``cutoff``.
 
-    Only the factors with k < cutoff can touch coefficients below the cutoff.
+    By Euler's pentagonal number theorem it is the sum over all integers m of
+    (-1)^m q^(m(3m-1)/2); both exponents at +-m grow with m >= 0.
     """
     cut = _exp(cutoff)
     if cut < 0:
         raise ValueError("cutoff must be nonnegative")
-    result = QSeries.one(cut)
-    k = 1
-    while k < cut:
-        result = result * QSeries({Fraction(0): 1, Fraction(k): -1})
-        k += 1
-    return result
+    terms: dict[int, int] = {}
+    m = 0
+    while m * (3 * m - 1) // 2 < cut:
+        terms[m * (3 * m - 1) // 2] = terms[m * (3 * m + 1) // 2] = (-1) ** m
+        m += 1
+    return QSeries(terms, cut)

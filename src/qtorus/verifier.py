@@ -133,7 +133,7 @@ def verify_singlet_theorem(
     """
     cut = Fraction(cutoff)
     spec = TorusLinkSpec(rank, components, p, colour)
-    lhs = shifted_invariant_singlet(spec).truncate(cut)
+    lhs = shifted_invariant_singlet(spec, cut)
     rhs = rhs_singlet_limit(rank, components, p, cut)
     threshold = summand_exponent_bound(components, p) * colour
     params = {"rank": rank, "components": components, "p": p, "colour": colour}
@@ -156,7 +156,7 @@ def verify_triplet_theorem(
         )
     cut = Fraction(cutoff)
     spec = TorusLinkSpec(rank, rank + 1, p, colour)
-    lhs = shifted_invariant_triplet(spec).truncate(cut)
+    lhs = shifted_invariant_triplet(spec, cut)
     rhs = rhs_triplet_limit(rank, p, coset, cut)
     threshold = summand_exponent_bound(rank, p) * colour
     params = {"rank": rank, "p": p, "coset": coset, "colour": colour}

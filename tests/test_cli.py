@@ -145,6 +145,53 @@ def test_order_environment_default(capsys, monkeypatch):
     assert out.strip().endswith("O(q^7)")
 
 
+
+def test_order_environment_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QTORUS_ORDER", "abc")
+    code, out, err = run_cli(["char", "--kind", "singlet", "--rank", "2", "--p", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "QTORUS_ORDER" in err and "invalid literal" not in err
+
+
+def test_order_environment_not_positive(capsys, monkeypatch):
+    monkeypatch.setenv("QTORUS_ORDER", "0")
+    argv = ["verify", "singlet", "--rank", "2", "--components", "2",
+            "--p", "2", "--colour", "4"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "QTORUS_ORDER" in err and "--order" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "singlet", "--rank", "2", "--components", "2", "--p", "2",
+         "--colour", "4", "--order", "-5"],
+        ["char", "--kind", "singlet", "--rank", "2", "--p", "2", "--order", "0"],
+    ],
+)
+def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
+    monkeypatch.setenv("QTORUS_ORDER", "7")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "--order must be positive" in err and "QTORUS_ORDER" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "triplet", "--rank", "2", "--p", "2", "--colour", "4",
+          "--components", "9"], "--components"),
+        (["verify", "singlet", "--rank", "2", "--components", "2", "--p", "2",
+          "--colour", "4", "--coset", "0"], "--coset"),
+        (["schur", "--shape", "2,1", "--rank", "-3"], "--rank"),
+    ],
+)
+def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert flag in err and "partition" not in err
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "series.txt"
     code, out, _ = run_cli(

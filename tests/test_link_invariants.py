@@ -1,9 +1,10 @@
 """Torus-link invariants: worked examples, the tensor-power reassembly
-oracle, grain bookkeeping, and the shifted forms."""
+oracle, grain bookkeeping, the shifted forms and their pruning at a cutoff."""
 
 from fractions import Fraction
 
 import pytest
+from qtorus import link_invariants
 from qtorus import (
     QSeries,
     TorusLinkSpec,
@@ -18,6 +19,7 @@ from qtorus import (
     shifted_invariant_triplet,
     singlet_shift_exponent,
     summand_exponent_bound,
+    summand_floor,
     triplet_shift_exponent,
 )
 
@@ -171,3 +173,80 @@ def test_triplet_tail_summand_bound(n):
         padded = lam + (0,) * (rank - len(lam))
         if padded[rank - 1] < n:
             assert shift + term.low >= bound
+
+
+# -- cutoff-aware pruning ------------------------------------------------------
+
+# (rank, components, colours): components below rank, at rank (singlet) and
+# rank + 1 (triplet), with colours from 0 up to the benchmark's largest.
+PRUNING_FAMILIES = [
+    (2, 2, (0, 1, 7, 60)),
+    (3, 2, (0, 1, 5, 12)),
+    (3, 3, (0, 2, 12)),
+    (4, 2, (0, 3, 8)),
+    (4, 3, (0, 1, 6)),
+    (4, 4, (0, 2, 5)),
+    (2, 3, (0, 1, 5, 36)),
+    (3, 4, (0, 2, 10)),
+    (4, 5, (0, 1, 3)),
+]
+# integer and fractional cutoffs; the triplet shifts have denominator rank
+PRUNING_CUTOFFS = [Fraction(1, 2), 1, Fraction(7, 3), Fraction(31, 6), 12, 30]
+
+
+def _shifted(spec):
+    if spec.components == spec.rank + 1:
+        return shifted_invariant_triplet
+    return shifted_invariant_singlet
+
+
+@pytest.mark.parametrize("rank,components,colours", PRUNING_FAMILIES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_pruned_invariant_matches_truncated_exact(rank, components, colours, p):
+    for n in colours:
+        spec = TorusLinkSpec(rank, components, p, n)
+        shifted = _shifted(spec)
+        exact = shifted(spec)
+        for cutoff in PRUNING_CUTOFFS:
+            pruned = shifted(spec, cutoff)
+            assert pruned.to_json_dict() == exact.truncate(cutoff).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "rank,components,p,n", [(2, 2, 3, 9), (3, 2, 2, 6), (3, 4, 3, 3), (4, 4, 2, 3)]
+)
+def test_summand_floor_is_lowest_exponent(rank, components, p, n):
+    spec = TorusLinkSpec(rank, components, p, n)
+    summands = list(jones_summands(spec))
+    shapes = list(partitions_of(n * components, min(rank, components)))
+    assert [lam for lam, _, _ in summands] == shapes
+    for lam, weight, term in summands:
+        assert term.low == summand_floor(spec, lam)
+        assert term.coefficient(term.low) == weight
+
+
+@pytest.mark.parametrize(
+    "rank,components,p,n", [(2, 2, 2, 30), (3, 3, 3, 8), (2, 3, 2, 20), (3, 4, 2, 7)]
+)
+def test_pruning_at_double_window_changes_nothing(rank, components, p, n):
+    spec = TorusLinkSpec(rank, components, p, n)
+    shifted = _shifted(spec)
+    for cutoff in (Fraction(31, 6), 16, 30):
+        assert shifted(spec, 2 * cutoff).truncate(cutoff) == shifted(spec, cutoff)
+
+
+def test_pruning_skips_shapes_before_kostka(monkeypatch):
+    calls = []
+
+    def counted_kostka(lam, content):
+        calls.append(lam)
+        return kostka(lam, content)
+
+    monkeypatch.setattr(link_invariants, "kostka", counted_kostka)
+    spec = TorusLinkSpec(2, 2, 2, 40)
+    below = 30 - singlet_shift_exponent(spec)
+    kept = [lam for lam, _, _ in jones_summands(spec, below)]
+    assert calls == kept == [
+        lam for lam in partitions_of(80, 2) if summand_floor(spec, lam) < below
+    ]
+    assert 0 < len(kept) < 41

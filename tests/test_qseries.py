@@ -220,6 +220,30 @@ def test_euler_product_signed_distinct_oracle():
         assert series.coefficient(n) == signed_distinct_count(n)
 
 
+
+def euler_product_by_factors(cutoff) -> QSeries:
+    """Reference: multiply in the factors (1 - q^k) with k below the cutoff."""
+    cut = Fraction(cutoff)
+    result = QSeries.one(cut)
+    k = 1
+    while k < cut:
+        result = result * QSeries({Fraction(0): 1, Fraction(k): -1})
+        k += 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "cutoff", [0, Fraction(1, 2), 1, 2, Fraction(31, 6), 40, 123]
+)
+def test_euler_product_matches_factor_loop(cutoff):
+    expected = euler_product_by_factors(cutoff).to_json_dict()
+    assert euler_product(cutoff).to_json_dict() == expected
+
+
+def test_euler_product_rejects_negative_cutoff():
+    with pytest.raises(ValueError, match="nonnegative"):
+        euler_product(-1)
+
 # -- property tests -----------------------------------------------------------------
 
 
