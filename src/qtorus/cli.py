@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coset", type=int, help="triplet coset (default 0)")
     p.add_argument("--colour", type=int)
     p.add_argument(
-        "--max-weight", type=int, default=10,
-        help="scan bound for the proposition checks (props mode)",
+        "--max-weight", type=int,
+        help="scan bound for the proposition checks (props mode, default 10)",
     )
     common(p, with_order=True)
 
@@ -180,6 +180,8 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
 
 def run(config: CliConfig) -> tuple[int, str]:
     """Execute one configuration; returns (exit status, rendered output)."""
+    if config.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {config.jobs}")
     handler = {
         "kostka": _run_kostka,
         "schur": _run_schur,
@@ -259,15 +261,26 @@ def _require(params: dict, names: list[str], mode: str) -> None:
         )
 
 
+# Flags each verify mode would otherwise ignore; giving one is an error.
+_NOT_TAKEN = {
+    "singlet": ["coset", "max_weight"],
+    "triplet": ["components", "max_weight"],
+    "props": ["components", "p", "coset", "colour", "order"],
+}
+
+
 def _run_verify(config: CliConfig) -> tuple[int, str]:
     mode = config.params["mode"]
+    given = dict(config.params, order=config.order)
+    extra = [n for n in _NOT_TAKEN[mode] if given.get(n) is not None]
+    if extra:
+        flags = " ".join("--" + n.replace("_", "-") for n in extra)
+        raise ValueError(f"verify {mode} does not take {flags}")
     if mode == "props":
         return _run_props(config)
     order = _resolve_order(config.order)
     if mode == "singlet":
         _require(config.params, ["components", "p", "colour"], mode)
-        if "coset" in config.params:
-            raise ValueError("verify singlet does not take --coset")
         report = verify_singlet_theorem(
             config.params["rank"],
             config.params["components"],
@@ -277,8 +290,6 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
         )
     else:
         _require(config.params, ["p", "colour"], mode)
-        if "components" in config.params:
-            raise ValueError("verify triplet does not take --components")
         report = verify_triplet_theorem(
             config.params["rank"],
             config.params["p"],

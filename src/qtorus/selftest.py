@@ -38,6 +38,7 @@ from .verifier import (
     verify_singlet_theorem,
     verify_triplet_theorem,
 )
+from .voa_characters import _height_product
 
 
 def _partition_count_table(limit: int) -> list[int]:
@@ -129,13 +130,9 @@ def _check_principal_spec() -> bool:
 
 def _check_weyl_denominator() -> bool:
     for r in range(2, 5):
-        pairs = [(i, j) for i in range(1, r) for j in range(i + 1, r + 1)]
-        product = QSeries.one()
-        for i, j in pairs:
-            product = product * QSeries({Fraction(0): 1, Fraction(j - i): -1})
         delta_sq = Fraction(r * (r - 1) * (r + 1), 12)
-        sign = 1 if len(pairs) % 2 == 0 else -1
-        closed = QSeries.monomial(sign, -delta_sq) * product
+        sign = (-1) ** (r * (r - 1) // 2)  # one factor per positive root
+        closed = QSeries.monomial(sign, -delta_sq) * _height_product(r)
         if weyl_denominator(r) != closed:
             return False
     return True

@@ -3,23 +3,23 @@ VOAs, as truncated q-series.
 
 Each character is a prefactor (a finite product over positive-root heights
 divided by a power of the Euler product) times an infinite sum over a cone
-of dominant weights in one coset of the root lattice.  The cone sum is
-truncated safely: the lowest exponent of the summand at weight mu is at
-least (p/(2r) + (p-1)/2) times sum(i * a_i), so only weights below a
-computable level can touch coefficients under the cutoff.  The bound is
-re-checked per summand at run time.
+of dominant weights in one coset of the root lattice.  Only the weights
+whose summand reaches below the cutoff are visited: its lowest exponent is a
+closed-form floor that grows in every coordinate, so that window is walked
+directly in integer arithmetic.  Each kept summand is truncated before it is
+added and its floor is re-checked at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from math import ceil, lcm
+from typing import Callable, Iterable
 
 from .lie_sl import (
     WeightVector,
     casimir_pairing,
-    dominant_weights,
     scaled_coeff_sum,
     weyl_dim,
     zero_weight_dim,
@@ -72,6 +72,31 @@ def enumeration_level(rank: int, p: int, cutoff: Fraction) -> int:
     return max(top, 0)
 
 
+def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction, level: int):
+    """Yield each weight of ``dominant_weights(rank, level, coset)`` whose
+    floor F lies below ``cutoff``, paired with F; see :func:`_cone_sum`."""
+    coords = range(1, rank)
+    gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
+    linear = [rank * (p - 1) * i * (rank - i) for i in coords]
+    limit = ceil(2 * rank * cutoff)  # an integer is below 2r cutoff iff below this
+
+    def walk(k: int, coeffs: tuple[int, ...], n: int, scaled: int):
+        # n is 2r F of coeffs padded with zeros
+        if k == rank - 1:
+            if scaled % rank == coset:
+                yield WeightVector(rank, coeffs), Fraction(n, 2 * rank)
+            return
+        cross = 2 * p * sum(g * a for g, a in zip(gram[k], coeffs))
+        a = 0
+        while n < limit and scaled <= level:
+            yield from walk(k + 1, coeffs + (a,), n, scaled)
+            n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
+            scaled += k + 1
+            a += 1
+
+    yield from walk(0, (), 0, 0)
+
+
 def _cone_sum(
     rank: int,
     p: int,
@@ -80,45 +105,75 @@ def _cone_sum(
     dim_of: Callable[[WeightVector], int],
     enumeration_bound: int | None = None,
 ) -> QSeries:
+    """Sum over the weights mu of ``coset`` of dim_of(mu) q^(p/2 (mu,mu+2delta))
+    times the principal specialization at mu, truncated at ``cutoff``.
+
+    Floor: the specialization is a sum of q^((nu,delta)) over the weights nu
+    of the module, each the lowest weight w0.mu (multiplicity 1) plus positive
+    roots alpha, with (alpha,delta) > 0.  So the summand starts exactly at
+    F(mu) = p/2 (mu,mu+2delta) - (mu,delta) = p/2 (mu,mu) + (p-1)(mu,delta),
+    with coefficient dim_of(mu); weights of dimension 0 are skipped.  2r F is
+    an integer: r (w_i,w_j) = min(i,j)(r-max(i,j)) and 2 (w_i,delta) = i(r-i).
+
+    Monotonicity: F(mu + w_i) - F(mu) = p (mu,w_i) + p/2 (w_i,w_i) +
+    (p-1)(w_i,delta) > 0 for dominant mu, as p >= 2 and all these pairings are
+    positive.  So {F < cutoff} is closed under lowering a coordinate, and
+    :func:`_cone_window` stops each coordinate at its first value outside it.
+
+    Linear bound: (mu,mu) >= sum (w_i,w_i) a_i^2 >= sum i a_i / r and
+    (mu,delta) >= sum i a_i / 2, so F >= summand_exponent_bound * sum i a_i
+    and the window lies within :func:`enumeration_level`, or within
+    ``enumeration_bound`` when that is given.  Each kept summand is truncated
+    before it is added, and an AssertionError is raised unless it starts at
+    F(mu) and at or above the linear bound.
+    """
     bound = summand_exponent_bound(rank, p)
     level = (
         enumeration_level(rank, p, cutoff)
         if enumeration_bound is None
         else int(enumeration_bound)
     )
-    total = QSeries.zero()
-    for mu in dominant_weights(rank, level, coset):
+    # All summands on a coset declare one grain; the sum declares it once the
+    # coset's lowest weight is within the level, even if no summand is kept.
+    lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
+    grain = cutoff.denominator
+    if scaled_coeff_sum(lowest) <= level and dim_of(lowest):
+        grain = lcm(grain, 2, (Fraction(p, 2) * casimir_pairing(lowest)).denominator)
+    total = QSeries({}, cutoff, grain)
+    for mu, floor in _cone_window(rank, p, coset, cutoff, level):
         dim = dim_of(mu)
         if dim == 0:
             continue
         exponent = Fraction(p, 2) * casimir_pairing(mu)
         term = QSeries.monomial(dim, exponent) * principal_spec_weight(mu)
-        floor = bound * scaled_coeff_sum(mu)
-        if term.low < floor:
+        term = term.truncate(cutoff)
+        linear = bound * scaled_coeff_sum(mu)
+        if term.low != floor or term.low < linear:
             raise AssertionError(
-                f"summand at {mu} reaches exponent {term.low}, below the "
-                f"safety bound {floor}; truncation would be unsound"
+                f"summand at {mu} starts at {term.low}, but its floor is {floor} "
+                f"and the linear bound {linear}; truncation would be unsound"
             )
         total = total + term
-    return total.truncate(cutoff)
+    return total
+
+
+def _one_minus_q_product(heights: Iterable[int]) -> QSeries:
+    """Product of (1 - q^h) over the given heights; exact."""
+    out = QSeries.one()
+    for h in heights:
+        out = out * QSeries({0: 1, h: -1})
+    return out
 
 
 def _height_product(rank: int) -> QSeries:
     """Product of (1 - q^(j-i)) over 1 <= i < j <= rank; exact."""
-    out = QSeries.one()
-    for i in range(1, rank):
-        for j in range(i + 1, rank + 1):
-            out = out * QSeries({Fraction(0): 1, Fraction(j - i): -1})
-    return out
+    return _one_minus_q_product(j - i for j in range(rank + 1) for i in range(1, j))
 
 
 def _cross_product(components: int, rank: int) -> QSeries:
     """Product of (1 - q^(j-i)) over i <= components < j <= rank; exact."""
-    out = QSeries.one()
-    for i in range(1, components + 1):
-        for j in range(components + 1, rank + 1):
-            out = out * QSeries({Fraction(0): 1, Fraction(j - i): -1})
-    return out
+    lower, upper = range(1, components + 1), range(components + 1, rank + 1)
+    return _one_minus_q_product(j - i for j in upper for i in lower)
 
 
 def singlet_char(spec: CharacterSpec, *, enumeration_bound: int | None = None) -> QSeries:

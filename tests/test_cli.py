@@ -192,6 +192,41 @@ def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):
     assert code == 2 and out == ""
     assert flag in err and "partition" not in err
 
+PROPS = ["verify", "props", "--rank", "2", "--max-weight", "4"]
+SINGLET = ["verify", "singlet", "--rank", "2", "--components", "2", "--p", "2",
+           "--colour", "4"]
+TRIPLET = ["verify", "triplet", "--rank", "2", "--p", "2", "--colour", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (PROPS + ["--colour", "5", "--p", "9", "--order", "-3"],
+         ["--p", "--colour", "--order"]),
+        (PROPS + ["--components", "2"], ["--components"]),
+        (PROPS + ["--p", "2"], ["--p"]),
+        (PROPS + ["--coset", "1"], ["--coset"]),
+        (PROPS + ["--colour", "5"], ["--colour"]),
+        (PROPS + ["--order", "7"], ["--order"]),
+        (SINGLET + ["--max-weight", "99"], ["--max-weight"]),
+        (TRIPLET + ["--max-weight", "99"], ["--max-weight"]),
+        (["char", "--kind", "singlet", "--rank", "2", "--p", "2", "--jobs", "-4"],
+         ["--jobs"]),
+        (PROPS + ["--jobs", "0"], ["--jobs"]),
+    ],
+)
+def test_ignored_flag_is_rejected(argv, flags, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert all(flag in err for flag in flags)
+
+
+def test_props_keeps_the_order_environment_global(capsys, monkeypatch):
+    monkeypatch.setenv("QTORUS_ORDER", "7")
+    code, out, _ = run_cli(PROPS, capsys)
+    assert code == 0 and out.startswith("PASS props-zero-weight")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "series.txt"
     code, out, _ = run_cli(

@@ -4,6 +4,7 @@ positivity, enumeration-bound safety, and the comparison-side assemblies."""
 from fractions import Fraction
 
 import pytest
+import qtorus.voa_characters as voa_characters
 from qtorus import (
     CharacterSpec,
     QSeries,
@@ -23,7 +24,12 @@ from qtorus import (
     triplet_char,
     weyl_vector,
 )
-from qtorus.voa_characters import _cone_sum, _cross_product, _height_product
+from qtorus.voa_characters import (
+    _cone_sum,
+    _cone_window,
+    _cross_product,
+    _height_product,
+)
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
 
 
@@ -132,6 +138,108 @@ def test_per_summand_exponent_floor():
             assert term.low == Fraction(p, 2) * casimir_pairing(mu) - pairing(
                 mu, weyl_vector(rank)
             )
+
+
+# -- the cone window against the unpruned cone sum ------------------------------
+
+
+def reference_cone_sum(rank, p, coset, cutoff, dim_of):
+    """The unpruned cone sum: every weight up to the enumeration level is
+    summed in full, and the total is truncated at the end."""
+    bound = summand_exponent_bound(rank, p)
+    total = QSeries.zero()
+    for mu in dominant_weights(rank, enumeration_level(rank, p, cutoff), coset):
+        dim = dim_of(mu)
+        if dim == 0:
+            continue
+        exponent = Fraction(p, 2) * casimir_pairing(mu)
+        term = QSeries.monomial(dim, exponent) * principal_spec_weight(mu)
+        assert term.low >= bound * scaled_coeff_sum(mu)
+        total = total + term
+    return total.truncate(cutoff)
+
+
+def floor_of(mu, p):
+    return Fraction(p, 2) * casimir_pairing(mu) - pairing(mu, weyl_vector(mu.rank))
+
+
+WINDOW_CUTOFFS = [
+    Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(31, 6), Fraction(12)
+]
+
+
+@pytest.mark.parametrize(
+    "rank,p", [(r, p) for r in (2, 3, 4) for p in (2, 3, 4)] + [(5, 2), (5, 3)]
+)
+def test_windowed_cone_sum_matches_the_unpruned_sum(rank, p):
+    for cutoff in WINDOW_CUTOFFS + ([Fraction(25)] if rank < 5 else []):
+        for coset in range(rank):
+            for dim_of in (zero_weight_dim, weyl_dim):
+                fast = _cone_sum(rank, p, coset, cutoff, dim_of)
+                slow = reference_cone_sum(rank, p, coset, cutoff, dim_of)
+                assert fast.to_json_dict() == slow.to_json_dict(), (coset, cutoff)
+
+
+@pytest.mark.parametrize("rank,p", [(2, 2), (3, 2), (3, 4), (4, 3), (5, 2)])
+def test_cone_window_is_the_floor_filtered_cone(rank, p):
+    for cutoff in WINDOW_CUTOFFS + [Fraction(25)]:
+        full = enumeration_level(rank, p, cutoff)
+        for level in (full, full // 2):
+            for coset in range(rank):
+                items = list(_cone_window(rank, p, coset, cutoff, level))
+                window = {mu.coeffs: floor for mu, floor in items}
+                expected = {
+                    mu.coeffs: floor_of(mu, p)
+                    for mu in dominant_weights(rank, level, coset)
+                    if floor_of(mu, p) < cutoff
+                }
+                assert len(window) == len(items) and window == expected
+
+
+@pytest.mark.parametrize("rank,p", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_doubling_the_window_changes_nothing(rank, p):
+    for cutoff in (Fraction(7, 3), Fraction(12)):
+        for coset in range(rank):
+            for dim_of in (zero_weight_dim, weyl_dim):
+                wide = _cone_sum(rank, p, coset, 2 * cutoff, dim_of)
+                assert wide.truncate(cutoff) == _cone_sum(rank, p, coset, cutoff, dim_of)
+
+
+def test_summands_are_truncated_before_they_are_added(monkeypatch):
+    cutoff = Fraction(25)
+    addends = []
+    add = QSeries.__add__
+
+    def spy(a, b):
+        addends.append(b)
+        return add(a, b)
+
+    monkeypatch.setattr(QSeries, "__add__", spy)
+    _cone_sum(3, 2, 0, cutoff, weyl_dim)
+    assert len(addends) > 4
+    assert all(term.cutoff == cutoff for term in addends)
+    assert all(e < cutoff for term in addends for e in term.terms)
+
+
+def test_wrong_floor_raises(monkeypatch):
+    window = voa_characters._cone_window
+
+    def shifted(*args):
+        for mu, floor in window(*args):
+            yield mu, floor + Fraction(1, 2 * mu.rank)
+
+    monkeypatch.setattr(voa_characters, "_cone_window", shifted)
+    with pytest.raises(AssertionError, match="floor"):
+        _cone_sum(3, 2, 0, Fraction(12), weyl_dim)
+
+
+def test_linear_bound_violation_raises(monkeypatch):
+    bound = voa_characters.summand_exponent_bound
+    monkeypatch.setattr(
+        voa_characters, "summand_exponent_bound", lambda r, p: 3 * bound(r, p)
+    )
+    with pytest.raises(AssertionError, match="linear bound"):
+        _cone_sum(2, 2, 0, Fraction(20), weyl_dim)
 
 
 def test_cone_weights_lie_in_the_right_coset():
