@@ -94,10 +94,9 @@ def jones_summands(
 def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
     """The specialized coloured invariant, as an exact Laurent polynomial,
     or truncated at ``below`` when that is given."""
-    total = QSeries.zero()
-    for _, _, term in jones_summands(spec, below):
-        total = total + term
-    series = QSeries(total.terms, grain=2)
+    # one pass: the constructor adds up the terms at equal exponents
+    terms = (t for _, _, s in jones_summands(spec, below) for t in s.terms.items())
+    series = QSeries(terms, grain=2)
     return series if below is None else series.truncate(below)
 
 

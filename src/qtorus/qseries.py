@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Union
-
-Exponent = Fraction
 
 _ExponentLike = Union[Fraction, int, str]
 
@@ -355,6 +354,30 @@ def exact_div(num: QSeries, den: QSeries) -> QSeries:
         raise ValueError("not exactly divisible: nonzero remainder")
     base = lo_n - lo_d
     return QSeries({Fraction(k, g) + base: c for k, c in enumerate(quot) if c})
+
+
+def one_minus_q_product(heights: Iterable[int]) -> list[int]:
+    """Coefficient list (index = exponent) of the product of (1 - q^h), h >= 1."""
+    coeffs = [1]
+    for h in heights:
+        coeffs = [a - b for a, b in zip(coeffs + [0] * h, [0] * h + coeffs)]
+    return coeffs
+
+
+def divide_one_minus_q(coeffs: list[int], heights: Iterable[int]) -> list[int]:
+    """Divide the coefficient list in place by each (1 - q^d), exactly.
+
+    The power-series quotient is the running sum b[k] = a[k] + b[k-d]; it is
+    a polynomial exactly when b[k] = 0 for deg(a) - d < k <= deg(a), since
+    beyond deg(a) the sum then only copies zeros.  Raises ValueError if not.
+    """
+    for d in heights:
+        for r in range(d):
+            coeffs[r::d] = accumulate(coeffs[r::d])
+        if any(coeffs[-d:]):
+            raise ValueError(f"not exactly divisible by 1 - q^{d}")
+        del coeffs[-d:]
+    return coeffs
 
 
 def _dense(series: QSeries, low: Fraction, g: int) -> list[int]:

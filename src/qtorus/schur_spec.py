@@ -2,9 +2,9 @@
 
 The symmetric normalization is used throughout: the Schur polynomial is
 evaluated at q^((r-1)/2), q^((r-3)/2), ..., q^((1-r)/2), giving a palindromic
-Laurent polynomial of grain 2.  The product form is evaluated by exact
-division of products of two-term factors q^(k/2) - q^(-k/2); a Weyl-group
-alternant quotient provides an independent oracle for small ranks.
+Laurent polynomial of grain 2.  The product form is evaluated on an integer
+coefficient list, by exact division of products of factors 1 - q^k; a
+Weyl-group alternant quotient provides an independent oracle for small ranks.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from typing import Iterable
 
 from .combinatorics import as_partition, perm_sign
 from .lie_sl import WeightVector, epsilon_coords, partition_of_weight, weyl_vector
-from .qseries import QSeries, exact_div
-
-
-def _half_bracket(k: int) -> QSeries:
-    # q^(k/2) - q^(-k/2), exact
-    return QSeries({Fraction(k, 2): 1, Fraction(-k, 2): -1})
+from .qseries import QSeries, divide_one_minus_q, exact_div, one_minus_q_product
 
 
 def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
@@ -29,19 +24,26 @@ def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
     Requires at most ``rank`` rows.  The result is exact (no truncation)
     with declared grain 2, palindromic about exponent 0, and sums to the
     module dimension at q -> 1.
+
+    With [k] = q^(k/2) - q^(-k/2) = -q^(-k/2) (1 - q^k), it is the product
+    over i < j of [h_ij] / [j - i], h_ij = lam_i - lam_j + j - i; the signs
+    cancel in pairs, leaving q^(-D/2) P(q), D = sum (lam_i - lam_j), with the
+    integer polynomial P = prod (1 - q^h_ij) / prod (1 - q^(j-i)).
     """
     lam = as_partition(shape)
     if len(lam) > rank:
         raise ValueError(f"partition has {len(lam)} rows, rank is {rank}")
     padded = lam + (0,) * (rank - len(lam))
-    num = QSeries.one()
-    den = QSeries.one()
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            num = num * _half_bracket(padded[i] - padded[j] + j - i)
-            den = den * _half_bracket(j - i)
-    quotient = exact_div(num, den)
-    return QSeries(quotient.terms, grain=2)
+    pairs = [(i, j) for j in range(rank) for i in range(j)]
+    poly = one_minus_q_product(padded[i] - padded[j] + j - i for i, j in pairs)
+    poly = divide_one_minus_q(poly, (j - i for i, j in pairs))
+    return _halved(poly, sum(padded[i] - padded[j] for i, j in pairs))
+
+
+def _halved(poly: list[int], shift: int, sign: int = 1) -> QSeries:
+    # sign * q^(-shift/2) * sum_k poly[k] q^k, with declared grain 2
+    terms = {Fraction(2 * k - shift, 2): sign * c for k, c in enumerate(poly) if c}
+    return QSeries(terms, grain=2)
 
 
 def principal_spec_weight(mu: WeightVector) -> QSeries:
@@ -54,14 +56,11 @@ def principal_spec_weight(mu: WeightVector) -> QSeries:
 
 
 def weyl_denominator(rank: int) -> QSeries:
-    """Product of q^(h/2) - q^(-h/2) over positive-root heights h."""
+    """Product of q^(h/2) - q^(-h/2) = -q^(-h/2) (1 - q^h) over root heights h."""
     if rank < 2:
         raise ValueError("rank must be at least 2")
-    out = QSeries.one()
-    for i in range(1, rank):
-        for j in range(i + 1, rank + 1):
-            out = out * _half_bracket(j - i)
-    return QSeries(out.terms, grain=2)
+    heights = [j - i for j in range(rank + 1) for i in range(1, j)]
+    return _halved(one_minus_q_product(heights), sum(heights), (-1) ** len(heights))
 
 
 def alternant_spec_oracle(mu: WeightVector, *, max_rank: int = 6) -> QSeries:

@@ -24,7 +24,7 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import QSeries, euler_product, invert_unit
+from .qseries import QSeries, euler_product, invert_unit, one_minus_q_product
 from .schur_spec import principal_spec_weight
 
 _ExponentLike = Fraction | int
@@ -65,11 +65,8 @@ def summand_exponent_bound(rank: int, p: int) -> Fraction:
 def enumeration_level(rank: int, p: int, cutoff: Fraction) -> int:
     """Largest scaled coordinate sum whose summand can reach below cutoff."""
     bound = summand_exponent_bound(rank, p)
-    level = cutoff / bound  # include m only when bound * m < cutoff
-    top = level.numerator // level.denominator
-    if Fraction(top) == level:
-        top -= 1
-    return max(top, 0)
+    # include m only when bound * m < cutoff
+    return max(ceil(cutoff / bound) - 1, 0)
 
 
 def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction, level: int):
@@ -128,11 +125,9 @@ def _cone_sum(
     F(mu) and at or above the linear bound.
     """
     bound = summand_exponent_bound(rank, p)
-    level = (
-        enumeration_level(rank, p, cutoff)
-        if enumeration_bound is None
-        else int(enumeration_bound)
-    )
+    if enumeration_bound is None:
+        enumeration_bound = enumeration_level(rank, p, cutoff)
+    level = int(enumeration_bound)
     # All summands on a coset declare one grain; the sum declares it once the
     # coset's lowest weight is within the level, even if no summand is kept.
     lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
@@ -159,10 +154,7 @@ def _cone_sum(
 
 def _one_minus_q_product(heights: Iterable[int]) -> QSeries:
     """Product of (1 - q^h) over the given heights; exact."""
-    out = QSeries.one()
-    for h in heights:
-        out = out * QSeries({0: 1, h: -1})
-    return out
+    return QSeries(dict(enumerate(one_minus_q_product(heights))))
 
 
 def _height_product(rank: int) -> QSeries:
@@ -176,17 +168,21 @@ def _cross_product(components: int, rank: int) -> QSeries:
     return _one_minus_q_product(j - i for j in upper for i in lower)
 
 
+def _character(spec: CharacterSpec, dim_of, enumeration_bound: int | None) -> QSeries:
+    cut = spec.cutoff
+    prefactor = _height_product(spec.rank) * invert_unit(
+        euler_product(cut) ** (spec.rank - 1)
+    )
+    cone = _cone_sum(spec.rank, spec.p, spec.coset, cut, dim_of, enumeration_bound)
+    return (prefactor * cone).truncate(cut)
+
+
 def singlet_char(spec: CharacterSpec, *, enumeration_bound: int | None = None) -> QSeries:
     """Normalized singlet character: height product over the Euler-product
     power, times the zero-weight-dimension cone sum on coset 0."""
     if spec.kind != "singlet":
         raise ValueError("spec.kind must be 'singlet'")
-    cut = spec.cutoff
-    prefactor = _height_product(spec.rank) * invert_unit(
-        euler_product(cut) ** (spec.rank - 1)
-    )
-    cone = _cone_sum(spec.rank, spec.p, 0, cut, zero_weight_dim, enumeration_bound)
-    return (prefactor * cone).truncate(cut)
+    return _character(spec, zero_weight_dim, enumeration_bound)
 
 
 def triplet_char(spec: CharacterSpec, *, enumeration_bound: int | None = None) -> QSeries:
@@ -194,12 +190,7 @@ def triplet_char(spec: CharacterSpec, *, enumeration_bound: int | None = None) -
     full-dimension cone sum."""
     if spec.kind != "triplet":
         raise ValueError("spec.kind must be 'triplet'")
-    cut = spec.cutoff
-    prefactor = _height_product(spec.rank) * invert_unit(
-        euler_product(cut) ** (spec.rank - 1)
-    )
-    cone = _cone_sum(spec.rank, spec.p, spec.coset, cut, weyl_dim, enumeration_bound)
-    return (prefactor * cone).truncate(cut)
+    return _character(spec, weyl_dim, enumeration_bound)
 
 
 def rhs_singlet_limit(
@@ -207,27 +198,33 @@ def rhs_singlet_limit(
 ) -> QSeries:
     """The colour-limit comparison series for 2 <= components <= rank:
     cross-product and height-product correction factors times the rank-
-    ``components`` singlet character."""
+    ``components`` singlet character.
+
+    With c = components, the correction E^(c-1) / H_c (E the Euler product,
+    H_c the height product) is the inverse power series of the character's
+    prefactor, so only the cross-product inverse times the cone sum is built.
+    Truncation: every factor starts at exponent 0 (the cone sum at mu = 0)
+    and is exact below the cutoff, so either product is exact below it and
+    has the cutoff as its own.  Each factor's grain divides the cone sum's,
+    which covers the cutoff's denominator, so the grain agrees too.
+    """
     if not 2 <= components <= rank:
         raise ValueError(
             f"need 2 <= components <= rank, got components={components} rank={rank}"
         )
-    cut = Fraction(cutoff)
+    cut = CharacterSpec(components, p, "singlet", cutoff).cutoff
     cross = invert_unit(_cross_product(components, rank), cut)
-    correction = euler_product(cut) ** (components - 1) * invert_unit(
-        _height_product(components), cut
-    )
-    char = singlet_char(CharacterSpec(components, p, "singlet", cut))
-    return (cross * correction * char).truncate(cut)
+    return (cross * _cone_sum(components, p, 0, cut, zero_weight_dim)).truncate(cut)
 
 
 def rhs_triplet_limit(rank: int, p: int, coset: int, cutoff: _ExponentLike) -> QSeries:
     """The colour-limit comparison series for components = rank + 1:
     Euler-product power over the height product, times the triplet character
-    on the chosen coset."""
-    cut = Fraction(cutoff)
-    correction = euler_product(cut) ** (rank - 1) * invert_unit(
-        _height_product(rank), cut
-    )
-    char = triplet_char(CharacterSpec(rank, p, "triplet", cut, coset))
-    return (correction * char).truncate(cut)
+    on the chosen coset.
+
+    That correction inverts the character's prefactor, so the series is the
+    cone sum (see :func:`rhs_singlet_limit`).  The cone sum may start above
+    0, but the other factors start at 0, so the cutoff is still the cutoff.
+    """
+    spec = CharacterSpec(rank, p, "triplet", cutoff, coset)
+    return _cone_sum(rank, p, coset, spec.cutoff, weyl_dim)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtorus import combinatorics
 from qtorus import (
     QSeries,
+    as_composition,
     as_partition,
     compositions_of,
     enumerate_ssyt,
@@ -222,3 +224,43 @@ def test_dimension_sum_rule(lam):
 @given(st.integers(0, 12), st.integers(1, 5))
 def test_partitions_of_agree_with_recurrence(n, k):
     assert sum(1 for _ in partitions_of(n, k)) == count_at_most(n, k)
+
+
+# -- bounded caches -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cached,call",
+    [
+        # size mismatches are answered at once, so filling the cache is cheap
+        (combinatorics._kostka, lambda k: combinatorics._kostka((k,), (k + 1,))),
+        (combinatorics._schur_expand, lambda k: combinatorics._schur_expand((k,), 1)),
+    ],
+)
+def test_caches_are_bounded_and_evict(cached, call):
+    bound = cached.cache_info().maxsize
+    assert bound is not None and 0 < bound < 1 << 20
+    cached.cache_clear()
+    try:
+        for k in range(bound + 1):
+            call(k)
+        assert cached.cache_info().currsize == bound
+        misses = cached.cache_info().misses
+        call(0)  # the least recently used entry was evicted
+        assert cached.cache_info().misses == misses + 1
+    finally:
+        cached.cache_clear()
+
+
+def test_kostka_cache_holds_the_benchmark_working_set():
+    assert combinatorics.KOSTKA_CACHE_SIZE >= 4 * 6948
+
+
+def test_a_normalized_content_is_kept_as_is():
+    # the Kostka cache then holds one content tuple per content, not per shape
+    content = (5, 5, 5)
+    assert as_composition(content) is content
+    assert as_composition([5, 0, 2, 0]) == (5, 0, 2)
+    assert as_composition((4, 0)) == (4,)
+    with pytest.raises(ValueError):
+        as_composition((3, -1))

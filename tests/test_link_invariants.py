@@ -250,3 +250,35 @@ def test_pruning_skips_shapes_before_kostka(monkeypatch):
         lam for lam in partitions_of(80, 2) if summand_floor(spec, lam) < below
     ]
     assert 0 < len(kept) < 41
+
+
+# -- one-pass summation against the summand-by-summand series sum -------------
+
+
+def reference_jones_torus_link(spec, below=None):
+    """The invariant as a running QSeries sum, one addition per summand."""
+    total = QSeries.zero()
+    for _, _, term in jones_summands(spec, below):
+        total = total + term
+    series = QSeries(total.terms, grain=2)
+    return series if below is None else series.truncate(below)
+
+
+# (rank, components, colour): the largest colour of each benchmark family
+BENCHMARK_TOPS = [(2, 2, 100), (2, 3, 30), (3, 3, 12), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
+
+
+@pytest.mark.parametrize("rank,components,colour", BENCHMARK_TOPS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_pass_sum_matches_the_running_sum(rank, components, colour, p):
+    for n in sorted({0, 1, colour // 2, colour}):
+        spec = TorusLinkSpec(rank, components, p, n)
+        shift = (
+            triplet_shift_exponent(spec)
+            if components == rank + 1
+            else singlet_shift_exponent(spec)
+        )
+        belows = [None] + [Fraction(cutoff) - shift for cutoff in PRUNING_CUTOFFS]
+        for below in belows:
+            expected = reference_jones_torus_link(spec, below).to_json_dict()
+            assert jones_torus_link(spec, below).to_json_dict() == expected

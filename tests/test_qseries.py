@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus import QSeries, euler_product, exact_div, first_disagreement, invert_unit
+from qtorus.qseries import divide_one_minus_q, one_minus_q_product
 
 
 # -- independent oracles -------------------------------------------------------
@@ -334,3 +335,46 @@ def test_json_fields():
     assert data["cutoff"] == {"num": 3, "den": 1}
     assert data["terms"] == [[1, 2, "2"]]
     assert json.loads(QSeries({0: 1}).to_json())["cutoff"] is None
+
+
+# -- the (1 - q^h) kernel on integer coefficient lists -------------------------
+
+
+def _one_minus_q_series(heights) -> QSeries:
+    out = QSeries.one()
+    for h in heights:
+        out = out * QSeries({0: 1, h: -1})
+    return out
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=8))
+def test_one_minus_q_product_matches_series_product(heights):
+    coeffs = one_minus_q_product(heights)
+    assert len(coeffs) == sum(heights) + 1
+    assert QSeries(dict(enumerate(coeffs))) == _one_minus_q_series(heights)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=6), st.lists(st.integers(1, 9), max_size=6))
+def test_divide_one_minus_q_undoes_the_product(kept, divided):
+    coeffs = one_minus_q_product(kept + divided)
+    assert divide_one_minus_q(coeffs, divided) == one_minus_q_product(kept)
+
+
+@pytest.mark.parametrize(
+    "heights,wrong",
+    [([3, 5], [2]), ([2, 2], [2, 3]), ([4], [4, 1]), ([1], [2]), ([], [1])],
+)
+def test_divide_one_minus_q_raises_on_a_wrong_height(heights, wrong):
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        divide_one_minus_q(one_minus_q_product(heights), wrong)
+
+
+def test_divide_one_minus_q_checks_the_quotient_against_exact_div():
+    # a polynomial that is not a product of (1 - q^h) factors
+    coeffs = [2, -1, 0, 5, -6, 1, -1]
+    num = QSeries(dict(enumerate(coeffs))) * QSeries({0: 1, 3: -1})
+    grid = [num.coefficient(k) for k in range(len(coeffs) + 3)]
+    assert divide_one_minus_q(grid, [3]) == coeffs
+    assert exact_div(num, QSeries({0: 1, 3: -1})) == QSeries(dict(enumerate(coeffs)))

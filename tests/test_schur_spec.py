@@ -6,13 +6,16 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from qtorus import schur_spec
 from qtorus import (
     QSeries,
     WeightVector,
     alternant_spec_oracle,
     as_partition,
     epsilon_coords,
+    exact_div,
     pairing,
+    partitions_of,
     partition_of_weight,
     principal_spec,
     principal_spec_weight,
@@ -22,6 +25,53 @@ from qtorus import (
     weyl_vector,
 )
 from qtorus.combinatorics import perm_sign
+
+
+# -- reference: half brackets q^(k/2) - q^(-k/2) and exact_div ----------------
+
+
+def _half_bracket(k: int) -> QSeries:
+    return QSeries({Fraction(k, 2): 1, Fraction(-k, 2): -1})
+
+
+def reference_principal_spec(shape, rank: int) -> QSeries:
+    """The product formula as one QSeries per bracket, then one exact division."""
+    lam = as_partition(shape)
+    padded = lam + (0,) * (rank - len(lam))
+    num = den = QSeries.one()
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            num = num * _half_bracket(padded[i] - padded[j] + j - i)
+            den = den * _half_bracket(j - i)
+    return QSeries(exact_div(num, den).terms, grain=2)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_matches_the_half_bracket_reference_through_size_12(rank):
+    for size in range(13):
+        for lam in partitions_of(size, rank):
+            expected = reference_principal_spec(lam, rank).to_json_dict()
+            assert principal_spec(lam, rank).to_json_dict() == expected
+
+
+def test_matches_the_half_bracket_reference_on_random_large_shapes():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        rank = rng.randint(2, 7)
+        lam = as_partition(sorted((rng.randint(0, 40) for _ in range(rank)), reverse=True))
+        expected = reference_principal_spec(lam, rank).to_json_dict()
+        assert principal_spec(lam, rank).to_json_dict() == expected
+
+
+def test_dividing_by_a_wrong_height_raises(monkeypatch):
+    divide = schur_spec.divide_one_minus_q
+
+    def off_by_one(coeffs, heights):
+        return divide(coeffs, [d + 1 for d in heights])
+
+    monkeypatch.setattr(schur_spec, "divide_one_minus_q", off_by_one)
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        principal_spec((2, 1), 3)
 
 
 def test_defining_representation():

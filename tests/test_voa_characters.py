@@ -299,3 +299,49 @@ def test_characters_are_schedule_independent_values():
     # two independent evaluations construct equal values
     spec = CharacterSpec(3, 2, "singlet", 14)
     assert singlet_char(spec) == singlet_char(spec)
+
+
+# -- the comparison series against the prefactor-times-inverse formulas -------
+
+
+def reference_rhs_singlet(rank, components, p, cutoff):
+    """Cross and height corrections times the whole singlet character."""
+    cut = Fraction(cutoff)
+    cross = invert_unit(_cross_product(components, rank), cut)
+    correction = euler_product(cut) ** (components - 1) * invert_unit(
+        _height_product(components), cut
+    )
+    char = singlet_char(CharacterSpec(components, p, "singlet", cut))
+    return (cross * correction * char).truncate(cut)
+
+
+def reference_rhs_triplet(rank, p, coset, cutoff):
+    """Euler power over the height product times the whole triplet character."""
+    cut = Fraction(cutoff)
+    correction = euler_product(cut) ** (rank - 1) * invert_unit(_height_product(rank), cut)
+    char = triplet_char(CharacterSpec(rank, p, "triplet", cut, coset))
+    return (correction * char).truncate(cut)
+
+
+RHS_CUTOFFS = [Fraction(1, 2), 1, Fraction(7, 3), Fraction(31, 6), 12, 16]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3])
+def test_rhs_limits_match_the_prefactor_formulas(rank, p):
+    for cutoff in RHS_CUTOFFS:
+        for components in range(2, rank + 1):
+            expected = reference_rhs_singlet(rank, components, p, cutoff).to_json_dict()
+            assert rhs_singlet_limit(rank, components, p, cutoff).to_json_dict() == expected
+        for coset in range(rank):
+            expected = reference_rhs_triplet(rank, p, coset, cutoff).to_json_dict()
+            assert rhs_triplet_limit(rank, p, coset, cutoff).to_json_dict() == expected
+
+
+def test_rhs_triplet_validation():
+    with pytest.raises(ValueError, match="coset"):
+        rhs_triplet_limit(2, 2, 2, 10)
+    with pytest.raises(ValueError, match="p >= 2"):
+        rhs_triplet_limit(2, 1, 0, 10)
+    with pytest.raises(ValueError, match="cutoff"):
+        rhs_triplet_limit(2, 2, 0, 0)
