@@ -3,8 +3,8 @@
 Subcommands mirror the library surface: ``kostka`` and ``schur`` for the
 combinatorial layer, ``jones`` for torus-link invariants, ``char`` for the
 character series, ``verify`` for the limit identities and propositions, and
-``selftest`` for a quick health battery.  Output is canonical text or JSON;
-runs are deterministic for a fixed configuration regardless of --jobs.
+``selftest`` for a quick health battery.  Each ``verify`` mode declares only
+its own flags, so argparse rejects any other.  Output is canonical text or JSON.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import selftest as selftest_battery
-from .combinatorics import as_partition, kostka, partitions_of
+from .combinatorics import as_composition, as_partition, kostka, partitions_of
 from .link_invariants import (
     TorusLinkSpec,
     jones_torus_link,
@@ -47,7 +46,6 @@ class CliConfig:
     params: dict = field(default_factory=dict)
     output: str = "text"
     order: int | None = None
-    jobs: int = 1
     out_path: str | None = None
 
 
@@ -62,10 +60,11 @@ def parse_content(text: str):
     body = text.strip().strip("[]")
     if "^" in body:
         base, _, reps = body.partition("^")
-        return (int(base),) * int(reps)
-    if not body:
-        return ()
-    return tuple(int(x) for x in body.split(","))
+        content = (int(base),) * int(reps)
+    else:
+        content = tuple(int(x) for x in body.split(",")) if body else ()
+    as_composition(content)  # raises on a negative entry
+    return content
 
 
 def format_partition(shape) -> str:
@@ -74,6 +73,16 @@ def format_partition(shape) -> str:
 
 def _dumps(obj) -> str:
     return json.dumps(obj)
+
+
+def _flag_type(parse):
+    """``parse`` as an argparse type that keeps its ValueError's reason."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_order: bool = False):
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.add_argument("--output", metavar="PATH", help="write output to a file")
-        p.add_argument("--jobs", type=int, default=1, help="parallelism degree")
         if with_order:
             p.add_argument(
                 "--order",
@@ -100,12 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("kostka", help="count tableaux of a shape and content")
-    p.add_argument("--shape", required=True, help="partition, e.g. 2,1")
-    p.add_argument("--content", required=True, help="composition, e.g. 1,1,1 or 7^4")
+    p.add_argument("--shape", type=_flag_type(parse_partition), required=True,
+                   help="partition, e.g. 2,1")
+    p.add_argument("--content", type=_flag_type(parse_content), required=True,
+                   help="composition, e.g. 1,1,1 or 7^4")
     common(p)
 
     p = sub.add_parser("schur", help="principal specialization of a Schur polynomial")
-    p.add_argument("--shape", required=True)
+    p.add_argument("--shape", type=_flag_type(parse_partition), required=True)
     p.add_argument("--rank", type=int, required=True)
     common(p)
 
@@ -128,17 +138,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_order=True)
 
     p = sub.add_parser("verify", help="check a limit identity or the propositions")
-    p.add_argument("mode", choices=["singlet", "triplet", "props"])
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--components", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--coset", type=int, help="triplet coset (default 0)")
-    p.add_argument("--colour", type=int)
-    p.add_argument(
-        "--max-weight", type=int,
-        help="scan bound for the proposition checks (props mode, default 10)",
+    modes = p.add_subparsers(dest="mode", required=True)
+
+    m = modes.add_parser("singlet", help="singlet limit identity, 2 <= components <= rank")
+    for flag in ("--rank", "--components", "--p", "--colour"):
+        m.add_argument(flag, type=int, required=True)
+    common(m, with_order=True)
+
+    m = modes.add_parser("triplet", help="triplet limit identity, components = rank + 1")
+    for flag in ("--rank", "--p", "--colour"):
+        m.add_argument(flag, type=int, required=True)
+    m.add_argument("--coset", type=int, default=0, help="triplet coset (default 0)")
+    common(m, with_order=True)
+
+    # The zero-weight check expands Schur polynomials with the Jacobi-Trudi
+    # oracle, which is guarded to rank <= 5 and weight <= 16.
+    m = modes.add_parser("props", help="the Kostka propositions behind both identities")
+    m.add_argument("--rank", type=int, choices=range(2, 6), required=True, metavar="{2..5}")
+    m.add_argument(
+        "--max-weight", type=int, choices=range(17), default=10, metavar="{0..16}",
+        help="scan bound for the proposition checks (default 10)",
     )
-    common(p, with_order=True)
+    common(m)
 
     p = sub.add_parser("selftest", help="run the small-scale invariant battery")
     common(p)
@@ -166,22 +187,19 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("subcommand", "json", "output", "jobs", "order") and v is not None
+        if k not in ("subcommand", "json", "output", "order")
     }
     return CliConfig(
         subcommand=args.subcommand,
         params=params,
         output="json" if args.json else "text",
         order=getattr(args, "order", None),
-        jobs=args.jobs,
         out_path=args.output,
     )
 
 
 def run(config: CliConfig) -> tuple[int, str]:
     """Execute one configuration; returns (exit status, rendered output)."""
-    if config.jobs < 1:
-        raise ValueError(f"--jobs must be positive, got {config.jobs}")
     handler = {
         "kostka": _run_kostka,
         "schur": _run_schur,
@@ -200,8 +218,8 @@ def _render_series(series: QSeries, config: CliConfig) -> str:
 
 
 def _run_kostka(config: CliConfig) -> tuple[int, str]:
-    shape = parse_partition(config.params["shape"])
-    content = parse_content(config.params["content"])
+    shape = config.params["shape"]
+    content = config.params["content"]
     value = kostka(shape, content)
     if config.output == "json":
         return 0, _dumps(
@@ -215,7 +233,7 @@ def _run_kostka(config: CliConfig) -> tuple[int, str]:
 
 
 def _run_schur(config: CliConfig) -> tuple[int, str]:
-    shape = parse_partition(config.params["shape"])
+    shape = config.params["shape"]
     rank = config.params["rank"]
     if rank < 1:
         raise ValueError(f"--rank must be positive, got {rank}")
@@ -230,7 +248,7 @@ def _run_jones(config: CliConfig) -> tuple[int, str]:
         p=config.params["p"],
         colour=config.params["colour"],
     )
-    shift = config.params.get("shift", "none")
+    shift = config.params["shift"]
     if shift == "singlet":
         series = shifted_invariant_singlet(spec)
     elif shift == "triplet":
@@ -247,55 +265,24 @@ def _run_char(config: CliConfig) -> tuple[int, str]:
         p=config.params["p"],
         kind=config.params["kind"],
         cutoff=order,
-        coset=config.params.get("coset", 0),
+        coset=config.params["coset"],
     )
     series = singlet_char(spec) if spec.kind == "singlet" else triplet_char(spec)
     return 0, _render_series(series, config)
 
 
-def _require(params: dict, names: list[str], mode: str) -> None:
-    missing = [n for n in names if params.get(n) is None]
-    if missing:
-        raise ValueError(
-            f"verify {mode} requires --" + " --".join(missing)
-        )
-
-
-# Flags each verify mode would otherwise ignore; giving one is an error.
-_NOT_TAKEN = {
-    "singlet": ["coset", "max_weight"],
-    "triplet": ["components", "max_weight"],
-    "props": ["components", "p", "coset", "colour", "order"],
-}
-
-
 def _run_verify(config: CliConfig) -> tuple[int, str]:
-    mode = config.params["mode"]
-    given = dict(config.params, order=config.order)
-    extra = [n for n in _NOT_TAKEN[mode] if given.get(n) is not None]
-    if extra:
-        flags = " ".join("--" + n.replace("_", "-") for n in extra)
-        raise ValueError(f"verify {mode} does not take {flags}")
-    if mode == "props":
+    params = config.params
+    if params["mode"] == "props":
         return _run_props(config)
     order = _resolve_order(config.order)
-    if mode == "singlet":
-        _require(config.params, ["components", "p", "colour"], mode)
+    if params["mode"] == "singlet":
         report = verify_singlet_theorem(
-            config.params["rank"],
-            config.params["components"],
-            config.params["p"],
-            config.params["colour"],
-            order,
+            params["rank"], params["components"], params["p"], params["colour"], order
         )
     else:
-        _require(config.params, ["p", "colour"], mode)
         report = verify_triplet_theorem(
-            config.params["rank"],
-            config.params["p"],
-            config.params.get("coset", 0),
-            config.params["colour"],
-            order,
+            params["rank"], params["p"], params["coset"], params["colour"], order
         )
     if config.output == "json":
         text = _dumps([report.to_json_dict()])
@@ -304,29 +291,19 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
     return (0 if report.passed else 1), text
 
 
-def _map_ordered(fn, items, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _run_props(config: CliConfig) -> tuple[int, str]:
     rank = config.params["rank"]
-    max_weight = config.params.get("max_weight", 10)
-    if max_weight > 16:
-        raise ValueError("props scan bound must be at most 16 (oracle guard)")
+    max_weight = config.params["max_weight"]
 
     zero_shapes = [
         lam
         for weight in range(max_weight + 1)
         for lam in partitions_of(weight, rank)
     ]
-    zero_results = _map_ordered(
-        lambda lam: check_prop_zero_weight(lam, rank), zero_shapes, config.jobs
-    )
     zero_failures = [
-        format_partition(lam) for lam, ok in zip(zero_shapes, zero_results) if not ok
+        format_partition(lam)
+        for lam in zero_shapes
+        if not check_prop_zero_weight(lam, rank)
     ]
 
     full_cases = []
@@ -336,25 +313,15 @@ def _run_props(config: CliConfig) -> tuple[int, str]:
             if len(lam) == rank and lam[-1] >= colour:
                 full_cases.append((lam, colour))
         colour += 1
-    full_results = _map_ordered(
-        lambda case: check_prop_full_dim(case[0], case[1], rank),
-        full_cases,
-        config.jobs,
-    )
     full_failures = [
         format_partition(lam)
-        for (lam, _), verdict in zip(full_cases, full_results)
-        if verdict == "fail"
+        for lam, colour in full_cases
+        if check_prop_full_dim(lam, colour, rank) == "fail"
     ]
-    phi_results = _map_ordered(
-        lambda case: phi_bijection_check(case[0], case[1], rank),
-        full_cases,
-        config.jobs,
-    )
     phi_failures = [
         format_partition(lam)
-        for (lam, _), ok in zip(full_cases, phi_results)
-        if not ok
+        for lam, colour in full_cases
+        if not phi_bijection_check(lam, colour, rank)
     ]
 
     sections = [
@@ -390,7 +357,7 @@ def _run_props(config: CliConfig) -> tuple[int, str]:
 
 
 def _run_selftest(config: CliConfig) -> tuple[int, str]:
-    results = selftest_battery.run_all(config.jobs)
+    results = selftest_battery.run_all()
     if config.output == "json":
         text = _dumps([{"check": name, "passed": ok} for name, ok in results])
     else:

@@ -9,7 +9,6 @@ test suite; this battery is for quick health checks of an installation.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable
@@ -206,12 +205,6 @@ CHECKS: list[tuple[str, Callable[[], bool]]] = [
 ]
 
 
-def run_all(jobs: int = 1) -> list[tuple[str, bool]]:
-    """Run every check; results come back in the fixed declaration order
-    regardless of the degree of parallelism."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda item: item[1](), CHECKS))
-    else:
-        outcomes = [fn() for _, fn in CHECKS]
-    return [(name, ok) for (name, _), ok in zip(CHECKS, outcomes)]
+def run_all() -> list[tuple[str, bool]]:
+    """Run every check; results come back in the fixed declaration order."""
+    return [(name, fn()) for name, fn in CHECKS]

@@ -1,5 +1,5 @@
 """Command-line surface: worked outputs, JSON round trips, error paths,
-golden regressions, and determinism across parallelism settings."""
+golden regressions, and the README's examples."""
 
 import json
 from pathlib import Path
@@ -9,10 +9,15 @@ from qtorus import QSeries
 from qtorus.cli import main, parse_content, parse_partition
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    """Run the CLI as a shell would: argparse's SystemExit is the status."""
+    try:
+        code = main(argv)
+    except SystemExit as exit:
+        code = exit.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -185,6 +190,21 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
         (["verify", "singlet", "--rank", "2", "--components", "2", "--p", "2",
           "--colour", "4", "--coset", "0"], "--coset"),
         (["schur", "--shape", "2,1", "--rank", "-3"], "--rank"),
+        pytest.param(["verify", "props", "--rank", "2", "--max-weight", "-3"],
+                     "--max-weight: invalid choice: -3", id="props-weight-negative"),
+        pytest.param(["verify", "props", "--rank", "2", "--max-weight", "17"],
+                     "--max-weight: invalid choice: 17", id="props-weight-too-large"),
+        pytest.param(["verify", "props", "--rank", "-2"],
+                     "--rank: invalid choice: -2", id="props-rank-negative"),
+        pytest.param(["verify", "props", "--rank", "9"],
+                     "--rank: invalid choice: 9", id="props-rank-too-large"),
+        pytest.param(["kostka", "--shape", "2,x", "--content", "1"],
+                     "--shape: invalid literal for int()", id="shape-not-integer"),
+        pytest.param(["schur", "--shape", "3,4", "--rank", "3"],
+                     "--shape: parts must weakly decrease", id="shape-increasing"),
+        pytest.param(["kostka", "--shape", "2", "--content=-1,4"],
+                     "--content: composition entries must be nonnegative",
+                     id="content-negative"),
     ],
 )
 def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):
@@ -219,6 +239,22 @@ def test_ignored_flag_is_rejected(argv, flags, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert all(flag in err for flag in flags)
+
+
+def readme_commands():
+    """The argv of every ``qtorus ...`` line in the README's command block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("qtorus ")]
+    assert commands, "the README's command-line block has no qtorus examples"
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands())
+def test_readme_examples_run(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and out and err == ""
 
 
 def test_props_keeps_the_order_environment_global(capsys, monkeypatch):
@@ -278,22 +314,3 @@ def test_golden_outputs(argv, golden, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
-
-
-@pytest.mark.parametrize("jobs", ["1", "4"])
-def test_props_deterministic_across_jobs(jobs, capsys):
-    code, out, _ = run_cli(
-        ["verify", "props", "--rank", "2", "--max-weight", "8", "--jobs", jobs],
-        capsys,
-    )
-    assert code == 0
-    assert out == (GOLDEN / "props_r2_w8.txt").read_text()
-
-
-def test_selftest_deterministic_across_jobs(capsys):
-    outputs = []
-    for jobs in ("1", "3"):
-        code, out, _ = run_cli(["selftest", "--jobs", jobs, "--json"], capsys)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
