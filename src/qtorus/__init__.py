@@ -13,6 +13,7 @@ from .combinatorics import (
     kappa,
     kappa_from_gaps,
     kostka,
+    kostka_numbers,
     partitions_of,
     schur_expand_oracle,
 )

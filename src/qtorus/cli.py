@@ -60,7 +60,10 @@ def parse_content(text: str):
     body = text.strip().strip("[]")
     if "^" in body:
         base, _, reps = body.partition("^")
-        content = (int(base),) * int(reps)
+        count = int(reps)
+        if count < 0:
+            raise ValueError(f"repeat count must be nonnegative, got {count}")
+        content = (int(base),) * count
     else:
         content = tuple(int(x) for x in body.split(",")) if body else ()
     as_composition(content)  # raises on a negative entry

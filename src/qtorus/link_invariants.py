@@ -4,20 +4,21 @@ symmetric-power colour.
 The invariant of the c-component torus link T(c, cp), with every component
 coloured by the n-th symmetric power, is a finite Kostka-weighted sum of
 framing monomials times principal specializations: an exact Laurent
-polynomial of grain 2.  Two shifted forms move its lowest terms to the
-origin for comparison with character series.
+polynomial of grain 2, summed on the integers of twice its exponents.  Two
+shifted forms move its lowest terms to the origin for comparison with
+character series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Iterator
 
-from .combinatorics import Partition, kappa, kostka, partitions_of
+from .combinatorics import Partition, kappa, kostka, kostka_numbers, partitions_of
 from .qseries import QSeries
-from .schur_spec import principal_spec
+from .schur_spec import principal_spec, principal_spec_poly
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
 def jones_summands(
     spec: TorusLinkSpec, below: Fraction | None = None
 ) -> Iterator[tuple[Partition, int, QSeries]]:
-    """Per-partition contributions (shape, Kostka weight, term series).
+    """Per-partition contributions (shape, Kostka weight, term series): the
+    reference form of the sum that :func:`jones_torus_link` makes on integers.
 
     The sum runs over partitions of colour * components with at most
     min(rank, components) rows; shapes with Kostka weight zero are skipped.
@@ -94,10 +96,27 @@ def jones_summands(
 def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
     """The specialized coloured invariant, as an exact Laurent polynomial,
     or truncated at ``below`` when that is given."""
-    # one pass: the constructor adds up the terms at equal exponents
-    terms = (t for _, _, s in jones_summands(spec, below) for t in s.terms.items())
-    series = QSeries(terms, grain=2)
-    return series if below is None else series.truncate(below)
+    return QSeries.from_grid(_doubled_sum(spec, below), 2, below)
+
+
+def _doubled_sum(spec: TorusLinkSpec, below: Fraction | None) -> dict[int, int]:
+    # jones_summands on integers: a summand is weight * q^(p*kappa/2 - D/2) P(q),
+    # so its k-th term sits at twice p*kappa/2 - D/2 + k; P(0) = 1 is its floor
+    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
+    shapes = list(partitions_of(n * c, min(r, c)))
+    if below is not None:
+        shapes = [lam for lam in shapes if summand_floor(spec, lam) < below]
+    acc: dict[int, int] = {}
+    for lam, weight in kostka_numbers(shapes, (n,) * c).items():
+        poly, d = principal_spec_poly(lam, r)
+        base = p * kappa(lam) - d
+        if below is not None:
+            if base != 2 * summand_floor(spec, lam) or not poly[0]:
+                raise AssertionError(f"summand {lam} does not start at its floor")
+            del poly[(ceil(2 * below) - base + 1) // 2:]  # 2 * exponent < 2 * below
+        for e, a in zip(range(base, base + 2 * len(poly), 2), poly):
+            acc[e] = acc.get(e, 0) + weight * a
+    return acc
 
 
 def singlet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
@@ -114,9 +133,12 @@ def _shifted(
     spec: TorusLinkSpec, shift: Fraction, grain: int, cutoff: Fraction | int | None
 ) -> QSeries:
     below = None if cutoff is None else Fraction(cutoff) - shift
-    shifted = QSeries.monomial(1, shift) * jones_torus_link(spec, below)
-    series = QSeries(shifted.terms, grain=grain)
-    return series if cutoff is None else series.truncate(cutoff)
+    # q^shift times the invariant, on the grid of 1/grain
+    if (shift * grain).denominator != 1:
+        raise ValueError(f"grain {grain} does not cover the shift {shift}")
+    half, offset = grain // 2, int(shift * grain)
+    terms = {e * half + offset: a for e, a in _doubled_sum(spec, below).items()}
+    return QSeries.from_grid(terms, grain, cutoff)
 
 
 def shifted_invariant_singlet(

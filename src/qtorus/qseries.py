@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import ceil, lcm
 from typing import Iterable, Mapping, Union
 
 _ExponentLike = Union[Fraction, int, str]
@@ -99,6 +99,19 @@ class QSeries:
     ) -> "QSeries":
         return cls({_exp(exponent): int(coeff)}, cutoff)
 
+    @classmethod
+    def from_grid(
+        cls, coeffs: Mapping[int, int], grain: int, cutoff: _ExponentLike | None = None
+    ) -> "QSeries":
+        """The sum of c q^(k/grain) over ``coeffs``, whose keys k are distinct
+        integers, so nothing is added up; the terms at or above ``cutoff`` drop."""
+        cut = None if cutoff is None else _exp(cutoff)
+        series = cls((), cut, grain if cut is None else lcm(grain, cut.denominator))
+        top = None if cut is None else ceil(cut * grain)
+        series.terms = {Fraction(k, grain): c for k, c in coeffs.items()
+                        if c and (top is None or k < top)}
+        return series
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -117,7 +130,11 @@ class QSeries:
         return self.terms.get(_exp(exponent), 0)
 
     def sorted_terms(self) -> list[tuple[Fraction, int]]:
-        return sorted(self.terms.items())
+        # grain covers every denominator, so the keys are the grid indices
+        g = self.grain
+        return sorted(
+            self.terms.items(), key=lambda t: t[0].numerator * (g // t[0].denominator)
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -261,11 +278,12 @@ class QSeries:
 
 
 def _format_power(e: Fraction) -> str:
-    if e == 1:
+    num, den = e.numerator, e.denominator
+    if den != 1:
+        return f"q^({num}/{den})"
+    if num == 1:
         return "q"
-    if e.denominator == 1 and e >= 0:
-        return f"q^{e.numerator}"
-    return f"q^({e})"
+    return f"q^{num}" if num >= 0 else f"q^({num})"
 
 
 def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries:

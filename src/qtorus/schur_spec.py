@@ -30,6 +30,11 @@ def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
     cancel in pairs, leaving q^(-D/2) P(q), D = sum (lam_i - lam_j), with the
     integer polynomial P = prod (1 - q^h_ij) / prod (1 - q^(j-i)).
     """
+    return _halved(*principal_spec_poly(shape, rank))
+
+
+def principal_spec_poly(shape: Iterable[int], rank: int) -> tuple[list[int], int]:
+    """(P's coefficient list, D) for :func:`principal_spec`; P(0) = 1."""
     lam = as_partition(shape)
     if len(lam) > rank:
         raise ValueError(f"partition has {len(lam)} rows, rank is {rank}")
@@ -37,13 +42,12 @@ def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
     pairs = [(i, j) for j in range(rank) for i in range(j)]
     poly = one_minus_q_product(padded[i] - padded[j] + j - i for i, j in pairs)
     poly = divide_one_minus_q(poly, (j - i for i, j in pairs))
-    return _halved(poly, sum(padded[i] - padded[j] for i, j in pairs))
+    return poly, sum(padded[i] - padded[j] for i, j in pairs)
 
 
 def _halved(poly: list[int], shift: int, sign: int = 1) -> QSeries:
     # sign * q^(-shift/2) * sum_k poly[k] q^k, with declared grain 2
-    terms = {Fraction(2 * k - shift, 2): sign * c for k, c in enumerate(poly) if c}
-    return QSeries(terms, grain=2)
+    return QSeries.from_grid({2 * k - shift: sign * c for k, c in enumerate(poly)}, 2)
 
 
 def principal_spec_weight(mu: WeightVector) -> QSeries:

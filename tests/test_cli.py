@@ -205,6 +205,9 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
         pytest.param(["kostka", "--shape", "2", "--content=-1,4"],
                      "--content: composition entries must be nonnegative",
                      id="content-negative"),
+        pytest.param(["kostka", "--shape", "2", "--content", "7^-1"],
+                     "--content: repeat count must be nonnegative",
+                     id="content-negative-repeat"),
     ],
 )
 def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):
@@ -307,6 +310,20 @@ def test_output_file(tmp_path, capsys):
         (
             ["schur", "--shape", "2,1", "--rank", "3", "--json"],
             "schur_r3_21.json",
+        ),
+        (
+            [
+                "jones", "--rank", "3", "--components", "4", "--p", "3",
+                "--colour", "6", "--shift", "triplet", "--json",
+            ],
+            "jones_r3_c4_p3_n6_triplet.json",
+        ),
+        (
+            [
+                "jones", "--rank", "4", "--components", "4", "--p", "2",
+                "--colour", "4", "--shift", "singlet",
+            ],
+            "jones_r4_c4_p2_n4_singlet.txt",
         ),
     ],
 )

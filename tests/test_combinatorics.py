@@ -19,6 +19,7 @@ from qtorus import (
     kappa,
     kappa_from_gaps,
     kostka,
+    kostka_numbers,
     partitions_of,
     principal_spec,
     schur_expand_oracle,
@@ -115,6 +116,71 @@ def test_kostka_large_rectangular_content():
     # the dynamic program must stay fast at colour-40 scale
     assert kostka((80,), (40, 40)) == 1
     assert kostka((41, 39), (40, 40)) == 1
+
+
+# -- one strip DP for many shapes ------------------------------------------------
+
+# (rank, components, colour): the largest colour of each benchmark family
+BENCHMARK_TOPS = [(2, 2, 100), (2, 3, 30), (3, 3, 12), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
+
+
+def _random_composition(size, rng):
+    # internal zeros included: they are empty strips
+    parts = []
+    while size:
+        parts.append(rng.randint(0, min(size, 5)))
+        size -= parts[-1]
+    return tuple(parts)
+
+
+def _contents(size, rng):
+    rectangles = {(size // c,) * c for c in range(1, size + 1) if size % c == 0}
+    return sorted(rectangles | {_random_composition(size, rng) for _ in range(3)})
+
+
+def _check_against_single_shapes(shapes, content, rng):
+    expected = {lam: kostka(lam, content) for lam in shapes}
+    assert kostka_numbers(shapes, content) == expected
+    # a subset has a smaller union, so a smaller program
+    subset = rng.sample(shapes, rng.randint(1, len(shapes))) if shapes else []
+    assert kostka_numbers(subset, content) == {lam: expected[lam] for lam in subset}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_kostka_numbers_match_single_shapes(rank):
+    rng = random.Random(rank)
+    for size in range(17):
+        shapes = list(partitions_of(size, rank))
+        for content in _contents(size, rng):
+            _check_against_single_shapes(shapes, content, rng)
+
+
+@pytest.mark.parametrize("rank,components,colour", BENCHMARK_TOPS)
+def test_kostka_numbers_match_single_shapes_at_the_benchmark_tops(
+    rank, components, colour
+):
+    rng = random.Random(colour)
+    for n in sorted({1, colour // 2, colour}):
+        shapes = list(partitions_of(n * components, min(rank, components)))
+        _check_against_single_shapes(shapes, (n,) * components, rng)
+
+
+def test_kostka_numbers_match_tableau_enumeration():
+    rng = random.Random(10)
+    for size in range(11):
+        shapes = list(partitions_of(size, size))
+        for content in _contents(size, rng)[:4]:
+            counts = {lam: len(enumerate_ssyt(lam, content)) for lam in shapes}
+            assert kostka_numbers(shapes, content) == counts
+
+
+def test_kostka_numbers_edge_cases():
+    assert kostka_numbers([], (2, 1)) == {}
+    # a shape of the wrong size, one with too many rows, and the empty shape
+    assert kostka_numbers([(2, 1), (4,), (1, 1, 1), ()], (1, 2, 0)) == {
+        (2, 1): 1, (4,): 0, (1, 1, 1): 0, (): 0}
+    assert kostka_numbers([()], ()) == {(): 1}
+    assert kostka_numbers([[3, 1, 0]], [2, 0, 2]) == {(3, 1): 1}
 
 
 # -- kappa ------------------------------------------------------------------------
@@ -234,6 +300,8 @@ def test_partitions_of_agree_with_recurrence(n, k):
     [
         # size mismatches are answered at once, so filling the cache is cheap
         (combinatorics._kostka, lambda k: combinatorics._kostka((k,), (k + 1,))),
+        (combinatorics._kostka_table,
+         lambda k: combinatorics._kostka_table((k,), (k + 1,))),
         (combinatorics._schur_expand, lambda k: combinatorics._schur_expand((k,), 1)),
     ],
 )

@@ -13,6 +13,7 @@ from qtorus import (
     jones_torus_link,
     kappa,
     kostka,
+    kostka_numbers,
     partitions_of,
     principal_spec,
     shifted_invariant_singlet,
@@ -268,17 +269,86 @@ def reference_jones_torus_link(spec, below=None):
 BENCHMARK_TOPS = [(2, 2, 100), (2, 3, 30), (3, 3, 12), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
 
 
+def reference_shifted(spec, shift, grain, cutoff):
+    """The shifted form as a monomial times the running-sum invariant."""
+    below = None if cutoff is None else Fraction(cutoff) - shift
+    shifted = QSeries.monomial(1, shift) * reference_jones_torus_link(spec, below)
+    series = QSeries(shifted.terms, grain=grain)
+    return series if cutoff is None else series.truncate(cutoff)
+
+
 @pytest.mark.parametrize("rank,components,colour", BENCHMARK_TOPS)
 @pytest.mark.parametrize("p", [2, 3])
 def test_one_pass_sum_matches_the_running_sum(rank, components, colour, p):
     for n in sorted({0, 1, colour // 2, colour}):
         spec = TorusLinkSpec(rank, components, p, n)
-        shift = (
-            triplet_shift_exponent(spec)
-            if components == rank + 1
-            else singlet_shift_exponent(spec)
-        )
-        belows = [None] + [Fraction(cutoff) - shift for cutoff in PRUNING_CUTOFFS]
-        for below in belows:
+        if components == rank + 1:
+            shifted, shift = shifted_invariant_triplet, triplet_shift_exponent(spec)
+            grain = 2 * rank
+        else:
+            shifted, shift = shifted_invariant_singlet, singlet_shift_exponent(spec)
+            grain = 2
+        for cutoff in [None] + PRUNING_CUTOFFS:
+            below = None if cutoff is None else Fraction(cutoff) - shift
             expected = reference_jones_torus_link(spec, below).to_json_dict()
             assert jones_torus_link(spec, below).to_json_dict() == expected
+            expected = reference_shifted(spec, shift, grain, cutoff).to_json_dict()
+            assert shifted(spec, cutoff).to_json_dict() == expected
+
+
+@pytest.mark.parametrize(
+    "rank,components,p,n", [(2, 2, 3, 40), (3, 3, 2, 9), (2, 3, 2, 30), (4, 5, 3, 3)]
+)
+def test_each_summand_stops_below_twice_the_window(rank, components, p, n):
+    spec = TorusLinkSpec(rank, components, p, n)
+    low = min(summand_floor(spec, lam) for lam in partitions_of(n * components, rank))
+    for below in (low + Fraction(1, 3), low + 1, low + Fraction(31, 6), low + 12):
+        doubled = link_invariants._doubled_sum(spec, below)
+        assert doubled and max(doubled) < 2 * below
+        expected = reference_jones_torus_link(spec, below)
+        assert {2 * e: a for e, a in expected.terms.items()} == {
+            e: a for e, a in doubled.items() if a}
+
+
+def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
+    tabled = []
+
+    def counted_kostka_numbers(shapes, content):
+        tabled.append(list(shapes))
+        return kostka_numbers(shapes, content)
+
+    def no_single_kostka(lam, content):
+        raise AssertionError("the integer sum looked up a single Kostka number")
+
+    monkeypatch.setattr(link_invariants, "kostka_numbers", counted_kostka_numbers)
+    monkeypatch.setattr(link_invariants, "kostka", no_single_kostka)
+    spec = TorusLinkSpec(2, 2, 2, 40)
+    below = 30 - singlet_shift_exponent(spec)
+    shifted_invariant_singlet(spec, 30)
+    kept = [lam for lam in partitions_of(80, 2) if summand_floor(spec, lam) < below]
+    assert tabled == [kept]
+    assert 0 < len(kept) < 41
+
+
+def test_integer_sum_rechecks_each_floor(monkeypatch):
+    spec = TorusLinkSpec(3, 3, 2, 5)
+    floor = summand_floor
+    monkeypatch.setattr(
+        link_invariants, "summand_floor", lambda s, lam: floor(s, lam) - Fraction(1, 2))
+    with pytest.raises(AssertionError, match="floor"):
+        shifted_invariant_singlet(spec, 12)
+    monkeypatch.setattr(link_invariants, "summand_floor", floor)
+    spec_poly = link_invariants.principal_spec_poly
+
+    def lowest_term_missing(lam, rank):
+        poly, d = spec_poly(lam, rank)
+        return [0] + poly, d
+
+    monkeypatch.setattr(link_invariants, "principal_spec_poly", lowest_term_missing)
+    with pytest.raises(AssertionError, match="floor"):
+        shifted_invariant_singlet(spec, 12)
+
+
+def test_a_grain_that_misses_the_shift_raises():
+    with pytest.raises(ValueError, match="does not cover the shift"):
+        link_invariants._shifted(TorusLinkSpec(3, 4, 2, 1), Fraction(1, 3), 2, None)

@@ -4,6 +4,7 @@ the Euler product, and the canonical renderings."""
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,27 @@ def test_grain_validation():
     assert QSeries({Fraction(1, 2): 1}, grain=4).grain == 4
     with pytest.raises(ValueError):
         QSeries({Fraction(1, 3): 1}, grain=2)
+
+
+@st.composite
+def grid_st(draw):
+    grain = draw(st.sampled_from([1, 2, 4, 6]))
+    coeffs = draw(
+        st.dictionaries(st.integers(-30, 30), st.integers(-3, 3), max_size=12))
+    cutoff = draw(st.one_of(st.none(), st.fractions(-8, 8, max_denominator=6)))
+    return coeffs, grain, cutoff
+
+
+@given(grid_st())
+@settings(max_examples=200, deadline=None)
+def test_from_grid_matches_the_constructor(grid):
+    coeffs, grain, cutoff = grid
+    series = QSeries.from_grid(coeffs, grain, cutoff)
+    terms = {Fraction(k, grain): c for k, c in coeffs.items()}
+    expected_grain = grain if cutoff is None else lcm(grain, cutoff.denominator)
+    expected = QSeries(terms, cutoff, grain=expected_grain)
+    assert series.to_json_dict() == expected.to_json_dict()
+    assert series.terms == expected.terms and series.grain == expected.grain
 
 
 # -- addition ------------------------------------------------------------------
@@ -317,6 +339,31 @@ def test_text_rendering_signs_and_zero():
     assert QSeries({}, cutoff=5).to_text() == "0 + O(q^5)"
     assert QSeries.zero().to_text() == "0"
     assert QSeries({Fraction(-3, 2): 1}).to_text() == "q^(-3/2)"
+
+
+def reference_format_power(e: Fraction) -> str:
+    if e == 1:
+        return "q"
+    if e.denominator == 1 and e >= 0:
+        return f"q^{e.numerator}"
+    return f"q^({e})"
+
+
+@given(series_st())
+@settings(max_examples=200, deadline=None)
+def test_rendering_sorts_and_formats_as_the_fraction_order(s):
+    assert s.sorted_terms() == sorted(s.terms.items())
+    bits = []
+    for e, c in sorted(s.terms.items()):
+        body = str(abs(c)) if e == 0 else reference_format_power(e)
+        if e != 0 and abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        sign = ("" if c > 0 else "-") if not bits else ("+ " if c > 0 else "- ")
+        bits.append(sign + body)
+    text = " ".join(bits or ["0"])
+    if s.cutoff is not None:
+        text += f" + O({reference_format_power(s.cutoff)})"
+    assert s.to_text() == text
 
 
 def test_json_round_trip_byte_identical():

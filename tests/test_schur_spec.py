@@ -17,6 +17,8 @@ from qtorus import (
     pairing,
     partitions_of,
     partition_of_weight,
+    TorusLinkSpec,
+    jones_torus_link,
     principal_spec,
     principal_spec_weight,
     weight_of_partition,
@@ -72,6 +74,20 @@ def test_dividing_by_a_wrong_height_raises(monkeypatch):
     monkeypatch.setattr(schur_spec, "divide_one_minus_q", off_by_one)
     with pytest.raises(ValueError, match="not exactly divisible"):
         principal_spec((2, 1), 3)
+    # the torus-link invariant's integer sum divides with the same check
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        jones_torus_link(TorusLinkSpec(3, 2, 2, 2))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_integer_core_is_the_halved_polynomial(rank):
+    for size in range(13):
+        for lam in partitions_of(size, rank):
+            poly, d = schur_spec.principal_spec_poly(lam, rank)
+            assert poly[0] == 1 and poly[-1] != 0
+            assert d == sum(part * (rank + 1 - 2 * i) for i, part in enumerate(lam, 1))
+            terms = {Fraction(2 * k - d, 2): a for k, a in enumerate(poly) if a}
+            assert terms == reference_principal_spec(lam, rank).terms
 
 
 def test_defining_representation():
