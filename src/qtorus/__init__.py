@@ -62,7 +62,6 @@ from .verifier import (
 )
 from .voa_characters import (
     CharacterSpec,
-    enumeration_level,
     rhs_singlet_limit,
     rhs_triplet_limit,
     singlet_char,

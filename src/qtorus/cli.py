@@ -36,6 +36,9 @@ from .voa_characters import CharacterSpec, singlet_char, triplet_char
 
 ORDER_ENV = "QTORUS_ORDER"
 DEFAULT_ORDER = 20
+# Largest --max-weight per --rank at which verify props finishes in about a
+# second or two; one step higher, rank 4 takes over 10 s and rank 5 over 60 s.
+PROPS_WEIGHT_CAP = {2: 16, 3: 16, 4: 11, 5: 9}
 
 
 @dataclass
@@ -155,12 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(m, with_order=True)
 
     # The zero-weight check expands Schur polynomials with the Jacobi-Trudi
-    # oracle, which is guarded to rank <= 5 and weight <= 16.
+    # oracle, which is guarded to rank <= 5 and weight <= 16; the handler
+    # applies the tighter cap of PROPS_WEIGHT_CAP for the rank.
     m = modes.add_parser("props", help="the Kostka propositions behind both identities")
     m.add_argument("--rank", type=int, choices=range(2, 6), required=True, metavar="{2..5}")
     m.add_argument(
-        "--max-weight", type=int, choices=range(17), default=10, metavar="{0..16}",
-        help="scan bound for the proposition checks (default 10)",
+        "--max-weight", type=int, choices=range(17), default=None, metavar="{0..16}",
+        help="scan bound for the proposition checks, at most 16, 16, 11, 9 at "
+        "ranks 2 to 5 (default 10, or the cap if lower)",
     )
     common(m)
 
@@ -296,7 +301,12 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
 
 def _run_props(config: CliConfig) -> tuple[int, str]:
     rank = config.params["rank"]
+    cap = PROPS_WEIGHT_CAP[rank]
     max_weight = config.params["max_weight"]
+    if max_weight is None:
+        max_weight = min(10, cap)
+    if max_weight > cap:
+        raise ValueError(f"--max-weight {max_weight} exceeds the cap {cap} at --rank {rank}")
 
     zero_shapes = [
         lam

@@ -382,16 +382,24 @@ def one_minus_q_product(heights: Iterable[int]) -> list[int]:
     return coeffs
 
 
+def divide_series_one_minus_q(coeffs: list[int], d: int) -> list[int]:
+    """Divide the coefficient list in place by (1 - q^d), d >= 1, as a power
+    series truncated at its length: the running sum b[k] = a[k] + b[k-d]."""
+    for r in range(min(d, len(coeffs))):
+        coeffs[r::d] = accumulate(coeffs[r::d])
+    return coeffs
+
+
 def divide_one_minus_q(coeffs: list[int], heights: Iterable[int]) -> list[int]:
     """Divide the coefficient list in place by each (1 - q^d), exactly.
 
-    The power-series quotient is the running sum b[k] = a[k] + b[k-d]; it is
-    a polynomial exactly when b[k] = 0 for deg(a) - d < k <= deg(a), since
-    beyond deg(a) the sum then only copies zeros.  Raises ValueError if not.
+    The power-series quotient is the running sum of
+    :func:`divide_series_one_minus_q`; it is a polynomial exactly when
+    b[k] = 0 for deg(a) - d < k <= deg(a), since beyond deg(a) the sum then
+    only copies zeros.  Raises ValueError if not.
     """
     for d in heights:
-        for r in range(d):
-            coeffs[r::d] = accumulate(coeffs[r::d])
+        divide_series_one_minus_q(coeffs, d)
         if any(coeffs[-d:]):
             raise ValueError(f"not exactly divisible by 1 - q^{d}")
         del coeffs[-d:]

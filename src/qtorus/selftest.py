@@ -28,7 +28,7 @@ from .lie_sl import (
     weyl_dim,
 )
 from .link_invariants import TorusLinkSpec, jones_torus_link
-from .qseries import QSeries, euler_product, invert_unit
+from .qseries import QSeries, euler_product, invert_unit, one_minus_q_product
 from .schur_spec import principal_spec, weyl_denominator
 from .verifier import (
     check_prop_full_dim,
@@ -37,7 +37,6 @@ from .verifier import (
     verify_singlet_theorem,
     verify_triplet_theorem,
 )
-from .voa_characters import _height_product
 
 
 def _partition_count_table(limit: int) -> list[int]:
@@ -131,7 +130,9 @@ def _check_weyl_denominator() -> bool:
     for r in range(2, 5):
         delta_sq = Fraction(r * (r - 1) * (r + 1), 12)
         sign = (-1) ** (r * (r - 1) // 2)  # one factor per positive root
-        closed = QSeries.monomial(sign, -delta_sq) * _height_product(r)
+        heights = [j - i for j in range(r + 1) for i in range(1, j)]
+        product = QSeries(dict(enumerate(one_minus_q_product(heights))))
+        closed = QSeries.monomial(sign, -delta_sq) * product
         if weyl_denominator(r) != closed:
             return False
     return True

@@ -6,8 +6,9 @@ divided by a power of the Euler product) times an infinite sum over a cone
 of dominant weights in one coset of the root lattice.  Only the weights
 whose summand reaches below the cutoff are visited: its lowest exponent is a
 closed-form floor that grows in every coordinate, so that window is walked
-directly in integer arithmetic.  Each kept summand is truncated before it is
-added and its floor is re-checked at run time.
+directly in integer arithmetic.  The kept summands are added below the
+cutoff on one integer grid, each floor re-checked at run time, and the
+prefactor divides that grid by factors (1 - q^h) in place.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from typing import Callable, Iterable
 from .lie_sl import (
     WeightVector,
     casimir_pairing,
+    partition_of_weight,
     scaled_coeff_sum,
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import QSeries, euler_product, invert_unit, one_minus_q_product
-from .schur_spec import principal_spec_weight
+from .qseries import QSeries, divide_series_one_minus_q
+from .schur_spec import principal_spec_poly
 
 _ExponentLike = Fraction | int
 
@@ -58,20 +60,13 @@ class CharacterSpec:
 
 def summand_exponent_bound(rank: int, p: int) -> Fraction:
     """Per-unit lower bound: each cone summand has lowest exponent at least
-    this times sum(i * a_i) of its weight."""
+    this times sum(i * a_i) of its weight; see :func:`_cone_sum`."""
     return Fraction(p, 2 * rank) + Fraction(p - 1, 2)
 
 
-def enumeration_level(rank: int, p: int, cutoff: Fraction) -> int:
-    """Largest scaled coordinate sum whose summand can reach below cutoff."""
-    bound = summand_exponent_bound(rank, p)
-    # include m only when bound * m < cutoff
-    return max(ceil(cutoff / bound) - 1, 0)
-
-
-def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction, level: int):
-    """Yield each weight of ``dominant_weights(rank, level, coset)`` whose
-    floor F lies below ``cutoff``, paired with F; see :func:`_cone_sum`."""
+def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction):
+    """Yield each dominant weight of ``coset`` whose floor F lies below
+    ``cutoff``, paired with the integer 2r F; see :func:`_cone_sum`."""
     coords = range(1, rank)
     gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
     linear = [rank * (p - 1) * i * (rank - i) for i in coords]
@@ -81,11 +76,11 @@ def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction, level: int):
         # n is 2r F of coeffs padded with zeros
         if k == rank - 1:
             if scaled % rank == coset:
-                yield WeightVector(rank, coeffs), Fraction(n, 2 * rank)
+                yield WeightVector(rank, coeffs), n
             return
         cross = 2 * p * sum(g * a for g, a in zip(gram[k], coeffs))
         a = 0
-        while n < limit and scaled <= level:
+        while n < limit:
             yield from walk(k + 1, coeffs + (a,), n, scaled)
             n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
             scaled += k + 1
@@ -100,10 +95,11 @@ def _cone_sum(
     coset: int,
     cutoff: Fraction,
     dim_of: Callable[[WeightVector], int],
-    enumeration_bound: int | None = None,
+    divisors: Iterable[int] = (),
 ) -> QSeries:
     """Sum over the weights mu of ``coset`` of dim_of(mu) q^(p/2 (mu,mu+2delta))
-    times the principal specialization at mu, truncated at ``cutoff``.
+    times the principal specialization at mu, divided by (1 - q^h) for each h
+    in ``divisors`` and truncated at ``cutoff``.
 
     Floor: the specialization is a sum of q^((nu,delta)) over the weights nu
     of the module, each the lowest weight w0.mu (multiplicity 1) plus positive
@@ -116,81 +112,62 @@ def _cone_sum(
     (p-1)(w_i,delta) > 0 for dominant mu, as p >= 2 and all these pairings are
     positive.  So {F < cutoff} is closed under lowering a coordinate, and
     :func:`_cone_window` stops each coordinate at its first value outside it.
+    Each kept summand is added on the integer grid of the grain, only below
+    the cutoff, and an AssertionError is raised unless it starts at F(mu).
 
-    Linear bound: (mu,mu) >= sum (w_i,w_i) a_i^2 >= sum i a_i / r and
-    (mu,delta) >= sum i a_i / 2, so F >= summand_exponent_bound * sum i a_i
-    and the window lies within :func:`enumeration_level`, or within
-    ``enumeration_bound`` when that is given.  Each kept summand is truncated
-    before it is added, and an AssertionError is raised unless it starts at
-    F(mu) and at or above the linear bound.
+    Grain: on coset k, mu = w_k + beta with beta in the root lattice, so
+    (mu,mu) - (w_k,w_k) is even and 2 (mu - w_k, delta) an integer; every
+    exponent is p/2 (w_k,w_k+2delta) plus a multiple of 1/2.  Linear bound:
+    (mu,mu) >= sum (w_i,w_i) a_i^2 >= sum i a_i / r and (mu,delta) >=
+    sum i a_i / 2, so F >= summand_exponent_bound * sum i a_i, and sum i a_i
+    >= k on the coset.  That grain is declared whenever this bound at w_k
+    lies below the cutoff, even if no summand is kept.
     """
-    bound = summand_exponent_bound(rank, p)
-    if enumeration_bound is None:
-        enumeration_bound = enumeration_level(rank, p, cutoff)
-    level = int(enumeration_bound)
-    # All summands on a coset declare one grain; the sum declares it once the
-    # coset's lowest weight is within the level, even if no summand is kept.
     lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
     grain = cutoff.denominator
-    if scaled_coeff_sum(lowest) <= level and dim_of(lowest):
+    linear = summand_exponent_bound(rank, p) * scaled_coeff_sum(lowest)
+    if linear < cutoff and dim_of(lowest):
         grain = lcm(grain, 2, (Fraction(p, 2) * casimir_pairing(lowest)).denominator)
-    total = QSeries({}, cutoff, grain)
-    for mu, floor in _cone_window(rank, p, coset, cutoff, level):
+    coeffs = [0] * ceil(cutoff * grain)
+    for mu, n in _cone_window(rank, p, coset, cutoff):
         dim = dim_of(mu)
         if dim == 0:
             continue
-        exponent = Fraction(p, 2) * casimir_pairing(mu)
-        term = QSeries.monomial(dim, exponent) * principal_spec_weight(mu)
-        term = term.truncate(cutoff)
-        linear = bound * scaled_coeff_sum(mu)
-        if term.low != floor or term.low < linear:
+        poly, d = principal_spec_poly(partition_of_weight(mu), rank)
+        start, rem = divmod(n * grain, 2 * rank)
+        if rank * (p * casimir_pairing(mu) - d) != n or not poly[0] or rem:
             raise AssertionError(
-                f"summand at {mu} starts at {term.low}, but its floor is {floor} "
-                f"and the linear bound {linear}; truncation would be unsound"
+                f"summand at {mu} does not start at its floor {Fraction(n, 2 * rank)}"
+                f" on the grid of 1/{grain}; truncation would be unsound"
             )
-        total = total + term
-    return total
+        for k, a in zip(range(start, len(coeffs), grain), poly):
+            coeffs[k] += dim * a
+    for h in divisors:
+        divide_series_one_minus_q(coeffs, h * grain)
+    return QSeries.from_grid(dict(enumerate(coeffs)), grain, cutoff)
 
 
-def _one_minus_q_product(heights: Iterable[int]) -> QSeries:
-    """Product of (1 - q^h) over the given heights; exact."""
-    return QSeries(dict(enumerate(one_minus_q_product(heights))))
+def _character(spec: CharacterSpec, dim_of) -> QSeries:
+    # the prefactor H_r / E^(r-1) is 1 / prod_k (1 - q^k)^(min(k, r) - 1)
+    r = spec.rank
+    divisors = [k for k in range(2, ceil(spec.cutoff)) for _ in range(min(k, r) - 1)]
+    return _cone_sum(r, spec.p, spec.coset, spec.cutoff, dim_of, divisors)
 
 
-def _height_product(rank: int) -> QSeries:
-    """Product of (1 - q^(j-i)) over 1 <= i < j <= rank; exact."""
-    return _one_minus_q_product(j - i for j in range(rank + 1) for i in range(1, j))
-
-
-def _cross_product(components: int, rank: int) -> QSeries:
-    """Product of (1 - q^(j-i)) over i <= components < j <= rank; exact."""
-    lower, upper = range(1, components + 1), range(components + 1, rank + 1)
-    return _one_minus_q_product(j - i for j in upper for i in lower)
-
-
-def _character(spec: CharacterSpec, dim_of, enumeration_bound: int | None) -> QSeries:
-    cut = spec.cutoff
-    prefactor = _height_product(spec.rank) * invert_unit(
-        euler_product(cut) ** (spec.rank - 1)
-    )
-    cone = _cone_sum(spec.rank, spec.p, spec.coset, cut, dim_of, enumeration_bound)
-    return (prefactor * cone).truncate(cut)
-
-
-def singlet_char(spec: CharacterSpec, *, enumeration_bound: int | None = None) -> QSeries:
+def singlet_char(spec: CharacterSpec) -> QSeries:
     """Normalized singlet character: height product over the Euler-product
     power, times the zero-weight-dimension cone sum on coset 0."""
     if spec.kind != "singlet":
         raise ValueError("spec.kind must be 'singlet'")
-    return _character(spec, zero_weight_dim, enumeration_bound)
+    return _character(spec, zero_weight_dim)
 
 
-def triplet_char(spec: CharacterSpec, *, enumeration_bound: int | None = None) -> QSeries:
+def triplet_char(spec: CharacterSpec) -> QSeries:
     """Normalized triplet character on the chosen coset: same prefactor,
     full-dimension cone sum."""
     if spec.kind != "triplet":
         raise ValueError("spec.kind must be 'triplet'")
-    return _character(spec, weyl_dim, enumeration_bound)
+    return _character(spec, weyl_dim)
 
 
 def rhs_singlet_limit(
@@ -202,19 +179,16 @@ def rhs_singlet_limit(
 
     With c = components, the correction E^(c-1) / H_c (E the Euler product,
     H_c the height product) is the inverse power series of the character's
-    prefactor, so only the cross-product inverse times the cone sum is built.
-    Truncation: every factor starts at exponent 0 (the cone sum at mu = 0)
-    and is exact below the cutoff, so either product is exact below it and
-    has the cutoff as its own.  Each factor's grain divides the cone sum's,
-    which covers the cutoff's denominator, so the grain agrees too.
+    prefactor, so the series is the cone sum divided by the cross product.
     """
     if not 2 <= components <= rank:
         raise ValueError(
             f"need 2 <= components <= rank, got components={components} rank={rank}"
         )
     cut = CharacterSpec(components, p, "singlet", cutoff).cutoff
-    cross = invert_unit(_cross_product(components, rank), cut)
-    return (cross * _cone_sum(components, p, 0, cut, zero_weight_dim)).truncate(cut)
+    lower, upper = range(1, components + 1), range(components + 1, rank + 1)
+    cross = [j - i for j in upper for i in lower]
+    return _cone_sum(components, p, 0, cut, zero_weight_dim, cross)
 
 
 def rhs_triplet_limit(rank: int, p: int, coset: int, cutoff: _ExponentLike) -> QSeries:
@@ -223,8 +197,7 @@ def rhs_triplet_limit(rank: int, p: int, coset: int, cutoff: _ExponentLike) -> Q
     on the chosen coset.
 
     That correction inverts the character's prefactor, so the series is the
-    cone sum (see :func:`rhs_singlet_limit`).  The cone sum may start above
-    0, but the other factors start at 0, so the cutoff is still the cutoff.
+    cone sum (see :func:`rhs_singlet_limit`).
     """
     spec = CharacterSpec(rank, p, "triplet", cutoff, coset)
     return _cone_sum(rank, p, coset, spec.cutoff, weyl_dim)

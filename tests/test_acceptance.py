@@ -18,7 +18,6 @@ from qtorus import (
     casimir_pairing,
     check_prop_full_dim,
     check_prop_zero_weight,
-    enumeration_level,
     euler_product,
     invert_unit,
     jones_summands,
@@ -217,26 +216,23 @@ def test_criterion_6_property_suites():
             weight_of_partition(lam, rank)
         )
 
-    # enumeration-bound doubling stability at cutoff 25
+    # cutoff doubling stability at order 25: char(50) truncated is char(25)
     stable = True
     for rank in (2, 3):
         for p in (2, 3):
-            level = enumeration_level(rank, p, Fraction(25))
+            wide = singlet_char(CharacterSpec(rank, p, "singlet", 50))
             spec = CharacterSpec(rank, p, "singlet", 25)
-            stable = stable and singlet_char(spec) == singlet_char(
-                spec, enumeration_bound=2 * level
-            )
+            stable = stable and wide.truncate(25) == singlet_char(spec)
             for coset in range(rank):
+                wide = triplet_char(CharacterSpec(rank, p, "triplet", 50, coset))
                 tspec = CharacterSpec(rank, p, "triplet", 25, coset)
-                stable = stable and triplet_char(tspec) == triplet_char(
-                    tspec, enumeration_bound=2 * level
-                )
+                stable = stable and wide.truncate(25) == triplet_char(tspec)
 
     _criterion(
         6,
         "property suites: tensor-power specialization, Casimir-framing "
         "identity (500 weights), denominator identity, palindromicity and "
-        "dimension (200 shapes), enumeration-bound doubling at order 25",
+        "dimension (200 shapes), cutoff doubling at order 25",
         tens and theta and denom and palin and stable,
     )
 

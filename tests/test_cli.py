@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from qtorus import QSeries
+from qtorus import cli
 from qtorus.cli import main, parse_content, parse_partition
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -198,6 +199,8 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
                      "--rank: invalid choice: -2", id="props-rank-negative"),
         pytest.param(["verify", "props", "--rank", "9"],
                      "--rank: invalid choice: 9", id="props-rank-too-large"),
+        pytest.param(["verify", "props", "--rank", "5", "--max-weight", "10"],
+                     "--max-weight 10 exceeds the cap 9", id="props-weight-above-rank-cap"),
         pytest.param(["kostka", "--shape", "2,x", "--content", "1"],
                      "--shape: invalid literal for int()", id="shape-not-integer"),
         pytest.param(["schur", "--shape", "3,4", "--rank", "3"],
@@ -264,6 +267,33 @@ def test_props_keeps_the_order_environment_global(capsys, monkeypatch):
     monkeypatch.setenv("QTORUS_ORDER", "7")
     code, out, _ = run_cli(PROPS, capsys)
     assert code == 0 and out.startswith("PASS props-zero-weight")
+
+
+def test_props_weight_cap_is_checked_before_any_expansion(capsys, monkeypatch):
+    def expand(*args):
+        raise AssertionError("expanded a shape above the cap")
+
+    monkeypatch.setattr(cli, "check_prop_zero_weight", expand)
+    code, out, err = run_cli(["verify", "props", "--rank", "4", "--max-weight", "16"], capsys)
+    assert code == 2 and out == "" and "--max-weight 16 exceeds the cap 11" in err
+
+
+@pytest.mark.parametrize("rank,weight", [(2, 10), (3, 10), (4, 10), (5, 9)])
+def test_props_default_weight_is_ten_or_the_rank_cap(rank, weight, capsys):
+    code, out, _ = run_cli(["verify", "props", "--rank", str(rank), "--json"], capsys)
+    assert code == 0 and {s["max_weight"] for s in json.loads(out)} == {weight}
+
+
+@pytest.mark.parametrize("coset,grain", [(1, 6), (2, 1)])
+def test_empty_character_declares_the_grain_of_its_lowest_weight(coset, grain, capsys):
+    # no term lies below order 1 on either coset; the grain is declared when
+    # the linear bound at the coset's lowest weight is below the order
+    argv = ["char", "--kind", "triplet", "--rank", "3", "--p", "2", "--coset",
+            str(coset), "--order", "1", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out) == {
+        "grain": grain, "cutoff": {"num": 1, "den": 1}, "terms": []
+    }
 
 
 def test_output_file(tmp_path, capsys):

@@ -11,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus import QSeries, euler_product, exact_div, first_disagreement, invert_unit
-from qtorus.qseries import divide_one_minus_q, one_minus_q_product
+from qtorus.qseries import (
+    divide_one_minus_q,
+    divide_series_one_minus_q,
+    one_minus_q_product,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -407,6 +411,24 @@ def test_one_minus_q_product_matches_series_product(heights):
 def test_divide_one_minus_q_undoes_the_product(kept, divided):
     coeffs = one_minus_q_product(kept + divided)
     assert divide_one_minus_q(coeffs, divided) == one_minus_q_product(kept)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=30),
+    st.lists(st.integers(1, 40), max_size=6),
+)
+def test_series_division_is_multiplication_by_the_inverse_product(coeffs, heights):
+    # the running sum against the slow path: times the inverted product, truncated
+    cut = len(coeffs)
+    expected = QSeries(dict(enumerate(coeffs)), cut) * invert_unit(
+        _one_minus_q_series(heights), cut
+    )
+    quotient = list(coeffs)
+    for h in heights:
+        assert divide_series_one_minus_q(quotient, h) is quotient
+    assert len(quotient) == cut
+    assert QSeries(dict(enumerate(quotient)), cut) == expected.truncate(cut)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Character series: leading terms, the rank-two closed-form oracle,
-positivity, enumeration-bound safety, and the comparison-side assemblies."""
+positivity, cone-window safety, and the comparison-side assemblies."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import ceil, lcm
 
 import pytest
 import qtorus.voa_characters as voa_characters
@@ -10,7 +12,6 @@ from qtorus import (
     QSeries,
     WeightVector,
     dominant_weights,
-    enumeration_level,
     euler_product,
     first_disagreement,
     invert_unit,
@@ -24,13 +25,9 @@ from qtorus import (
     triplet_char,
     weyl_vector,
 )
-from qtorus.voa_characters import (
-    _cone_sum,
-    _cone_window,
-    _cross_product,
-    _height_product,
-)
+from qtorus.voa_characters import _cone_sum, _cone_window
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
+from qtorus.qseries import one_minus_q_product
 
 
 def test_spec_validation():
@@ -102,7 +99,13 @@ def test_triplet_dominates_singlet_before_prefactor():
         assert triplet_sum.coefficient(e) >= c >= 0
 
 
-# -- enumeration-bound safety ---------------------------------------------------
+# -- the linear bound and cutoff doubling ------------------------------------------
+
+
+def enumeration_level(rank, p, cutoff):
+    """Largest sum(i * a_i) whose summand can reach below ``cutoff`` by the
+    linear bound: the unpruned cone of the reference sums."""
+    return max(ceil(cutoff / summand_exponent_bound(rank, p)) - 1, 0)
 
 
 def test_enumeration_level_is_the_strict_threshold():
@@ -115,15 +118,15 @@ def test_enumeration_level_is_the_strict_threshold():
 
 @pytest.mark.parametrize("rank,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_doubling_the_enumeration_bound_changes_nothing(rank, p):
+    # the cutoff is the cone window's only bound: doubling it and truncating
+    # back changes no character
     cutoff = 25
-    level = enumeration_level(rank, p, Fraction(cutoff))
-    spec = CharacterSpec(rank, p, "singlet", cutoff)
-    assert singlet_char(spec) == singlet_char(spec, enumeration_bound=2 * level)
+    wide = singlet_char(CharacterSpec(rank, p, "singlet", 2 * cutoff))
+    assert wide.truncate(cutoff) == singlet_char(CharacterSpec(rank, p, "singlet", cutoff))
     for coset in range(rank):
+        wide = triplet_char(CharacterSpec(rank, p, "triplet", 2 * cutoff, coset))
         tspec = CharacterSpec(rank, p, "triplet", cutoff, coset)
-        assert triplet_char(tspec) == triplet_char(
-            tspec, enumeration_bound=2 * level
-        )
+        assert wide.truncate(cutoff) == triplet_char(tspec)
 
 
 def test_per_summand_exponent_floor():
@@ -144,8 +147,8 @@ def test_per_summand_exponent_floor():
 
 
 def reference_cone_sum(rank, p, coset, cutoff, dim_of):
-    """The unpruned cone sum: every weight up to the enumeration level is
-    summed in full, and the total is truncated at the end."""
+    """The unpruned cone sum: every weight up to the linear bound's level is
+    summed in full as a series, and the total is truncated at the end."""
     bound = summand_exponent_bound(rank, p)
     total = QSeries.zero()
     for mu in dominant_weights(rank, enumeration_level(rank, p, cutoff), coset):
@@ -184,16 +187,22 @@ def test_windowed_cone_sum_matches_the_unpruned_sum(rank, p):
 def test_cone_window_is_the_floor_filtered_cone(rank, p):
     for cutoff in WINDOW_CUTOFFS + [Fraction(25)]:
         full = enumeration_level(rank, p, cutoff)
-        for level in (full, full // 2):
-            for coset in range(rank):
-                items = list(_cone_window(rank, p, coset, cutoff, level))
-                window = {mu.coeffs: floor for mu, floor in items}
+        for coset in range(rank):
+            items = list(_cone_window(rank, p, coset, cutoff))
+            window = {mu.coeffs: Fraction(n, 2 * rank) for mu, n in items}
+            assert len(window) == len(items)
+            # at the full level the linear bound holds the whole window
+            for level in (full, full // 2):
                 expected = {
                     mu.coeffs: floor_of(mu, p)
                     for mu in dominant_weights(rank, level, coset)
                     if floor_of(mu, p) < cutoff
                 }
-                assert len(window) == len(items) and window == expected
+                low = {
+                    c: f for c, f in window.items()
+                    if scaled_coeff_sum(WeightVector(rank, c)) <= level
+                }
+                assert low == expected
 
 
 @pytest.mark.parametrize("rank,p", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -205,40 +214,27 @@ def test_doubling_the_window_changes_nothing(rank, p):
                 assert wide.truncate(cutoff) == _cone_sum(rank, p, coset, cutoff, dim_of)
 
 
-def test_summands_are_truncated_before_they_are_added(monkeypatch):
-    cutoff = Fraction(25)
-    addends = []
-    add = QSeries.__add__
-
-    def spy(a, b):
-        addends.append(b)
-        return add(a, b)
-
-    monkeypatch.setattr(QSeries, "__add__", spy)
-    _cone_sum(3, 2, 0, cutoff, weyl_dim)
-    assert len(addends) > 4
-    assert all(term.cutoff == cutoff for term in addends)
-    assert all(e < cutoff for term in addends for e in term.terms)
-
-
 def test_wrong_floor_raises(monkeypatch):
     window = voa_characters._cone_window
 
     def shifted(*args):
-        for mu, floor in window(*args):
-            yield mu, floor + Fraction(1, 2 * mu.rank)
+        for mu, n in window(*args):
+            yield mu, n + 1
 
     monkeypatch.setattr(voa_characters, "_cone_window", shifted)
     with pytest.raises(AssertionError, match="floor"):
         _cone_sum(3, 2, 0, Fraction(12), weyl_dim)
 
 
-def test_linear_bound_violation_raises(monkeypatch):
-    bound = voa_characters.summand_exponent_bound
-    monkeypatch.setattr(
-        voa_characters, "summand_exponent_bound", lambda r, p: 3 * bound(r, p)
-    )
-    with pytest.raises(AssertionError, match="linear bound"):
+def test_summand_without_its_floor_term_raises(monkeypatch):
+    spec_poly = voa_characters.principal_spec_poly
+
+    def raised(shape, rank):
+        poly, d = spec_poly(shape, rank)
+        return [0] + poly, d
+
+    monkeypatch.setattr(voa_characters, "principal_spec_poly", raised)
+    with pytest.raises(AssertionError, match="floor"):
         _cone_sum(2, 2, 0, Fraction(20), weyl_dim)
 
 
@@ -252,14 +248,39 @@ def test_cone_weights_lie_in_the_right_coset():
 # -- comparison-side assemblies ----------------------------------------------------
 
 
+def product_series(heights):
+    """Product of (1 - q^h) over ``heights``, as an exact series."""
+    return QSeries(dict(enumerate(one_minus_q_product(heights))))
+
+
+def height_product(rank):
+    return product_series(j - i for j in range(rank + 1) for i in range(1, j))
+
+
+def cross_product(components, rank):
+    lower, upper = range(1, components + 1), range(components + 1, rank + 1)
+    return product_series(j - i for j in upper for i in lower)
+
+
 def test_cross_product_rank_three():
-    assert _cross_product(2, 3) == QSeries({0: 1, 1: -1}) * QSeries({0: 1, 2: -1})
-    assert _cross_product(2, 2) == QSeries.one()
+    # the rank-three comparison series is the rank-two one over (1-q)(1-q^2)
+    cut = Fraction(14)
+    cross = QSeries({0: 1, 1: -1}) * QSeries({0: 1, 2: -1})
+    assert cross_product(2, 3) == cross and cross_product(2, 2) == QSeries.one()
+    for p in (2, 3):
+        rhs = rhs_singlet_limit(3, 2, p, cut)
+        assert (cross * rhs).truncate(cut) == rhs_singlet_limit(2, 2, p, cut)
 
 
 def test_height_product_rank_three():
+    # the rank-three prefactor is (1-q)^2 (1-q^2) over the Euler power
+    cut = Fraction(14)
     expected = QSeries({0: 1, 1: -1}) ** 2 * QSeries({0: 1, 2: -1})
-    assert _height_product(3) == expected
+    assert height_product(3) == expected
+    for coset in range(3):
+        char = triplet_char(CharacterSpec(3, 2, "triplet", cut, coset))
+        cone = rhs_triplet_limit(3, 2, coset, cut)
+        assert (euler_product(cut) ** 2 * char).truncate(cut) == (expected * cone).truncate(cut)
 
 
 def test_rhs_singlet_equal_ranks_cancels_prefactor():
@@ -301,25 +322,80 @@ def test_characters_are_schedule_independent_values():
     assert singlet_char(spec) == singlet_char(spec)
 
 
+# -- the integer-grid characters against the Fraction-dict assembly ------------
+
+
+@lru_cache(maxsize=None)
+def fraction_cone_sum(rank, p, coset, cutoff, dim_of):
+    """The cone sum as series: each weight whose floor lies below the cutoff
+    gets its monomial times principal specialization, truncated, then added."""
+    cut = Fraction(cutoff)
+    lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
+    grain = cut.denominator
+    if summand_exponent_bound(rank, p) * scaled_coeff_sum(lowest) < cut and dim_of(lowest):
+        grain = lcm(grain, 2, (Fraction(p, 2) * casimir_pairing(lowest)).denominator)
+    total = QSeries({}, cut, grain)
+    for mu in dominant_weights(rank, enumeration_level(rank, p, cut), coset):
+        if floor_of(mu, p) >= cut:
+            continue
+        dim = dim_of(mu)
+        if dim == 0:
+            continue
+        exponent = Fraction(p, 2) * casimir_pairing(mu)
+        term = QSeries.monomial(dim, exponent) * principal_spec_weight(mu)
+        total = total + term.truncate(cut)
+    return total
+
+
+def fraction_character(spec):
+    """Height product over the Euler power, times the Fraction-dict cone sum."""
+    cut, r = spec.cutoff, spec.rank
+    dim_of = zero_weight_dim if spec.kind == "singlet" else weyl_dim
+    prefactor = height_product(r) * invert_unit(euler_product(cut) ** (r - 1))
+    return (prefactor * fraction_cone_sum(r, spec.p, spec.coset, cut, dim_of)).truncate(cut)
+
+
+CHARACTER_CUTOFFS = WINDOW_CUTOFFS + [Fraction(25)]
+
+
+@pytest.mark.parametrize("rank,p", [(r, p) for r in (2, 3, 4, 5) for p in (2, 3, 4)])
+def test_characters_match_the_fraction_assembly(rank, p):
+    for cut in CHARACTER_CUTOFFS:
+        spec = CharacterSpec(rank, p, "singlet", cut)
+        assert singlet_char(spec).to_json_dict() == fraction_character(spec).to_json_dict()
+        for coset in range(rank):
+            spec = CharacterSpec(rank, p, "triplet", cut, coset)
+            cone = fraction_cone_sum(rank, p, coset, cut, weyl_dim)
+            assert triplet_char(spec).to_json_dict() == fraction_character(spec).to_json_dict()
+            assert rhs_triplet_limit(rank, p, coset, cut).to_json_dict() == cone.to_json_dict()
+        for components in range(2, rank + 1):
+            cone = fraction_cone_sum(components, p, 0, cut, zero_weight_dim)
+            expected = invert_unit(cross_product(components, rank), cut) * cone
+            assert (
+                rhs_singlet_limit(rank, components, p, cut).to_json_dict()
+                == expected.truncate(cut).to_json_dict()
+            )
+
+
 # -- the comparison series against the prefactor-times-inverse formulas -------
 
 
 def reference_rhs_singlet(rank, components, p, cutoff):
     """Cross and height corrections times the whole singlet character."""
     cut = Fraction(cutoff)
-    cross = invert_unit(_cross_product(components, rank), cut)
+    cross = invert_unit(cross_product(components, rank), cut)
     correction = euler_product(cut) ** (components - 1) * invert_unit(
-        _height_product(components), cut
+        height_product(components), cut
     )
-    char = singlet_char(CharacterSpec(components, p, "singlet", cut))
+    char = fraction_character(CharacterSpec(components, p, "singlet", cut))
     return (cross * correction * char).truncate(cut)
 
 
 def reference_rhs_triplet(rank, p, coset, cutoff):
     """Euler power over the height product times the whole triplet character."""
     cut = Fraction(cutoff)
-    correction = euler_product(cut) ** (rank - 1) * invert_unit(_height_product(rank), cut)
-    char = triplet_char(CharacterSpec(rank, p, "triplet", cut, coset))
+    correction = euler_product(cut) ** (rank - 1) * invert_unit(height_product(rank), cut)
+    char = fraction_character(CharacterSpec(rank, p, "triplet", cut, coset))
     return (correction * char).truncate(cut)
 
 
