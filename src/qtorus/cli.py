@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import selftest as selftest_battery
-from .combinatorics import as_composition, as_partition, kostka, partitions_of
+from .combinatorics import as_composition, as_partition, kostka
 from .link_invariants import (
     TorusLinkSpec,
     jones_torus_link,
@@ -25,13 +25,7 @@ from .link_invariants import (
 )
 from .qseries import QSeries
 from .schur_spec import principal_spec
-from .verifier import (
-    check_prop_full_dim,
-    check_prop_zero_weight,
-    phi_bijection_check,
-    verify_singlet_theorem,
-    verify_triplet_theorem,
-)
+from .verifier import scan_propositions, verify_singlet_theorem, verify_triplet_theorem
 from .voa_characters import CharacterSpec, singlet_char, triplet_char
 
 ORDER_ENV = "QTORUS_ORDER"
@@ -91,6 +85,16 @@ def _flag_type(parse):
     return convert
 
 
+def _int_at_least(low: int):
+    """An integer flag type that rejects values below ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return _flag_type(parse)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtorus",
@@ -122,14 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="principal specialization of a Schur polynomial")
     p.add_argument("--shape", type=_flag_type(parse_partition), required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_int_at_least(1), required=True)
     common(p)
 
     p = sub.add_parser("jones", help="coloured invariant of the torus link T(c, cp)")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--components", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--colour", type=int, required=True)
+    for flag, low in (("--rank", 2), ("--components", 1), ("--p", 1), ("--colour", 0)):
+        p.add_argument(flag, type=_int_at_least(low), required=True)
     p.add_argument(
         "--shift", choices=["none", "singlet", "triplet"], default="none",
         help="apply the monomial shift used in the limit comparisons",
@@ -241,11 +243,7 @@ def _run_kostka(config: CliConfig) -> tuple[int, str]:
 
 
 def _run_schur(config: CliConfig) -> tuple[int, str]:
-    shape = config.params["shape"]
-    rank = config.params["rank"]
-    if rank < 1:
-        raise ValueError(f"--rank must be positive, got {rank}")
-    series = principal_spec(shape, rank)
+    series = principal_spec(config.params["shape"], config.params["rank"])
     return 0, _render_series(series, config)
 
 
@@ -308,41 +306,11 @@ def _run_props(config: CliConfig) -> tuple[int, str]:
     if max_weight > cap:
         raise ValueError(f"--max-weight {max_weight} exceeds the cap {cap} at --rank {rank}")
 
-    zero_shapes = [
-        lam
-        for weight in range(max_weight + 1)
-        for lam in partitions_of(weight, rank)
-    ]
-    zero_failures = [
-        format_partition(lam)
-        for lam in zero_shapes
-        if not check_prop_zero_weight(lam, rank)
-    ]
-
-    full_cases = []
-    colour = 1
-    while colour * (rank + 1) <= max_weight:
-        for lam in partitions_of(colour * (rank + 1), rank):
-            if len(lam) == rank and lam[-1] >= colour:
-                full_cases.append((lam, colour))
-        colour += 1
-    full_failures = [
-        format_partition(lam)
-        for lam, colour in full_cases
-        if check_prop_full_dim(lam, colour, rank) == "fail"
-    ]
-    phi_failures = [
-        format_partition(lam)
-        for lam, colour in full_cases
-        if not phi_bijection_check(lam, colour, rank)
-    ]
-
     sections = [
-        ("props-zero-weight", len(zero_shapes), zero_failures),
-        ("props-full-dim", len(full_cases), full_failures),
-        ("props-bijection", len(full_cases), phi_failures),
+        (kind, cases, [format_partition(lam) for lam in failures])
+        for kind, cases, failures in scan_propositions(rank, max_weight)
     ]
-    passed = not (zero_failures or full_failures or phi_failures)
+    passed = not any(failures for _, _, failures in sections)
     if config.output == "json":
         text = _dumps(
             [
@@ -390,11 +358,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if config.out_path:
+    if not config.out_path:
+        print(text)
+        return code
+    try:
         with open(config.out_path, "w") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as err:
+        print(f"error: --output: {err}", file=sys.stderr)
+        return 2
     return code
 
 

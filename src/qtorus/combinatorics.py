@@ -2,9 +2,10 @@
 
 Kostka numbers are computed by a horizontal-strip dynamic program over
 intermediate shapes (one content row at a time), which stays fast for the
-rectangular contents (n)^c that dominate this package.  The program is
-bounded by one shape for a single number, or by the union of many shapes,
-whose numbers for one content then come out of one run.  A Jacobi-Trudi
+rectangular contents (n)^c that dominate this package.  One run, bounded by
+the union of the asked shapes, tables every shape inside that bound for one
+content; a single number is the table bounded by its own shape.  One LRU
+cache holds the tables, keyed on (bound, content).  A Jacobi-Trudi
 determinant expansion is provided as an independent cross-check path, and a
 brute-force tableau enumerator backs the bijection checks.
 """
@@ -38,7 +39,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def as_composition(entries: Iterable[int]) -> Composition:
     """Normalize a composition: nonnegative entries, trailing zeros dropped."""
-    # kept as is, so the cached Kostka numbers of one content share one key
+    # kept as is, so the cached Kostka tables of one content share its tuple
     if type(entries) is tuple and all(type(e) is int and e > 0 for e in entries):
         return entries
     seq = [int(e) for e in entries]
@@ -89,9 +90,11 @@ def kostka(shape: Iterable[int], content: Iterable[int]) -> int:
 
     Zero whenever the weights disagree.  The content is a composition; its
     trailing zeros are irrelevant and stripped, internal zeros are kept
-    (they contribute empty strips).
+    (they contribute empty strips).  One entry of the table bounded by the
+    shape itself, where the shape's key needs no padding.
     """
-    return _kostka(as_partition(shape), as_composition(content))
+    lam = as_partition(shape)
+    return _kostka_table(lam, as_composition(content)).get(lam, 0)
 
 
 def kostka_numbers(
@@ -100,30 +103,26 @@ def kostka_numbers(
     """Kostka numbers of several shapes for one content, keyed on the shape,
     from one strip DP bounded by the union (componentwise maximum) of the shapes."""
     lams = [as_partition(shape) for shape in shapes]
-    table = _kostka_table(tuple(map(max, zip_longest(*lams, fillvalue=0))),
-                          as_composition(content))
-    return {lam: table.get(lam, 0) for lam in lams}
+    bound = tuple(map(max, zip_longest(*lams, fillvalue=0)))
+    table = _kostka_table(bound, as_composition(content))
+    rows = len(bound)
+    return {lam: table.get(lam + (0,) * (rows - len(lam)), 0) for lam in lams}
 
 
-# Least recently used evicted first.  150 rounds of the jones_full benchmark
-# read 156 tables (7,467 entries), verify_scan's 255 (at most 9 entries each).
-KOSTKA_CACHE_SIZE = 1 << 15
+# Least recently used evicted first.  Seed-1 benchmark runs fill 280 tables
+# in 400 verify_scan rounds, 156 in 200 jones_full rounds, 33 in 80 char_order.
 KOSTKA_TABLE_CACHE_SIZE = 512
 
 
-@lru_cache(maxsize=KOSTKA_CACHE_SIZE)
-def _kostka(shape: Partition, content: Composition) -> int:
-    if sum(shape) != sum(content):
-        return 0
-    return _strip_dp(shape, content).get(shape, 0)
-
-
-def _strip_dp(bound: Partition, content: Composition) -> dict[Partition, int]:
+# shared by every caller, which must not mutate a table
+@lru_cache(maxsize=KOSTKA_TABLE_CACHE_SIZE)
+def _kostka_table(bound: Partition, content: Composition) -> dict[tuple[int, ...], int]:
     """Tableau counts of every shape inside ``bound`` filled with ``content``,
-    one horizontal strip per content entry."""
-    states: dict[Partition, int] = {(): 1}
+    one horizontal strip per content entry.  Shapes are keyed padded with
+    zeros to ``len(bound)`` rows."""
+    states: dict[tuple[int, ...], int] = {(0,) * len(bound): 1}
     for size in content:
-        nxt: dict[Partition, int] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for nu, ways in states.items():
             for mu in _horizontal_extensions(nu, size, bound):
                 nxt[mu] = nxt.get(mu, 0) + ways
@@ -133,35 +132,33 @@ def _strip_dp(bound: Partition, content: Composition) -> dict[Partition, int]:
     return states
 
 
-# shared by every caller, which must not mutate a table
-_kostka_table = lru_cache(maxsize=KOSTKA_TABLE_CACHE_SIZE)(_strip_dp)
-
-
 def _horizontal_extensions(
-    nu: Partition, size: int, bound: Partition
-) -> list[Partition]:
-    """All shapes inside ``bound`` obtained from nu by a horizontal strip."""
-    rows = len(bound)
-    out: list[Partition] = []
+    nu: tuple[int, ...], size: int, bound: Partition
+) -> list[tuple[int, ...]]:
+    """All shapes inside ``bound`` obtained from nu by a horizontal strip of
+    ``size`` cells, nu and the results padded to ``len(bound)`` rows.
 
-    def rec(i: int, prev: int, remaining: int, acc: tuple[int, ...]) -> None:
+    The strip condition (no two added cells share a column) reads
+    nu_i <= mu_i <= nu_(i-1) for every row i >= 1.  It also keeps mu a
+    partition, with no cap from mu's own previous row: nu is a partition
+    and nu_(i-1) <= mu_(i-1), so mu_i <= nu_(i-1) <= mu_(i-1).
+    """
+    rows = len(bound)
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, acc: tuple[int, ...]) -> None:
         if i == rows:
             if remaining == 0:
-                trimmed = acc
-                while trimmed and trimmed[-1] == 0:
-                    trimmed = trimmed[:-1]
-                out.append(trimmed)
+                out.append(acc)
             return
-        base = nu[i] if i < len(nu) else 0
-        cap = min(bound[i], prev)
-        if i > 0:
-            # strip condition: no two added cells share a column
-            cap = min(cap, nu[i - 1] if i - 1 < len(nu) else 0)
-        cap = min(cap, base + remaining)
+        base = nu[i]
+        cap = min(bound[i], base + remaining)
+        if i:
+            cap = min(cap, nu[i - 1])
         for v in range(base, cap + 1):
-            rec(i + 1, v, remaining - (v - base), acc + (v,))
+            rec(i + 1, remaining - (v - base), acc + (v,))
 
-    rec(0, bound[0] if bound else 0, size, ())
+    rec(0, size, ())
     return out
 
 

@@ -30,13 +30,7 @@ from .lie_sl import (
 from .link_invariants import TorusLinkSpec, jones_torus_link
 from .qseries import QSeries, euler_product, invert_unit, one_minus_q_product
 from .schur_spec import principal_spec, weyl_denominator
-from .verifier import (
-    check_prop_full_dim,
-    check_prop_zero_weight,
-    phi_bijection_check,
-    verify_singlet_theorem,
-    verify_triplet_theorem,
-)
+from .verifier import scan_propositions, verify_singlet_theorem, verify_triplet_theorem
 
 
 def _partition_count_table(limit: int) -> list[int]:
@@ -168,19 +162,9 @@ def _check_triplet_verify() -> bool:
 
 
 def _check_propositions() -> bool:
-    for r in range(2, 4):
-        for weight in range(0, 9):
-            for lam in partitions_of(weight, r):
-                if not check_prop_zero_weight(lam, r):
-                    return False
-        for colour in range(1, 9 // (r + 1) + 1):
-            for lam in partitions_of(colour * (r + 1), r):
-                verdict = check_prop_full_dim(lam, colour, r)
-                if verdict == "fail":
-                    return False
-                if verdict == "pass" and not phi_bijection_check(lam, colour, r):
-                    return False
-    return True
+    return not any(
+        failures for r in (2, 3) for _, _, failures in scan_propositions(r, 9)
+    )
 
 
 def _check_json_round_trip() -> bool:

@@ -16,11 +16,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .combinatorics import (
+    Partition,
     Tableau,
     as_partition,
     enumerate_ssyt,
     enumerate_ssyt_bounded,
     kostka,
+    partitions_of,
     schur_expand_oracle,
 )
 from .lie_sl import weight_of_partition, weyl_dim, zero_weight_dim
@@ -289,3 +291,38 @@ def phi_bijection_check(shape: Iterable[int], colour: int, rank: int) -> bool:
         if phi(phi_inverse(t, colour, rank, width)) != t:
             return False
     return True
+
+
+# -- the proposition scan -----------------------------------------------------
+
+
+def scan_propositions(
+    rank: int, max_weight: int
+) -> list[tuple[str, int, list[Partition]]]:
+    """Both propositions and the bijection on every case up to ``max_weight``,
+    as (kind, number of cases, failing shapes) for each of the three checks.
+
+    The zero-weight check runs on every shape of weight at most
+    ``max_weight`` with at most ``rank`` rows; the full-dimension check and
+    the bijection on every shape of weight colour * (rank + 1) at most
+    ``max_weight`` with ``rank`` rows, the last at least the colour.
+    """
+    zero_shapes = [
+        lam for weight in range(max_weight + 1) for lam in partitions_of(weight, rank)
+    ]
+    full_cases = [
+        (lam, colour)
+        for colour in range(1, max_weight // (rank + 1) + 1)
+        for lam in partitions_of(colour * (rank + 1), rank)
+        if len(lam) == rank and lam[-1] >= colour
+    ]
+    return [
+        ("props-zero-weight", len(zero_shapes),
+         [lam for lam in zero_shapes if not check_prop_zero_weight(lam, rank)]),
+        ("props-full-dim", len(full_cases),
+         [lam for lam, colour in full_cases
+          if check_prop_full_dim(lam, colour, rank) == "fail"]),
+        ("props-bijection", len(full_cases),
+         [lam for lam, colour in full_cases
+          if not phi_bijection_check(lam, colour, rank)]),
+    ]

@@ -211,6 +211,18 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
         pytest.param(["kostka", "--shape", "2", "--content", "7^-1"],
                      "--content: repeat count must be nonnegative",
                      id="content-negative-repeat"),
+        pytest.param(["jones", "--rank", "1", "--components", "2", "--p", "2",
+                      "--colour", "1"],
+                     "--rank: must be at least 2, got 1", id="jones-rank-below-two"),
+        pytest.param(["jones", "--rank", "2", "--components", "0", "--p", "2",
+                      "--colour", "1"],
+                     "--components: must be at least 1, got 0", id="jones-no-components"),
+        pytest.param(["jones", "--rank", "2", "--components", "2", "--p", "0",
+                      "--colour", "1"],
+                     "--p: must be at least 1, got 0", id="jones-p-not-positive"),
+        pytest.param(["jones", "--rank", "2", "--components", "2", "--p", "2",
+                      "--colour", "-1"],
+                     "--colour: must be at least 0, got -1", id="jones-colour-negative"),
     ],
 )
 def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):
@@ -273,7 +285,7 @@ def test_props_weight_cap_is_checked_before_any_expansion(capsys, monkeypatch):
     def expand(*args):
         raise AssertionError("expanded a shape above the cap")
 
-    monkeypatch.setattr(cli, "check_prop_zero_weight", expand)
+    monkeypatch.setattr(cli, "scan_propositions", expand)
     code, out, err = run_cli(["verify", "props", "--rank", "4", "--max-weight", "16"], capsys)
     assert code == 2 and out == "" and "--max-weight 16 exceeds the cap 11" in err
 
@@ -303,6 +315,15 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text() == "q^(-1/2) + q^(1/2)\n"
+
+
+def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    argv = ["kostka", "--shape", "1", "--content", "1", "--output", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --output: ") and "Traceback" not in err
+    assert not target.exists()
 
 
 # -- golden regressions ------------------------------------------------------------

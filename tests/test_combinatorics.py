@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus import combinatorics
+from qtorus.combinatorics import Composition, Partition
 from qtorus import (
     QSeries,
     as_composition,
@@ -118,10 +119,54 @@ def test_kostka_large_rectangular_content():
     assert kostka((41, 39), (40, 40)) == 1
 
 
-# -- one strip DP for many shapes ------------------------------------------------
+# -- the strip DP against its unpadded reference -----------------------------------
 
-# (rank, components, colour): the largest colour of each benchmark family
-BENCHMARK_TOPS = [(2, 2, 100), (2, 3, 30), (3, 3, 12), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
+# The strip DP as it stood before its states were padded to the bound's rows,
+# copied verbatim: trailing zeros trimmed, and each row capped by mu's own
+# previous row as well as by the strip condition.
+
+
+def _strip_dp(bound: Partition, content: Composition) -> dict[Partition, int]:
+    """Tableau counts of every shape inside ``bound`` filled with ``content``,
+    one horizontal strip per content entry."""
+    states: dict[Partition, int] = {(): 1}
+    for size in content:
+        nxt: dict[Partition, int] = {}
+        for nu, ways in states.items():
+            for mu in _horizontal_extensions(nu, size, bound):
+                nxt[mu] = nxt.get(mu, 0) + ways
+        states = nxt
+        if not states:
+            break
+    return states
+
+
+def _horizontal_extensions(
+    nu: Partition, size: int, bound: Partition
+) -> list[Partition]:
+    """All shapes inside ``bound`` obtained from nu by a horizontal strip."""
+    rows = len(bound)
+    out: list[Partition] = []
+
+    def rec(i: int, prev: int, remaining: int, acc: tuple[int, ...]) -> None:
+        if i == rows:
+            if remaining == 0:
+                trimmed = acc
+                while trimmed and trimmed[-1] == 0:
+                    trimmed = trimmed[:-1]
+                out.append(trimmed)
+            return
+        base = nu[i] if i < len(nu) else 0
+        cap = min(bound[i], prev)
+        if i > 0:
+            # strip condition: no two added cells share a column
+            cap = min(cap, nu[i - 1] if i - 1 < len(nu) else 0)
+        cap = min(cap, base + remaining)
+        for v in range(base, cap + 1):
+            rec(i + 1, v, remaining - (v - base), acc + (v,))
+
+    rec(0, bound[0] if bound else 0, size, ())
+    return out
 
 
 def _random_composition(size, rng):
@@ -136,6 +181,29 @@ def _random_composition(size, rng):
 def _contents(size, rng):
     rectangles = {(size // c,) * c for c in range(1, size + 1) if size % c == 0}
     return sorted(rectangles | {_random_composition(size, rng) for _ in range(3)})
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_kostka_table_matches_the_unpadded_reference(rank):
+    # every bound with `rank` rows up to size 12 (rank 2 also takes the
+    # empty and one-row bounds), filled with contents of every size up to
+    # the bound's, so the tables hold shapes with fewer rows than the bound
+    rng = random.Random(rank)
+    for size in range(13):
+        for bound in partitions_of(size, rank):
+            if len(bound) != rank and rank != 2:
+                continue
+            for content in [c for m in range(size + 1) for c in _contents(m, rng)]:
+                table = combinatorics._kostka_table(bound, as_composition(content))
+                assert all(len(mu) == len(bound) for mu in table)
+                unpadded = {as_partition(mu): ways for mu, ways in table.items()}
+                assert unpadded == _strip_dp(bound, content)
+
+
+# -- one strip DP for many shapes ------------------------------------------------
+
+# (rank, components, colour): the largest colour of each benchmark family
+BENCHMARK_TOPS = [(2, 2, 100), (2, 3, 30), (3, 3, 12), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
 
 
 def _check_against_single_shapes(shapes, content, rng):
@@ -161,8 +229,11 @@ def test_kostka_numbers_match_single_shapes_at_the_benchmark_tops(
 ):
     rng = random.Random(colour)
     for n in sorted({1, colour // 2, colour}):
+        content = (n,) * components
         shapes = list(partitions_of(n * components, min(rank, components)))
-        _check_against_single_shapes(shapes, (n,) * components, rng)
+        _check_against_single_shapes(shapes, content, rng)
+        assert kostka_numbers(shapes, content) == {
+            lam: _strip_dp(lam, content).get(lam, 0) for lam in shapes}
 
 
 def test_kostka_numbers_match_tableau_enumeration():
@@ -298,8 +369,8 @@ def test_partitions_of_agree_with_recurrence(n, k):
 @pytest.mark.parametrize(
     "cached,call",
     [
-        # size mismatches are answered at once, so filling the cache is cheap
-        (combinatorics._kostka, lambda k: combinatorics._kostka((k,), (k + 1,))),
+        # a strip too long for the bound empties the table at once, so
+        # filling the cache is cheap
         (combinatorics._kostka_table,
          lambda k: combinatorics._kostka_table((k,), (k + 1,))),
         (combinatorics._schur_expand, lambda k: combinatorics._schur_expand((k,), 1)),
@@ -320,12 +391,9 @@ def test_caches_are_bounded_and_evict(cached, call):
         cached.cache_clear()
 
 
-def test_kostka_cache_holds_the_benchmark_working_set():
-    assert combinatorics.KOSTKA_CACHE_SIZE >= 4 * 6948
-
-
 def test_a_normalized_content_is_kept_as_is():
-    # the Kostka cache then holds one content tuple per content, not per shape
+    # the Kostka table cache then holds one content tuple per content, not
+    # per bound
     content = (5, 5, 5)
     assert as_composition(content) is content
     assert as_composition([5, 0, 2, 0]) == (5, 0, 2)
