@@ -85,12 +85,12 @@ def _flag_type(parse):
     return convert
 
 
-def _int_at_least(low: int):
-    """An integer flag type that rejects values below ``low``."""
+def _int_at_least(low: int, reason: str | None = None):
+    """An integer flag type that rejects values below ``low``, saying why."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise ValueError(f"must be at least {low}, got {value}")
+            raise ValueError(f"{reason or f'must be at least {low}'}, got {value}")
         return value
     return _flag_type(parse)
 
@@ -105,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    character_p = _int_at_least(2, "the character family is defined for p >= 2")
 
     def common(p: argparse.ArgumentParser, with_order: bool = False):
         p.add_argument("--json", action="store_true", help="emit JSON output")
@@ -140,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="normalized singlet or triplet character")
     p.add_argument("--kind", choices=["singlet", "triplet"], required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--rank", type=_int_at_least(2), required=True)
+    p.add_argument("--p", type=character_p, required=True)
     p.add_argument("--coset", type=int, default=0)
     common(p, with_order=True)
 
@@ -149,13 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     modes = p.add_subparsers(dest="mode", required=True)
 
     m = modes.add_parser("singlet", help="singlet limit identity, 2 <= components <= rank")
-    for flag in ("--rank", "--components", "--p", "--colour"):
-        m.add_argument(flag, type=int, required=True)
+    for flag, kind in (("--rank", _int_at_least(2)), ("--components", _int_at_least(2)),
+                       ("--p", character_p), ("--colour", _int_at_least(0))):
+        m.add_argument(flag, type=kind, required=True)
     common(m, with_order=True)
 
     m = modes.add_parser("triplet", help="triplet limit identity, components = rank + 1")
-    for flag in ("--rank", "--p", "--colour"):
-        m.add_argument(flag, type=int, required=True)
+    for flag, kind in (("--rank", _int_at_least(2)), ("--p", character_p),
+                       ("--colour", _int_at_least(0))):
+        m.add_argument(flag, type=kind, required=True)
     m.add_argument("--coset", type=int, default=0, help="triplet coset (default 0)")
     common(m, with_order=True)
 

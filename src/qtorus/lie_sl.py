@@ -82,9 +82,11 @@ def weyl_vector(rank: int) -> WeightVector:
 
 
 def casimir_pairing(mu: WeightVector) -> Fraction:
-    """(mu, mu + 2*delta) with delta the Weyl vector."""
-    delta = weyl_vector(mu.rank)
-    return pairing(mu, mu) + 2 * pairing(mu, delta)
+    """(mu, mu + 2*delta) as a sum of r (w_i, w_j) = min(i,j) r - ij, over r."""
+    r, a = mu.rank, mu.coeffs
+    total = sum(ai * (aj + 2) * (min(i, j) * r - i * j)
+                for i, ai in enumerate(a, 1) if ai for j, aj in enumerate(a, 1))
+    return Fraction(total, r)
 
 
 def weight_of_partition(shape: Iterable[int], rank: int) -> WeightVector:

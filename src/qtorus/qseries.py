@@ -18,6 +18,7 @@ import json
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, lcm
+from operator import add
 from typing import Iterable, Mapping, Union
 
 _ExponentLike = Union[Fraction, int, str]
@@ -384,9 +385,18 @@ def one_minus_q_product(heights: Iterable[int]) -> list[int]:
 
 def divide_series_one_minus_q(coeffs: list[int], d: int) -> list[int]:
     """Divide the coefficient list in place by (1 - q^d), d >= 1, as a power
-    series truncated at its length: the running sum b[k] = a[k] + b[k-d]."""
-    for r in range(min(d, len(coeffs))):
-        coeffs[r::d] = accumulate(coeffs[r::d])
+    series truncated at its length: the running sum b[k] = a[k] + b[k-d].
+
+    With n = len(coeffs): d strided sums if d*d <= n, else each block of
+    length d added into the next, j = d, 2d, ...; entry k reads only entry
+    k - d, in the block before, already final.  So min(d, n/d) slice steps.
+    """
+    if d * d <= len(coeffs):
+        for r in range(d):
+            coeffs[r::d] = accumulate(coeffs[r::d])
+    else:
+        for j in range(d, len(coeffs), d):
+            coeffs[j : j + d] = map(add, coeffs[j : j + d], coeffs[j - d : j])
     return coeffs
 
 

@@ -223,6 +223,33 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
         pytest.param(["jones", "--rank", "2", "--components", "2", "--p", "2",
                       "--colour", "-1"],
                      "--colour: must be at least 0, got -1", id="jones-colour-negative"),
+        pytest.param(["char", "--kind", "singlet", "--rank", "1", "--p", "2"],
+                     "--rank: must be at least 2, got 1", id="char-rank-below-two"),
+        pytest.param(["char", "--kind", "singlet", "--rank", "2", "--p", "1"],
+                     "--p: the character family is defined for p >= 2, got 1",
+                     id="char-p-below-two"),
+        pytest.param(["verify", "singlet", "--rank", "1", "--components", "2", "--p", "2",
+                      "--colour", "3"],
+                     "--rank: must be at least 2, got 1", id="singlet-rank-below-two"),
+        pytest.param(["verify", "singlet", "--rank", "2", "--components", "1", "--p", "2",
+                      "--colour", "3"],
+                     "--components: must be at least 2, got 1",
+                     id="singlet-components-below-two"),
+        pytest.param(["verify", "singlet", "--rank", "2", "--components", "2", "--p", "0",
+                      "--colour", "3"],
+                     "--p: the character family is defined for p >= 2, got 0",
+                     id="singlet-p-below-two"),
+        pytest.param(["verify", "singlet", "--rank", "2", "--components", "2", "--p", "2",
+                      "--colour", "-1"],
+                     "--colour: must be at least 0, got -1", id="singlet-colour-negative"),
+        pytest.param(["verify", "triplet", "--rank", "1", "--p", "2", "--colour", "2"],
+                     "--rank: must be at least 2, got 1", id="triplet-rank-below-two"),
+        pytest.param(["verify", "triplet", "--rank", "2", "--p", "1", "--colour", "2"],
+                     "--p: the character family is defined for p >= 2, got 1",
+                     id="triplet-p-below-two"),
+        pytest.param(["verify", "triplet", "--rank", "2", "--p", "2", "--colour", "-2",
+                      "--coset", "0"],
+                     "--colour: must be at least 0, got -2", id="triplet-colour-negative"),
     ],
 )
 def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):

@@ -117,6 +117,18 @@ def test_casimir_equals_kappa_plus_correction():
         assert casimir_pairing(mu) == kappa(lam) + r * n - Fraction(n * n, r)
 
 
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_casimir_matches_the_bilinear_form(rank):
+    # the integer sum against the Fraction pairings it replaces
+    delta = weyl_vector(rank)
+    weights = list(dominant_weights(rank, 12))
+    assert len(weights) > 12
+    for mu in weights:
+        value = casimir_pairing(mu)
+        assert isinstance(value, Fraction)
+        assert value == pairing(mu, mu) + 2 * pairing(mu, delta)
+
+
 # -- partition <-> weight dictionary -------------------------------------------------
 
 

@@ -2,9 +2,11 @@
 the Euler product, and the canonical renderings."""
 
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,43 @@ def test_series_division_is_multiplication_by_the_inverse_product(coeffs, height
         assert divide_series_one_minus_q(quotient, h) is quotient
     assert len(quotient) == cut
     assert QSeries(dict(enumerate(quotient)), cut) == expected.truncate(cut)
+
+
+def strided_divide_series_one_minus_q(coeffs: list[int], d: int) -> list[int]:
+    """Divide the coefficient list in place by (1 - q^d), d >= 1, as a power
+    series truncated at its length: the running sum b[k] = a[k] + b[k-d]."""
+    for r in range(min(d, len(coeffs))):
+        coeffs[r::d] = accumulate(coeffs[r::d])
+    return coeffs
+
+
+def _assert_division_matches_the_strided_reference(coeffs, d):
+    expected = strided_divide_series_one_minus_q(list(coeffs), d)
+    quotient = list(coeffs)
+    assert divide_series_one_minus_q(quotient, d) is quotient
+    assert quotient == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_series_division_matches_the_strided_reference(data):
+    # both schedules, blocks of length d and d strided sums, against the
+    # strided running sum alone
+    big = 2**100
+    coeffs = data.draw(st.lists(st.integers(-big, big), max_size=300))
+    d = data.draw(st.integers(1, len(coeffs) + 5))
+    _assert_division_matches_the_strided_reference(coeffs, d)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 99, 100, 101, 300])
+def test_series_division_at_the_schedule_boundary(n):
+    # d*d next to n (at n - 1, n or n + 1), and d at n - 1, n, n + 1 and n + 5
+    rng = random.Random(n)
+    coeffs = [rng.randint(-(2**100), 2**100) for _ in range(n)]
+    root = isqrt(n)
+    divisors = {root - 1, root, root + 1, n - 1, n, n + 1, n + 5}
+    for d in sorted(k for k in divisors if k >= 1):
+        _assert_division_matches_the_strided_reference(coeffs, d)
 
 
 @pytest.mark.parametrize(
