@@ -1,10 +1,12 @@
 """Exact arithmetic for truncated Laurent series in q with rational exponents.
 
-A :class:`QSeries` stores finitely many terms ``coeff * q**exponent`` with
-arbitrary-precision integer coefficients and exact rational exponents,
-together with an exclusive truncation ``cutoff``: coefficients at exponents
-strictly below the cutoff are exact, everything at or above it is unknown.
-``cutoff=None`` marks an exact (untruncated) Laurent polynomial.
+A :class:`QSeries` stores finitely many terms ``coeff * q**(k/grain)``, with
+integer keys k and arbitrary-precision integer coefficients, where ``grain``
+is a declared common denominator, and an exclusive truncation ``cutoff``:
+coefficients at exponents strictly below it are exact, everything at or above
+it is unknown; ``cutoff=None`` marks an exact Laurent polynomial.  Exponents
+are ``Fraction``s only at the API boundary: the constructor, ``terms``,
+``low``, ``coefficient`` and ``sorted_terms``.
 
 Every operation computes the largest cutoff at which all reported
 coefficients are provably exact, so a result never contains silently
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -39,13 +41,14 @@ def _min_cutoff(a: Fraction | None, b: Fraction | None) -> Fraction | None:
 class QSeries:
     """Truncated Laurent series in q with exact integer coefficients.
 
-    ``terms`` maps exponents (reduced fractions) to nonzero integers, ``grain``
-    is a declared common denominator for all exponents (and the cutoff), and
-    ``cutoff`` is the exclusive truncation bound, or ``None`` for an exact
-    polynomial.  Terms at or above the cutoff are dropped on construction.
+    ``_grid`` maps each integer k to the nonzero coefficient of q^(k/grain),
+    ``grain`` is a declared common denominator for all exponents (and the
+    cutoff), and ``cutoff`` is the exclusive truncation bound, or ``None`` for
+    an exact polynomial.  Terms at or above the cutoff drop on construction.
+    ``terms`` is a ``Fraction``-keyed view of ``_grid``, built on each access.
     """
 
-    __slots__ = ("terms", "cutoff", "grain")
+    __slots__ = ("_grid", "cutoff", "grain")
 
     def __init__(
         self,
@@ -53,34 +56,22 @@ class QSeries:
         cutoff: _ExponentLike | None = None,
         grain: int | None = None,
     ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
         cut = None if cutoff is None else _exp(cutoff)
-        clean: dict[Fraction, int] = {}
-        for e, c in items:
+        acc: dict[Fraction, int] = {}
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms:
             e = _exp(e)
-            c = int(c)
-            if c == 0 or (cut is not None and e >= cut):
-                continue
-            acc = clean.get(e, 0) + c
-            if acc:
-                clean[e] = acc
-            else:
-                clean.pop(e, None)
-        min_grain = 1
-        for e in clean:
-            min_grain = lcm(min_grain, e.denominator)
-        if cut is not None:
-            min_grain = lcm(min_grain, cut.denominator)
-        if grain is None:
-            grain = min_grain
-        else:
-            grain = int(grain)
-            if grain <= 0 or grain % min_grain:
-                raise ValueError(
-                    f"grain {grain} does not cover the exponent denominators "
-                    f"(needs a multiple of {min_grain})"
-                )
-        self.terms = clean
+            if cut is None or e < cut:
+                acc[e] = acc.get(e, 0) + int(c)
+        clean = {e: c for e, c in acc.items() if c}
+        min_grain = lcm(*(e.denominator for e in clean),
+                        1 if cut is None else cut.denominator)
+        grain = min_grain if grain is None else int(grain)
+        if grain <= 0 or grain % min_grain:
+            raise ValueError(
+                f"grain {grain} does not cover the exponent denominators "
+                f"(needs a multiple of {min_grain})"
+            )
+        self._grid = {e.numerator * (grain // e.denominator): c for e, c in clean.items()}
         self.cutoff = cut
         self.grain = grain
 
@@ -105,100 +96,100 @@ class QSeries:
         cls, coeffs: Mapping[int, int], grain: int, cutoff: _ExponentLike | None = None
     ) -> "QSeries":
         """The sum of c q^(k/grain) over ``coeffs``, whose keys k are distinct
-        integers, so nothing is added up; the terms at or above ``cutoff`` drop."""
+        integers, so nothing is added up; the terms at or above ``cutoff`` drop.
+        The grain is lifted to cover the cutoff's denominator."""
         cut = None if cutoff is None else _exp(cutoff)
-        series = cls((), cut, grain if cut is None else lcm(grain, cut.denominator))
-        top = None if cut is None else ceil(cut * grain)
-        series.terms = {Fraction(k, grain): c for k, c in coeffs.items()
-                        if c and (top is None or k < top)}
+        g = grain if cut is None else lcm(grain, cut.denominator)
+        series = cls((), cut, g)
+        if g != grain:
+            coeffs = {k * (g // grain): c for k, c in coeffs.items()}
+        top = None if cut is None else ceil(cut * g)
+        series._grid = {k: c for k, c in coeffs.items() if c and (top is None or k < top)}
         return series
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def terms(self) -> dict[Fraction, int]:
+        """A fresh dict from reduced exponents to coefficients."""
+        return {Fraction(k, self.grain): c for k, c in self._grid.items()}
+
+    @property
     def low(self) -> Fraction | None:
         """Lowest known exponent, or None for a series with no known terms."""
-        return min(self.terms) if self.terms else None
+        return Fraction(min(self._grid), self.grain) if self._grid else None
 
     def _low_bound(self) -> Fraction | None:
-        # A provable lower bound for the true valuation; None means +infinity
-        # (the series is exactly zero).
-        if self.terms:
-            return min(self.terms)
-        return self.cutoff
+        # a lower bound for the true valuation; None means +infinity (exactly 0)
+        return self.low if self._grid else self.cutoff
+
+    def _lift(self, g: int) -> dict[int, int]:
+        # the terms keyed on the grid of 1/g, a multiple of the grain; not a copy
+        s = g // self.grain
+        return self._grid if s == 1 else {k * s: c for k, c in self._grid.items()}
 
     def coefficient(self, exponent: _ExponentLike) -> int:
-        return self.terms.get(_exp(exponent), 0)
+        k = _exp(exponent) * self.grain  # 0 off the grid
+        return self._grid.get(k.numerator, 0) if k.denominator == 1 else 0
 
     def sorted_terms(self) -> list[tuple[Fraction, int]]:
-        # grain covers every denominator, so the keys are the grid indices
-        g = self.grain
-        return sorted(
-            self.terms.items(), key=lambda t: t[0].numerator * (g // t[0].denominator)
-        )
+        return [(Fraction(k, self.grain), c) for k, c in sorted(self._grid.items())]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._grid
 
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "QSeries | None":
-        if isinstance(other, QSeries):
-            return other
         if isinstance(other, int):
             return QSeries({Fraction(0): other})
-        return None
+        return other if isinstance(other, QSeries) else None
 
     def __add__(self, other) -> "QSeries":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cut = _min_cutoff(self.cutoff, other.cutoff)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return QSeries(acc, cut, grain=lcm(self.grain, other.grain))
+        g = lcm(self.grain, other.grain)
+        acc = dict(self._lift(g))
+        for k, c in other._lift(g).items():
+            acc[k] = acc.get(k, 0) + c
+        return QSeries.from_grid(acc, g, _min_cutoff(self.cutoff, other.cutoff))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.cutoff, self.grain)
+        return QSeries.from_grid(
+            {k: -c for k, c in self._grid.items()}, self.grain, self.cutoff)
 
     def __sub__(self, other) -> "QSeries":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.__add__(-other)
+        return NotImplemented if other is None else self.__add__(-other)
 
     def __rsub__(self, other) -> "QSeries":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__add__(-self)
+        return NotImplemented if other is None else other.__add__(-self)
 
     def __mul__(self, other) -> "QSeries":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cuts = []
-        if self.cutoff is not None:
-            lb = other._low_bound()
-            if lb is not None:
-                cuts.append(self.cutoff + lb)
-        if other.cutoff is not None:
-            lb = self._low_bound()
-            if lb is not None:
-                cuts.append(other.cutoff + lb)
+        # a's terms are exact below a.cutoff, b's valuation is at least its bound
+        cuts = [a.cutoff + b._low_bound() for a, b in ((self, other), (other, self))
+                if a.cutoff is not None and b._low_bound() is not None]
         cut = min(cuts) if cuts else None
-        acc: dict[Fraction, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if cut is not None and e >= cut:
+        # both grains cover the cutoffs and the lows, so g covers cut
+        g = lcm(self.grain, other.grain)
+        top = None if cut is None else ceil(cut * g)
+        right = other._lift(g).items()
+        acc: dict[int, int] = {}
+        for k1, c1 in self._lift(g).items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if top is not None and k >= top:
                     continue
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return QSeries(acc, cut, grain=lcm(self.grain, other.grain))
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return QSeries.from_grid(acc, g, cut)
 
     __rmul__ = __mul__
 
@@ -212,7 +203,7 @@ class QSeries:
 
     def truncate(self, cutoff: _ExponentLike) -> "QSeries":
         cut = _min_cutoff(self.cutoff, _exp(cutoff))
-        return QSeries(self.terms, cut, grain=lcm(self.grain, cut.denominator))
+        return QSeries.from_grid(self._grid, self.grain, cut)
 
     # -- comparison --------------------------------------------------------
 
@@ -220,7 +211,8 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
+        g = lcm(self.grain, other.grain)
+        return self.cutoff == other.cutoff and self._lift(g) == other._lift(g)
 
     __hash__ = None  # mutable mapping inside; not intended as a dict key
 
@@ -229,23 +221,21 @@ class QSeries:
     def to_text(self) -> str:
         """Canonical rendering: terms in increasing exponent order."""
         bits: list[str] = []
-        for e, c in self.sorted_terms():
+        g, grid = self.grain, self._grid
+        for k in sorted(grid):
+            c = grid[k]
             mag = abs(c)
-            if e == 0:
+            if k == 0:
                 body = str(mag)
             else:
-                power = _format_power(e)
+                d = gcd(k, g)  # k/g reduced
+                power = _format_power(k // d, g // d)
                 body = power if mag == 1 else f"{mag}*{power}"
-            if not bits:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(f"+ {body}" if c > 0 else f"- {body}")
-        if not bits:
-            bits.append("0")
-        text = " ".join(bits)
-        if self.cutoff is not None:
-            text += f" + O({_format_power(self.cutoff)})"
-        return text
+            sign = ("+ " if c > 0 else "- ") if bits else ("" if c > 0 else "-")
+            bits.append(sign + body)
+        cut = self.cutoff
+        return " ".join(bits or ["0"]) + (
+            "" if cut is None else f" + O({_format_power(cut.numerator, cut.denominator)})")
 
     __str__ = to_text
 
@@ -253,22 +243,25 @@ class QSeries:
         return f"QSeries({self.to_text()!r})"
 
     def to_json_dict(self) -> dict:
+        cut, g, grid = self.cutoff, self.grain, self._grid
         return {
-            "grain": self.grain,
-            "cutoff": None
-            if self.cutoff is None
-            else {"num": self.cutoff.numerator, "den": self.cutoff.denominator},
-            "terms": [
-                [e.numerator, e.denominator, str(c)] for e, c in self.sorted_terms()
-            ],
+            "grain": g,
+            "cutoff": None if cut is None else {"num": cut.numerator, "den": cut.denominator},
+            "terms": [[k // d, g // d, str(grid[k])]  # k/g reduced
+                      for k in sorted(grid) for d in (gcd(k, g),)],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QSeries":
-        cut = data.get("cutoff")
-        cutoff = None if cut is None else Fraction(cut["num"], cut["den"])
-        terms = {Fraction(num, den): int(coeff) for num, den, coeff in data["terms"]}
-        return cls(terms, cutoff, grain=data["grain"])
+        g, cut = data["grain"], data.get("cutoff")
+        cut = None if cut is None else Fraction(cut["num"], cut["den"])
+        grid: dict[int, int] = {}
+        for num, den, coeff in data["terms"]:
+            if g % den:
+                raise ValueError(f"grain {g} is not a multiple of the denominator {den}")
+            grid[num * (g // den)] = grid.get(num * (g // den), 0) + int(coeff)
+        # the constructor checks that the grain is positive and covers the cutoff
+        return cls.from_grid(grid, cls((), cut, g).grain, cut)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -278,13 +271,21 @@ class QSeries:
         return cls.from_json_dict(json.loads(text))
 
 
-def _format_power(e: Fraction) -> str:
-    num, den = e.numerator, e.denominator
+def _format_power(num: int, den: int) -> str:
+    # q^(num/den) for a reduced fraction with den > 0
     if den != 1:
         return f"q^({num}/{den})"
     if num == 1:
         return "q"
     return f"q^{num}" if num >= 0 else f"q^({num})"
+
+
+def _least_grain(grid: dict[int, int], grain: int, cut: Fraction | None) -> QSeries:
+    # from_grid of nonzero terms on the least grain covering them and the cutoff
+    d = gcd(grain, *grid)
+    if cut is not None:
+        d = gcd(d, grain // cut.denominator)
+    return QSeries.from_grid({k // d: c for k, c in grid.items()}, grain // d, cut)
 
 
 def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries:
@@ -294,19 +295,18 @@ def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries
     2*low``; an explicit ``cutoff`` lowers it (and is required when inverting
     an untruncated non-monomial, whose inverse is an infinite series).
     """
-    if not series.terms:
+    if series.is_zero():
         raise ValueError("cannot invert a series with no known nonzero term")
     e0 = series.low
-    c0 = series.terms[e0]
+    c0 = series.coefficient(e0)
     if c0 not in (1, -1):
         raise ValueError(
-            f"not invertible over the integers: lowest coefficient is {c0}, not +-1"
-        )
+            f"not invertible over the integers: lowest coefficient is {c0}, not +-1")
     res_cut = None if series.cutoff is None else series.cutoff - 2 * e0
     if cutoff is not None:
         res_cut = _min_cutoff(res_cut, _exp(cutoff))
     if res_cut is None:
-        if len(series.terms) == 1:
+        if len(series._grid) == 1:
             return QSeries.monomial(c0, -e0)
         raise ValueError("inverting an untruncated non-monomial needs a cutoff")
     # series = c0 * q^e0 * u  with u a unit power series; invert u by the
@@ -314,14 +314,12 @@ def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries
     rel_order = res_cut + e0
     if rel_order <= 0:
         return QSeries({}, res_cut)
-    g = lcm(series.grain, rel_order.denominator)
-    u: dict[int, int] = {}
-    for e, c in series.terms.items():
-        u[int((e - e0) * g)] = c * c0
+    g = lcm(series.grain, rel_order.denominator)  # covers e0 and res_cut too
+    k0 = int(e0 * g)
+    u = {k - k0: c * c0 for k, c in series._lift(g).items()}
     n_rel = int(rel_order * g)
     positive = sorted(k for k in u if k > 0)
-    v = [0] * n_rel
-    v[0] = 1
+    v = [1] + [0] * (n_rel - 1)
     for k in range(1, n_rel):
         s = 0
         for j in positive:
@@ -331,8 +329,7 @@ def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries
             if cj:
                 s += u[j] * cj
         v[k] = -s
-    terms = {Fraction(k, g) - e0: c0 * vk for k, vk in enumerate(v) if vk}
-    return QSeries(terms, res_cut)
+    return _least_grain({k - k0: c0 * vk for k, vk in enumerate(v) if vk}, g, res_cut)
 
 
 def exact_div(num: QSeries, den: QSeries) -> QSeries:
@@ -344,20 +341,18 @@ def exact_div(num: QSeries, den: QSeries) -> QSeries:
     """
     if num.cutoff is not None or den.cutoff is not None:
         raise ValueError("exact division requires untruncated operands")
-    if not den.terms:
+    if den.is_zero():
         raise ZeroDivisionError("division by the zero series")
-    if not num.terms:
+    if num.is_zero():
         return QSeries({})
     g = lcm(num.grain, den.grain)
-    lo_n, lo_d = num.low, den.low
-    a = _dense(num, lo_n, g)
-    b = _dense(den, lo_d, g)
-    deg_a, deg_b = len(a) - 1, len(b) - 1
+    rem, lo_a = _dense(num, g)
+    b, lo_b = _dense(den, g)
+    deg_a, deg_b = len(rem) - 1, len(b) - 1
     if deg_a < deg_b:
         raise ValueError("not exactly divisible: numerator degree too small")
     lead = b[deg_b]
     quot = [0] * (deg_a - deg_b + 1)
-    rem = list(a)
     for k in range(deg_a - deg_b, -1, -1):
         c = rem[k + deg_b]
         if c == 0:
@@ -371,8 +366,7 @@ def exact_div(num: QSeries, den: QSeries) -> QSeries:
                 rem[k + i] -= q * bc
     if any(rem):
         raise ValueError("not exactly divisible: nonzero remainder")
-    base = lo_n - lo_d
-    return QSeries({Fraction(k, g) + base: c for k, c in enumerate(quot) if c})
+    return _least_grain({k + lo_a - lo_b: c for k, c in enumerate(quot) if c}, g, None)
 
 
 def one_minus_q_product(heights: Iterable[int]) -> list[int]:
@@ -416,12 +410,14 @@ def divide_one_minus_q(coeffs: list[int], heights: Iterable[int]) -> list[int]:
     return coeffs
 
 
-def _dense(series: QSeries, low: Fraction, g: int) -> list[int]:
-    size = int((max(series.terms) - low) * g) + 1
-    out = [0] * size
-    for e, c in series.terms.items():
-        out[int((e - low) * g)] = c
-    return out
+def _dense(series: QSeries, g: int) -> tuple[list[int], int]:
+    # (coefficients from the lowest term up, lowest key) on the grid of 1/g
+    grid = series._lift(g)
+    low = min(grid)
+    out = [0] * (max(grid) - low + 1)
+    for k, c in grid.items():
+        out[k - low] = c
+    return out, low
 
 
 def euler_product(cutoff: _ExponentLike) -> QSeries:
@@ -438,4 +434,4 @@ def euler_product(cutoff: _ExponentLike) -> QSeries:
     while m * (3 * m - 1) // 2 < cut:
         terms[m * (3 * m - 1) // 2] = terms[m * (3 * m + 1) // 2] = (-1) ** m
         m += 1
-    return QSeries(terms, cut)
+    return QSeries.from_grid(terms, 1, cut)

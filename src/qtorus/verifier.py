@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Iterable
 
 from .combinatorics import (
@@ -31,7 +32,7 @@ from .link_invariants import (
     shifted_invariant_singlet,
     shifted_invariant_triplet,
 )
-from .qseries import QSeries
+from .qseries import QSeries, _min_cutoff
 from .voa_characters import (
     rhs_singlet_limit,
     rhs_triplet_limit,
@@ -44,16 +45,17 @@ def first_disagreement(
 ) -> tuple[Fraction, int, int] | None:
     """Least exponent below the common cutoff where coefficients differ,
     with both coefficients as witness; None if the series agree there."""
-    cut = None
-    if a.cutoff is not None or b.cutoff is not None:
-        cut = min(c for c in (a.cutoff, b.cutoff) if c is not None)
-    exponents = set(a.terms) | set(b.terms)
-    for e in sorted(exponents):
-        if cut is not None and e >= cut:
+    cut = _min_cutoff(a.cutoff, b.cutoff)
+    # on the grid of 1/g, which covers both series and so the common cutoff
+    g = lcm(a.grain, b.grain)
+    ga, gb = a._lift(g), b._lift(g)
+    top = None if cut is None else ceil(cut * g)
+    for k in sorted(ga.keys() | gb.keys()):
+        if top is not None and k >= top:
             break
-        ca, cb = a.terms.get(e, 0), b.terms.get(e, 0)
+        ca, cb = ga.get(k, 0), gb.get(k, 0)
         if ca != cb:
-            return e, ca, cb
+            return Fraction(k, g), ca, cb
     return None
 
 

@@ -403,6 +403,24 @@ def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
             ],
             "jones_r4_c4_p2_n4_singlet.txt",
         ),
+        (
+            [
+                "jones", "--rank", "2", "--components", "3", "--p", "3",
+                "--colour", "3", "--shift", "triplet",
+            ],
+            "jones_r2_c3_p3_n3_triplet.txt",
+        ),
+        (
+            ["jones", "--rank", "3", "--components", "3", "--p", "3", "--colour", "2"],
+            "jones_r3_c3_p3_n2.txt",
+        ),
+        (
+            [
+                "char", "--kind", "triplet", "--rank", "3", "--p", "2",
+                "--coset", "1", "--order", "7", "--json",
+            ],
+            "char_triplet_r3_p2_i1_o7.json",
+        ),
     ],
 )
 def test_golden_outputs(argv, golden, capsys):

@@ -1,12 +1,17 @@
 """Series arithmetic: ring axioms, exact truncation bookkeeping, inversion,
-the Euler product, and the canonical renderings."""
+the Euler product, the canonical renderings, and the integer-grid series
+against the Fraction-dict series it replaced."""
+
+from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm
+from typing import Iterable, Mapping, Union
 
 import pytest
 from hypothesis import given, settings
@@ -486,3 +491,581 @@ def test_divide_one_minus_q_checks_the_quotient_against_exact_div():
     grid = [num.coefficient(k) for k in range(len(coeffs) + 3)]
     assert divide_one_minus_q(grid, [3]) == coeffs
     assert exact_div(num, QSeries({0: 1, 3: -1})) == QSeries(dict(enumerate(coeffs)))
+
+
+# -- the Fraction-dict series, kept as the reference -------------------------------
+#
+# QSeries stores its terms on an integer exponent grid.  The class and functions
+# below are the former implementation, which kept a dict keyed on reduced
+# Fraction exponents; the differential tests that follow compare the two.
+
+_ExponentLike = Union[Fraction, int, str]
+
+
+def _dict_exp(value: _ExponentLike) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _dict_min_cutoff(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+class DictQSeries:
+    """The former ``QSeries``, kept verbatim as the reference: terms stored as
+    a dict keyed on ``Fraction`` exponents.
+
+    ``terms`` maps exponents (reduced fractions) to nonzero integers, ``grain``
+    is a declared common denominator for all exponents (and the cutoff), and
+    ``cutoff`` is the exclusive truncation bound, or ``None`` for an exact
+    polynomial.  Terms at or above the cutoff are dropped on construction.
+    """
+
+    __slots__ = ("terms", "cutoff", "grain")
+
+    def __init__(
+        self,
+        terms: Mapping[_ExponentLike, int] | Iterable[tuple[_ExponentLike, int]] = (),
+        cutoff: _ExponentLike | None = None,
+        grain: int | None = None,
+    ):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        cut = None if cutoff is None else _dict_exp(cutoff)
+        clean: dict[Fraction, int] = {}
+        for e, c in items:
+            e = _dict_exp(e)
+            c = int(c)
+            if c == 0 or (cut is not None and e >= cut):
+                continue
+            acc = clean.get(e, 0) + c
+            if acc:
+                clean[e] = acc
+            else:
+                clean.pop(e, None)
+        min_grain = 1
+        for e in clean:
+            min_grain = lcm(min_grain, e.denominator)
+        if cut is not None:
+            min_grain = lcm(min_grain, cut.denominator)
+        if grain is None:
+            grain = min_grain
+        else:
+            grain = int(grain)
+            if grain <= 0 or grain % min_grain:
+                raise ValueError(
+                    f"grain {grain} does not cover the exponent denominators "
+                    f"(needs a multiple of {min_grain})"
+                )
+        self.terms = clean
+        self.cutoff = cut
+        self.grain = grain
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, cutoff: _ExponentLike | None = None) -> "DictQSeries":
+        return cls({}, cutoff)
+
+    @classmethod
+    def one(cls, cutoff: _ExponentLike | None = None) -> "DictQSeries":
+        return cls({Fraction(0): 1}, cutoff)
+
+    @classmethod
+    def monomial(
+        cls, coeff: int, exponent: _ExponentLike, cutoff: _ExponentLike | None = None
+    ) -> "DictQSeries":
+        return cls({_dict_exp(exponent): int(coeff)}, cutoff)
+
+    @classmethod
+    def from_grid(
+        cls, coeffs: Mapping[int, int], grain: int, cutoff: _ExponentLike | None = None
+    ) -> "DictQSeries":
+        """The sum of c q^(k/grain) over ``coeffs``, whose keys k are distinct
+        integers, so nothing is added up; the terms at or above ``cutoff`` drop."""
+        cut = None if cutoff is None else _dict_exp(cutoff)
+        series = cls((), cut, grain if cut is None else lcm(grain, cut.denominator))
+        top = None if cut is None else ceil(cut * grain)
+        series.terms = {Fraction(k, grain): c for k, c in coeffs.items()
+                        if c and (top is None or k < top)}
+        return series
+
+    # -- inspection --------------------------------------------------------
+
+    @property
+    def low(self) -> Fraction | None:
+        """Lowest known exponent, or None for a series with no known terms."""
+        return min(self.terms) if self.terms else None
+
+    def _low_bound(self) -> Fraction | None:
+        # A provable lower bound for the true valuation; None means +infinity
+        # (the series is exactly zero).
+        if self.terms:
+            return min(self.terms)
+        return self.cutoff
+
+    def coefficient(self, exponent: _ExponentLike) -> int:
+        return self.terms.get(_dict_exp(exponent), 0)
+
+    def sorted_terms(self) -> list[tuple[Fraction, int]]:
+        # grain covers every denominator, so the keys are the grid indices
+        g = self.grain
+        return sorted(
+            self.terms.items(), key=lambda t: t[0].numerator * (g // t[0].denominator)
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- arithmetic --------------------------------------------------------
+
+    @staticmethod
+    def _coerce(other) -> "DictQSeries | None":
+        if isinstance(other, DictQSeries):
+            return other
+        if isinstance(other, int):
+            return DictQSeries({Fraction(0): other})
+        return None
+
+    def __add__(self, other) -> "DictQSeries":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        cut = _dict_min_cutoff(self.cutoff, other.cutoff)
+        acc = dict(self.terms)
+        for e, c in other.terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return DictQSeries(acc, cut, grain=lcm(self.grain, other.grain))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "DictQSeries":
+        return DictQSeries({e: -c for e, c in self.terms.items()}, self.cutoff, self.grain)
+
+    def __sub__(self, other) -> "DictQSeries":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.__add__(-other)
+
+    def __rsub__(self, other) -> "DictQSeries":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other.__add__(-self)
+
+    def __mul__(self, other) -> "DictQSeries":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        cuts = []
+        if self.cutoff is not None:
+            lb = other._low_bound()
+            if lb is not None:
+                cuts.append(self.cutoff + lb)
+        if other.cutoff is not None:
+            lb = self._low_bound()
+            if lb is not None:
+                cuts.append(other.cutoff + lb)
+        cut = min(cuts) if cuts else None
+        acc: dict[Fraction, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                if cut is not None and e >= cut:
+                    continue
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return DictQSeries(acc, cut, grain=lcm(self.grain, other.grain))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "DictQSeries":
+        if n < 0:
+            raise ValueError("negative powers are not defined; use dict_invert_unit")
+        result = DictQSeries.one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def truncate(self, cutoff: _ExponentLike) -> "DictQSeries":
+        cut = _dict_min_cutoff(self.cutoff, _dict_exp(cutoff))
+        return DictQSeries(self.terms, cut, grain=lcm(self.grain, cut.denominator))
+
+    # -- comparison --------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms and self.cutoff == other.cutoff
+
+    __hash__ = None  # mutable mapping inside; not intended as a dict key
+
+    # -- rendering ---------------------------------------------------------
+
+    def to_text(self) -> str:
+        """Canonical rendering: terms in increasing exponent order."""
+        bits: list[str] = []
+        for e, c in self.sorted_terms():
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                power = _dict_format_power(e)
+                body = power if mag == 1 else f"{mag}*{power}"
+            if not bits:
+                bits.append(body if c > 0 else f"-{body}")
+            else:
+                bits.append(f"+ {body}" if c > 0 else f"- {body}")
+        if not bits:
+            bits.append("0")
+        text = " ".join(bits)
+        if self.cutoff is not None:
+            text += f" + O({_dict_format_power(self.cutoff)})"
+        return text
+
+    __str__ = to_text
+
+    def __repr__(self) -> str:
+        return f"DictQSeries({self.to_text()!r})"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "grain": self.grain,
+            "cutoff": None
+            if self.cutoff is None
+            else {"num": self.cutoff.numerator, "den": self.cutoff.denominator},
+            "terms": [
+                [e.numerator, e.denominator, str(c)] for e, c in self.sorted_terms()
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "DictQSeries":
+        cut = data.get("cutoff")
+        cutoff = None if cut is None else Fraction(cut["num"], cut["den"])
+        terms = {Fraction(num, den): int(coeff) for num, den, coeff in data["terms"]}
+        return cls(terms, cutoff, grain=data["grain"])
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def from_json(cls, text: str) -> "DictQSeries":
+        return cls.from_json_dict(json.loads(text))
+
+
+def _dict_format_power(e: Fraction) -> str:
+    num, den = e.numerator, e.denominator
+    if den != 1:
+        return f"q^({num}/{den})"
+    if num == 1:
+        return "q"
+    return f"q^{num}" if num >= 0 else f"q^({num})"
+
+
+def dict_invert_unit(series: DictQSeries, cutoff: _ExponentLike | None = None) -> DictQSeries:
+    """Multiplicative inverse of a series whose lowest coefficient is +-1.
+
+    The result cutoff is the largest provably exact order, ``series.cutoff -
+    2*low``; an explicit ``cutoff`` lowers it (and is required when inverting
+    an untruncated non-monomial, whose inverse is an infinite series).
+    """
+    if not series.terms:
+        raise ValueError("cannot invert a series with no known nonzero term")
+    e0 = series.low
+    c0 = series.terms[e0]
+    if c0 not in (1, -1):
+        raise ValueError(
+            f"not invertible over the integers: lowest coefficient is {c0}, not +-1"
+        )
+    res_cut = None if series.cutoff is None else series.cutoff - 2 * e0
+    if cutoff is not None:
+        res_cut = _dict_min_cutoff(res_cut, _dict_exp(cutoff))
+    if res_cut is None:
+        if len(series.terms) == 1:
+            return DictQSeries.monomial(c0, -e0)
+        raise ValueError("inverting an untruncated non-monomial needs a cutoff")
+    # series = c0 * q^e0 * u  with u a unit power series; invert u by the
+    # standard term-by-term recurrence on an integer exponent grid.
+    rel_order = res_cut + e0
+    if rel_order <= 0:
+        return DictQSeries({}, res_cut)
+    g = lcm(series.grain, rel_order.denominator)
+    u: dict[int, int] = {}
+    for e, c in series.terms.items():
+        u[int((e - e0) * g)] = c * c0
+    n_rel = int(rel_order * g)
+    positive = sorted(k for k in u if k > 0)
+    v = [0] * n_rel
+    v[0] = 1
+    for k in range(1, n_rel):
+        s = 0
+        for j in positive:
+            if j > k:
+                break
+            cj = v[k - j]
+            if cj:
+                s += u[j] * cj
+        v[k] = -s
+    terms = {Fraction(k, g) - e0: c0 * vk for k, vk in enumerate(v) if vk}
+    return DictQSeries(terms, res_cut)
+
+
+def dict_exact_div(num: DictQSeries, den: DictQSeries) -> DictQSeries:
+    """Exact Laurent-polynomial division; raises unless the remainder is zero.
+
+    Both operands must be untruncated.  Division proceeds densely from the
+    top degree on a common integer exponent grid, with every coefficient
+    division checked for exactness.
+    """
+    if num.cutoff is not None or den.cutoff is not None:
+        raise ValueError("exact division requires untruncated operands")
+    if not den.terms:
+        raise ZeroDivisionError("division by the zero series")
+    if not num.terms:
+        return DictQSeries({})
+    g = lcm(num.grain, den.grain)
+    lo_n, lo_d = num.low, den.low
+    a = _dict_dense(num, lo_n, g)
+    b = _dict_dense(den, lo_d, g)
+    deg_a, deg_b = len(a) - 1, len(b) - 1
+    if deg_a < deg_b:
+        raise ValueError("not exactly divisible: numerator degree too small")
+    lead = b[deg_b]
+    quot = [0] * (deg_a - deg_b + 1)
+    rem = list(a)
+    for k in range(deg_a - deg_b, -1, -1):
+        c = rem[k + deg_b]
+        if c == 0:
+            continue
+        q, r = divmod(c, lead)
+        if r:
+            raise ValueError("not exactly divisible: coefficient remainder")
+        quot[k] = q
+        for i, bc in enumerate(b):
+            if bc:
+                rem[k + i] -= q * bc
+    if any(rem):
+        raise ValueError("not exactly divisible: nonzero remainder")
+    base = lo_n - lo_d
+    return DictQSeries({Fraction(k, g) + base: c for k, c in enumerate(quot) if c})
+
+
+def _dict_dense(series: DictQSeries, low: Fraction, g: int) -> list[int]:
+    size = int((max(series.terms) - low) * g) + 1
+    out = [0] * size
+    for e, c in series.terms.items():
+        out[int((e - low) * g)] = c
+    return out
+
+
+def dict_euler_product(cutoff: _ExponentLike) -> DictQSeries:
+    """The product of (1 - q^k) over k >= 1, truncated at ``cutoff``.
+
+    By Euler's pentagonal number theorem it is the sum over all integers m of
+    (-1)^m q^(m(3m-1)/2); both exponents at +-m grow with m >= 0.
+    """
+    cut = _dict_exp(cutoff)
+    if cut < 0:
+        raise ValueError("cutoff must be nonnegative")
+    terms: dict[int, int] = {}
+    m = 0
+    while m * (3 * m - 1) // 2 < cut:
+        terms[m * (3 * m - 1) // 2] = terms[m * (3 * m + 1) // 2] = (-1) ** m
+        m += 1
+    return DictQSeries(terms, cut)
+
+
+GRAINS = [1, 2, 4, 6, 12]
+
+
+def assert_same(series: QSeries, ref: DictQSeries) -> None:
+    # to_json_dict carries the declared grain
+    assert series.terms == ref.terms
+    assert series.cutoff == ref.cutoff
+    assert series.to_text() == ref.to_text()
+    assert series.to_json_dict() == ref.to_json_dict()
+
+
+@st.composite
+def pair_st(draw, max_terms=6):
+    """The same series built as a QSeries and as a DictQSeries: grains 1, 2,
+    4, 6 and 12, declared or inferred; no cutoff, an integer or a fractional
+    one."""
+    grain = draw(st.sampled_from(GRAINS))
+    keys = st.integers(-3 * grain, 6 * grain)
+    terms = {Fraction(k, grain): c for k, c in draw(
+        st.dictionaries(keys, st.integers(-5, 5), max_size=max_terms)).items()}
+    cutoff = draw(st.one_of(
+        st.none(),
+        st.integers(-2, 6),
+        st.integers(-2 * grain, 6 * grain).map(lambda k: Fraction(k, grain)),
+    ))
+    declared = draw(st.sampled_from([None, grain, 2 * grain]))
+    return QSeries(terms, cutoff, declared), DictQSeries(terms, cutoff, declared)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_st())
+def test_construction_matches_the_dict_series(pair):
+    series, ref = pair
+    assert_same(series, ref)
+    assert series.low == ref.low and series.is_zero() == ref.is_zero()
+    assert series.sorted_terms() == ref.sorted_terms()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_st(), pair_st())
+def test_arithmetic_matches_the_dict_series(left, right):
+    (a, ra), (b, rb) = left, right
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a * b, ra * rb)
+    assert_same(-a, -ra)
+    assert_same(3 - a, 3 - ra)
+    assert_same(a + 2, ra + 2)
+    assert_same(2 * a, 2 * ra)
+    assert (a == b) == (ra == rb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_st(max_terms=3), st.integers(0, 3))
+def test_powers_match_the_dict_series(pair, n):
+    series, ref = pair
+    assert_same(series**n, ref**n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_st(), st.fractions(-4, 8, max_denominator=12))
+def test_truncate_matches_the_dict_series(pair, cutoff):
+    series, ref = pair
+    assert_same(series.truncate(cutoff), ref.truncate(cutoff))
+    assert_same(series.truncate(int(cutoff)), ref.truncate(int(cutoff)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_st(), st.sampled_from(GRAINS), st.sampled_from(GRAINS))
+def test_equality_ignores_the_declared_grain(pair, g1, g2):
+    series, ref = pair
+    g1, g2 = lcm(g1, series.grain), lcm(g2, series.grain)
+    terms, cutoff = series.terms, series.cutoff
+    left, right = QSeries(terms, cutoff, g1), QSeries(terms, cutoff, g2)
+    assert left == right and left.grain == g1 and right.grain == g2
+    assert (left == series.truncate(5)) == (DictQSeries(terms, cutoff, g1) == ref.truncate(5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_st())
+def test_coefficients_match_on_and_off_the_grid(pair):
+    series, ref = pair
+    for den in (1, 2, 3, 4, 5, 6, 8, 12, 24):
+        for num in range(-4 * den, 7 * den):
+            e = Fraction(num, den)
+            assert series.coefficient(e) == ref.coefficient(e)
+    assert series.coefficient(1) == ref.coefficient(1)
+    assert series.coefficient("-1/2") == ref.coefficient("-1/2")
+
+
+@st.composite
+def unit_pair_st(draw):
+    series, _ = draw(pair_st())
+    grain = series.grain
+    low = Fraction(draw(st.integers(-3 * grain, 3 * grain)), grain)
+    terms = {e: c for e, c in series.terms.items() if e > low}
+    terms[low] = draw(st.sampled_from([1, -1]))
+    cutoff = draw(st.one_of(
+        st.none(), st.integers(1, 8 * grain).map(lambda k: low + Fraction(k, grain))))
+    return QSeries(terms, cutoff, grain), DictQSeries(terms, cutoff, grain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_pair_st(), st.one_of(st.none(), st.fractions(-2, 10, max_denominator=12)))
+def test_invert_unit_matches_the_dict_series(pair, cutoff):
+    series, ref = pair
+    try:
+        expected = dict_invert_unit(ref, cutoff)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            invert_unit(series, cutoff)
+        return
+    assert_same(invert_unit(series, cutoff), expected)
+
+
+def test_invert_unit_rejects_what_the_dict_series_rejects():
+    for terms in ({}, {Fraction(1, 2): 2, 1: 1}):
+        with pytest.raises(ValueError):
+            dict_invert_unit(DictQSeries(terms, cutoff=4))
+        with pytest.raises(ValueError):
+            invert_unit(QSeries(terms, cutoff=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_st(), pair_st())
+def test_exact_div_matches_the_dict_series(left, right):
+    (a, ra), (b, rb) = left, right
+    a, ra = QSeries(a.terms, grain=a.grain), DictQSeries(ra.terms, grain=ra.grain)
+    b, rb = QSeries(b.terms, grain=b.grain), DictQSeries(rb.terms, grain=rb.grain)
+    if b.is_zero():
+        return
+    assert_same(exact_div(a * b, b), dict_exact_div(ra * rb, rb))
+    try:
+        expected = dict_exact_div(ra + 1, rb)
+    except ValueError:
+        with pytest.raises(ValueError, match="not exactly divisible"):
+            exact_div(a + 1, b)
+        return
+    assert_same(exact_div(a + 1, b), expected)
+
+
+@st.composite
+def grid_with_cutoff_st(draw):
+    grain = draw(st.sampled_from(GRAINS))
+    coeffs = draw(st.dictionaries(st.integers(-40, 40), st.integers(-3, 3), max_size=12))
+    cutoff = draw(st.one_of(
+        st.none(), st.integers(-3, 8), st.fractions(-3, 8, max_denominator=12)))
+    return coeffs, grain, cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_with_cutoff_st())
+def test_from_grid_and_json_match_the_dict_series(grid):
+    coeffs, grain, cutoff = grid
+    series = QSeries.from_grid(coeffs, grain, cutoff)
+    ref = DictQSeries.from_grid(coeffs, grain, cutoff)
+    assert_same(series, ref)
+    back = QSeries.from_json_dict(ref.to_json_dict())
+    assert_same(back, ref)
+    assert back.to_json() == ref.to_json()
+    assert_same(QSeries.from_json(series.to_json()), DictQSeries.from_json(ref.to_json()))
+
+
+@pytest.mark.parametrize("cutoff", [0, Fraction(1, 2), 7, Fraction(31, 6), 60])
+def test_euler_product_matches_the_dict_series(cutoff):
+    assert_same(euler_product(cutoff), dict_euler_product(cutoff))
+
+
+def test_json_rejects_a_denominator_off_the_grain():
+    data = {"grain": 2, "cutoff": None, "terms": [[1, 3, "1"]]}
+    with pytest.raises(ValueError, match="denominator 3"):
+        QSeries.from_json_dict(data)
+    with pytest.raises(ValueError):
+        QSeries.from_json_dict({"grain": 2, "cutoff": {"num": 1, "den": 3}, "terms": []})
+    with pytest.raises(ValueError):
+        QSeries.from_json_dict({"grain": 0, "cutoff": None, "terms": []})
+
+
+def test_terms_is_a_read_only_fresh_view():
+    series = QSeries({Fraction(-1, 2): 3, 2: -7}, cutoff=Fraction(21, 4), grain=4)
+    before = series.to_json()
+    with pytest.raises(AttributeError):
+        series.terms = {}
+    view = series.terms
+    assert view == {Fraction(-1, 2): 3, Fraction(2): -7}
+    view[Fraction(1)] = 5
+    del view[Fraction(2)]
+    series.terms.clear()
+    assert series.terms == {Fraction(-1, 2): 3, Fraction(2): -7}
+    assert series.to_json() == before
