@@ -258,6 +258,8 @@ def _run_jones(config: CliConfig) -> tuple[int, str]:
         colour=config.params["colour"],
     )
     shift = config.params["shift"]
+    if shift != "none":
+        _check_components(config.params, shift, f"--shift {shift}")
     if shift == "singlet":
         series = shifted_invariant_singlet(spec)
     elif shift == "triplet":
@@ -267,7 +269,29 @@ def _run_jones(config: CliConfig) -> tuple[int, str]:
     return 0, _render_series(series, config)
 
 
+def _check_components(params: dict, form: str, via: str) -> None:
+    """--components against --rank for the singlet or triplet form."""
+    rank, components = params["rank"], params["components"]
+    if form == "singlet" and not 2 <= components <= rank:
+        raise ValueError(f"{via} needs 2 <= --components <= --rank {rank}, got {components}")
+    if form == "triplet" and components != rank + 1:
+        raise ValueError(f"{via} needs --components = --rank + 1 = {rank + 1}, got {components}")
+
+
+def _check_coset(params: dict) -> None:
+    """--coset against --rank, and against --kind or --colour where given."""
+    rank, coset = params["rank"], params["coset"]
+    if not 0 <= coset < rank:
+        raise ValueError(f"--coset must be in 0..{rank - 1} at --rank {rank}, got {coset}")
+    if params.get("kind") == "singlet" and coset:
+        raise ValueError(f"--coset: the singlet character lives on coset 0, got {coset}")
+    if "colour" in params and params["colour"] % rank != coset:
+        raise ValueError(f"--colour {params['colour']} is not congruent to --coset "
+                         f"{coset} modulo --rank {rank}")
+
+
 def _run_char(config: CliConfig) -> tuple[int, str]:
+    _check_coset(config.params)
     order = _resolve_order(config.order)
     spec = CharacterSpec(
         rank=config.params["rank"],
@@ -284,6 +308,10 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
     params = config.params
     if params["mode"] == "props":
         return _run_props(config)
+    if params["mode"] == "singlet":
+        _check_components(params, "singlet", "verify singlet")
+    else:
+        _check_coset(params)
     order = _resolve_order(config.order)
     if params["mode"] == "singlet":
         report = verify_singlet_theorem(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import Partition, as_partition, kostka
@@ -158,6 +159,31 @@ def epsilon_coords(mu: WeightVector, a_r: int = 0) -> tuple[Fraction, ...]:
 def scaled_coeff_sum(mu: WeightVector) -> int:
     """sum of i * a_i; the weight of the canonical partition."""
     return sum(i * a for i, a in enumerate(mu.coeffs, 1))
+
+
+def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction):
+    """Yield each dominant weight of ``coset`` whose floor F lies below
+    ``cutoff``, paired with the integer 2r F; see ``voa_characters._cone_sum``."""
+    coords = range(1, rank)
+    gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
+    linear = [rank * (p - 1) * i * (rank - i) for i in coords]
+    limit = ceil(2 * rank * cutoff)  # an integer is below 2r cutoff iff below this
+
+    def walk(k: int, coeffs: tuple[int, ...], n: int, scaled: int):
+        # n is 2r F of coeffs padded with zeros
+        if k == rank - 1:
+            if scaled % rank == coset:
+                yield WeightVector(rank, coeffs), n
+            return
+        cross = 2 * p * sum(g * a for g, a in zip(gram[k], coeffs))
+        a = 0
+        while n < limit:
+            yield from walk(k + 1, coeffs + (a,), n, scaled)
+            n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
+            scaled += k + 1
+            a += 1
+
+    yield from walk(0, (), 0, 0)
 
 
 def dominant_weights(

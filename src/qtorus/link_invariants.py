@@ -17,6 +17,7 @@ from math import ceil, lcm
 from typing import Iterator
 
 from .combinatorics import Partition, kappa, kostka, kostka_numbers, partitions_of
+from .lie_sl import _cone_window, partition_of_weight, scaled_coeff_sum
 from .qseries import QSeries
 from .schur_spec import principal_spec, principal_spec_poly
 
@@ -43,75 +44,92 @@ class TorusLinkSpec:
 
 
 def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
-    """Lowest exponent of the summand at ``lam``; see :func:`jones_summands`."""
+    """Lowest exponent of the summand at ``lam`` in :func:`jones_summands`.
+
+    Floor: the summand is weight * q^(p kappa(lam)/2) times the principal
+    specialization, the sum over the weights mu of s_lam of K(lam, mu)
+    q^(sum mu_i rho_i), rho_i = (r+1-2i)/2 strictly decreasing.  With mu+ the
+    decreasing sort of mu, which lam dominates, the rearrangement inequality
+    gives sum mu_i rho_i >= -sum mu+_i rho_i, and Abel summation gives
+    sum (lam_i - mu+_i) rho_i = sum_k (partial-sum gap at k)(rho_k -
+    rho_(k+1)) >= 0.  Both are equalities only at mu = w0.lam, where
+    K(lam, lam) = 1.  So the summand starts at weight * q^floor, floor =
+    p kappa(lam)/2 - sum_i lam_i rho_i.
+
+    Window: let |lam| = N = nc, m = min(r, c) and mu(lam) the rank-m weight
+    with labels lam_i - lam_(i+1), i < m; in the sum-zero model it is
+    lam_i - N/m, lam padded to m rows.  With sigma_i = (m+1-2i)/2 =
+    rho_i - (r-m)/2, (mu,mu) = sum lam_i^2 - N^2/m, (mu,delta) =
+    sum lam_i sigma_i and kappa(lam) = sum lam_i^2 + 2 sum lam_i sigma_i - mN,
+    so the floor F(mu) = p/2 (mu,mu) + (p-1)(mu,delta) of
+    ``voa_characters._cone_sum`` at rank m is F(mu(lam)) = floor +
+    p/2 (mN - N^2/m) + (r-m) N/2: floor plus the singlet shift when
+    m = c <= r, plus the triplet shift when c = r + 1.  As sum i a_i =
+    N - m lam_m, mu(lam) lies in coset N mod m and lam =
+    ``partition_of_weight(mu, k)``, k = (N - sum i a_i)/m; each weight of that
+    coset with k >= 0 is some mu(lam).  So the shapes with floor below
+    ``below`` are the images of the cone window below ``below`` plus the shift.
+    """
     r = spec.rank
     lowest_weight = sum(l * (r + 1 - 2 * i) for i, l in enumerate(lam, 1))
     return Fraction(spec.p * kappa(lam) - lowest_weight, 2)
 
 
-def jones_summands(
-    spec: TorusLinkSpec, below: Fraction | None = None
-) -> Iterator[tuple[Partition, int, QSeries]]:
+def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSeries]]:
     """Per-partition contributions (shape, Kostka weight, term series): the
     reference form of the sum that :func:`jones_torus_link` makes on integers.
 
     The sum runs over partitions of colour * components with at most
     min(rank, components) rows; shapes with Kostka weight zero are skipped.
-
-    With ``below`` set, a shape whose floor is at or above it is skipped
-    before its Kostka number and principal specialization are computed, and
-    each kept term is truncated at ``below``.
-
-    Proof that the floor p*kappa(lam)/2 - sum_i lam_i*rho_i, with rho_i =
-    (r+1-2i)/2 strictly decreasing, is each term's lowest exponent: the
-    principal specialization is the sum over the weights mu of s_lam of
-    K(lam, mu) q^(sum mu_i rho_i).  With mu+ the decreasing sort of mu, which
-    lam dominates, the rearrangement inequality gives sum mu_i rho_i >=
-    -sum mu+_i rho_i, and Abel summation gives sum (lam_i - mu+_i) rho_i =
-    sum_k (partial-sum gap at k)(rho_k - rho_(k+1)) >= 0.  Both are equalities
-    only at mu = w0.lam = (lam_r, ..., lam_1), where K(lam, lam) = 1.  So the
-    lowest term is weight * q^floor, kept by the truncation when floor <
-    below; every kept term is re-checked against the floor.  Without
-    ``below`` nothing is pruned and no floor is computed.
+    Each term starts at :func:`summand_floor`.
     """
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     content = (n,) * c
     for lam in partitions_of(n * c, min(r, c)):
-        if below is not None:
-            floor = summand_floor(spec, lam)
-            if floor >= below:
-                continue
         weight = kostka(lam, content)
-        if weight == 0:
-            continue
-        framing = Fraction(p * kappa(lam), 2)
-        term = QSeries.monomial(weight, framing) * principal_spec(lam, r)
-        if below is not None:
-            term = term.truncate(below)
-            if term.low != floor:
-                raise AssertionError(f"summand {lam} starts at {term.low}, not {floor}")
-        yield lam, weight, term
+        if weight:
+            framing = Fraction(p * kappa(lam), 2)
+            yield lam, weight, QSeries.monomial(weight, framing) * principal_spec(lam, r)
 
 
 def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
     """The specialized coloured invariant, as an exact Laurent polynomial,
-    or truncated at ``below`` when that is given."""
+    or truncated at ``below``, which needs 2 <= components <= rank + 1."""
     return QSeries.from_grid(_doubled_sum(spec, below), 2, below)
+
+
+def _kept_shapes(spec: TorusLinkSpec, below: Fraction) -> dict[Partition, int]:
+    """Each shape whose summand floor lies below ``below``, with 2m times that
+    floor, from the rank-m cone window; see :func:`summand_floor`."""
+    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
+    if not 2 <= c <= r + 1:
+        raise ValueError(
+            f"below needs 2 <= components <= rank + 1, got components={c} rank={r}")
+    shift = singlet_shift_exponent(spec) if c <= r else triplet_shift_exponent(spec)
+    m, kept = min(r, c), {}
+    offset = int(2 * m * shift)  # exact: the shift's denominator divides 2m
+    for mu, scaled in _cone_window(m, p, n * c % m, below + shift):
+        k = (n * c - scaled_coeff_sum(mu)) // m  # exact on the coset
+        if k >= 0:
+            kept[partition_of_weight(mu, k)] = scaled - offset
+    return kept
 
 
 def _doubled_sum(spec: TorusLinkSpec, below: Fraction | None) -> dict[int, int]:
     # jones_summands on integers: a summand is weight * q^(p*kappa/2 - D/2) P(q),
     # so its k-th term sits at twice p*kappa/2 - D/2 + k; P(0) = 1 is its floor
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
-    shapes = list(partitions_of(n * c, min(r, c)))
-    if below is not None:
-        shapes = [lam for lam in shapes if summand_floor(spec, lam) < below]
+    m = min(r, c)
+    if below is None:
+        shapes = dict.fromkeys(partitions_of(n * c, m))
+    else:
+        shapes = _kept_shapes(spec, below)
     acc: dict[int, int] = {}
     for lam, weight in kostka_numbers(shapes, (n,) * c).items():
         poly, d = principal_spec_poly(lam, r)
         base = p * kappa(lam) - d
         if below is not None:
-            if base != 2 * summand_floor(spec, lam) or not poly[0]:
+            if base != 2 * summand_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
                 raise AssertionError(f"summand {lam} does not start at its floor")
             del poly[(ceil(2 * below) - base + 1) // 2:]  # 2 * exponent < 2 * below
         for e, a in zip(range(base, base + 2 * len(poly), 2), poly):

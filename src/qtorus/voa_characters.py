@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 
 from .lie_sl import (
     WeightVector,
+    _cone_window,
     casimir_pairing,
     partition_of_weight,
     scaled_coeff_sum,
@@ -62,31 +63,6 @@ def summand_exponent_bound(rank: int, p: int) -> Fraction:
     """Per-unit lower bound: each cone summand has lowest exponent at least
     this times sum(i * a_i) of its weight; see :func:`_cone_sum`."""
     return Fraction(p, 2 * rank) + Fraction(p - 1, 2)
-
-
-def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction):
-    """Yield each dominant weight of ``coset`` whose floor F lies below
-    ``cutoff``, paired with the integer 2r F; see :func:`_cone_sum`."""
-    coords = range(1, rank)
-    gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
-    linear = [rank * (p - 1) * i * (rank - i) for i in coords]
-    limit = ceil(2 * rank * cutoff)  # an integer is below 2r cutoff iff below this
-
-    def walk(k: int, coeffs: tuple[int, ...], n: int, scaled: int):
-        # n is 2r F of coeffs padded with zeros
-        if k == rank - 1:
-            if scaled % rank == coset:
-                yield WeightVector(rank, coeffs), n
-            return
-        cross = 2 * p * sum(g * a for g, a in zip(gram[k], coeffs))
-        a = 0
-        while n < limit:
-            yield from walk(k + 1, coeffs + (a,), n, scaled)
-            n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
-            scaled += k + 1
-            a += 1
-
-    yield from walk(0, (), 0, 0)
 
 
 def _cone_sum(

@@ -257,6 +257,46 @@ def test_bad_flag_diagnostic_names_the_flag(argv, flag, capsys):
     assert code == 2 and out == ""
     assert flag in err and "partition" not in err
 
+
+JONES = ["jones", "--rank", "3", "--p", "2", "--colour", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,parts",
+    [
+        pytest.param(["verify", "singlet", "--rank", "3", "--components", "5", "--p", "2",
+                      "--colour", "3"],
+                     ["--components", "--rank 3", "got 5"], id="singlet-components-above-rank"),
+        pytest.param(["verify", "triplet", "--rank", "3", "--p", "2", "--colour", "3",
+                      "--coset", "4"],
+                     ["--coset", "0..2", "got 4"], id="triplet-coset-out-of-range"),
+        pytest.param(["verify", "triplet", "--rank", "3", "--p", "2", "--colour", "3",
+                      "--coset", "-1"],
+                     ["--coset", "0..2", "got -1"], id="triplet-coset-negative"),
+        pytest.param(["verify", "triplet", "--rank", "4", "--p", "2", "--colour", "3",
+                      "--coset", "1"],
+                     ["--colour 3", "congruent", "--coset 1", "--rank 4"],
+                     id="triplet-colour-off-coset"),
+        pytest.param(["char", "--kind", "singlet", "--rank", "3", "--p", "2", "--coset", "1"],
+                     ["--coset", "lives on coset 0", "got 1"], id="char-singlet-coset"),
+        pytest.param(["char", "--kind", "triplet", "--rank", "3", "--p", "2", "--coset", "3"],
+                     ["--coset", "0..2", "got 3"], id="char-coset-out-of-range"),
+        pytest.param(JONES + ["--components", "5", "--shift", "singlet"],
+                     ["--shift singlet", "--components", "got 5"],
+                     id="jones-singlet-components-above-rank"),
+        pytest.param(JONES + ["--components", "1", "--shift", "singlet"],
+                     ["--shift singlet", "--components", "got 1"],
+                     id="jones-singlet-one-component"),
+        pytest.param(JONES + ["--components", "3", "--shift", "triplet"],
+                     ["--shift triplet", "--components", "= 4", "got 3"],
+                     id="jones-triplet-components"),
+    ],
+)
+def test_flag_mix_diagnostic_names_the_flags(argv, parts, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert all(part in err for part in parts), err
+
 PROPS = ["verify", "props", "--rank", "2", "--max-weight", "4"]
 SINGLET = ["verify", "singlet", "--rank", "2", "--components", "2", "--p", "2",
            "--colour", "4"]

@@ -22,6 +22,8 @@ from qtorus import (
     summand_exponent_bound,
     summand_floor,
     triplet_shift_exponent,
+    verify_singlet_theorem,
+    verify_triplet_theorem,
 )
 
 
@@ -236,21 +238,76 @@ def test_pruning_at_double_window_changes_nothing(rank, components, p, n):
         assert shifted(spec, 2 * cutoff).truncate(cutoff) == shifted(spec, cutoff)
 
 
+def reference_kept_shapes(spec, below):
+    """The filtered enumeration the cone walk replaced: each partition of
+    colour * components with at most min(rank, components) rows whose floor
+    lies below ``below``, with that floor."""
+    n, c, r = spec.colour, spec.components, spec.rank
+    floors = {lam: summand_floor(spec, lam) for lam in partitions_of(n * c, min(r, c))}
+    return {lam: floor for lam, floor in floors.items() if floor < below}
+
+
+def _shift(spec):
+    if spec.components == spec.rank + 1:
+        return triplet_shift_exponent(spec)
+    return singlet_shift_exponent(spec)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_walked_shapes_match_the_filtered_enumeration(rank, p):
+    for components in range(2, rank + 2):
+        m = min(rank, components)
+        for n in range(5 if rank == 5 else 9):
+            spec = TorusLinkSpec(rank, components, p, n)
+            for cutoff in PRUNING_CUTOFFS:
+                below = cutoff - _shift(spec)
+                walked = link_invariants._kept_shapes(spec, below)
+                floors = {lam: Fraction(v, 2 * m) for lam, v in walked.items()}
+                assert floors == reference_kept_shapes(spec, below), (spec, cutoff)
+
+
 def test_pruning_skips_shapes_before_kostka(monkeypatch):
-    calls = []
+    tabled, specialized = [], []
+    spec_poly = link_invariants.principal_spec_poly
 
-    def counted_kostka(lam, content):
-        calls.append(lam)
-        return kostka(lam, content)
+    def counted_kostka_numbers(shapes, content):
+        tabled.extend(shapes)
+        return kostka_numbers(shapes, content)
 
-    monkeypatch.setattr(link_invariants, "kostka", counted_kostka)
+    def counted_spec_poly(lam, rank):
+        specialized.append(lam)
+        return spec_poly(lam, rank)
+
+    monkeypatch.setattr(link_invariants, "kostka_numbers", counted_kostka_numbers)
+    monkeypatch.setattr(link_invariants, "principal_spec_poly", counted_spec_poly)
     spec = TorusLinkSpec(2, 2, 2, 40)
     below = 30 - singlet_shift_exponent(spec)
-    kept = [lam for lam, _, _ in jones_summands(spec, below)]
-    assert calls == kept == [
-        lam for lam in partitions_of(80, 2) if summand_floor(spec, lam) < below
-    ]
+    shifted_invariant_singlet(spec, 30)
+    kept = set(reference_kept_shapes(spec, below))
+    assert set(tabled) == set(specialized) == kept
+    assert len(tabled) == len(specialized) == len(kept)
     assert 0 < len(kept) < 41
+
+
+def test_jones_below_needs_a_shift_window():
+    for spec in (TorusLinkSpec(3, 1, 2, 4), TorusLinkSpec(2, 4, 2, 1)):
+        with pytest.raises(ValueError, match="below"):
+            jones_torus_link(spec, Fraction(12))
+
+
+@pytest.mark.parametrize(
+    "verify,args", [(verify_singlet_theorem, (3, 2, 2, 12, 16)),
+                    (verify_singlet_theorem, (3, 3, 3, 6, 12)),
+                    (verify_triplet_theorem, (3, 2, 0, 9, 12)),
+                    (verify_triplet_theorem, (2, 3, 1, 7, 20))])
+def test_verify_never_enumerates_partitions(verify, args, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("verify enumerated every partition")
+
+    expected = verify(*args).describe()
+    monkeypatch.setattr(link_invariants, "partitions_of", no_enumeration)
+    assert verify(*args).describe() == expected
 
 
 # -- one-pass summation against the summand-by-summand series sum -------------
@@ -259,7 +316,7 @@ def test_pruning_skips_shapes_before_kostka(monkeypatch):
 def reference_jones_torus_link(spec, below=None):
     """The invariant as a running QSeries sum, one addition per summand."""
     total = QSeries.zero()
-    for _, _, term in jones_summands(spec, below):
+    for _, _, term in jones_summands(spec):
         total = total + term
     series = QSeries(total.terms, grain=2)
     return series if below is None else series.truncate(below)
@@ -269,10 +326,9 @@ def reference_jones_torus_link(spec, below=None):
 BENCHMARK_TOPS = [(2, 2, 100), (2, 3, 30), (3, 3, 12), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
 
 
-def reference_shifted(spec, shift, grain, cutoff):
+def reference_shifted(exact, shift, grain, cutoff):
     """The shifted form as a monomial times the running-sum invariant."""
-    below = None if cutoff is None else Fraction(cutoff) - shift
-    shifted = QSeries.monomial(1, shift) * reference_jones_torus_link(spec, below)
+    shifted = QSeries.monomial(1, shift) * exact
     series = QSeries(shifted.terms, grain=grain)
     return series if cutoff is None else series.truncate(cutoff)
 
@@ -288,11 +344,12 @@ def test_one_pass_sum_matches_the_running_sum(rank, components, colour, p):
         else:
             shifted, shift = shifted_invariant_singlet, singlet_shift_exponent(spec)
             grain = 2
+        exact = reference_jones_torus_link(spec)
         for cutoff in [None] + PRUNING_CUTOFFS:
             below = None if cutoff is None else Fraction(cutoff) - shift
-            expected = reference_jones_torus_link(spec, below).to_json_dict()
-            assert jones_torus_link(spec, below).to_json_dict() == expected
-            expected = reference_shifted(spec, shift, grain, cutoff).to_json_dict()
+            expected = exact if below is None else exact.truncate(below)
+            assert jones_torus_link(spec, below).to_json_dict() == expected.to_json_dict()
+            expected = reference_shifted(exact, shift, grain, cutoff).to_json_dict()
             assert shifted(spec, cutoff).to_json_dict() == expected
 
 
@@ -325,8 +382,10 @@ def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
     spec = TorusLinkSpec(2, 2, 2, 40)
     below = 30 - singlet_shift_exponent(spec)
     shifted_invariant_singlet(spec, 30)
-    kept = [lam for lam in partitions_of(80, 2) if summand_floor(spec, lam) < below]
-    assert tabled == [kept]
+    kept = set(reference_kept_shapes(spec, below))
+    # one table, of exactly the kept shapes, each once
+    assert len(tabled) == 1 and len(tabled[0]) == len(kept)
+    assert set(tabled[0]) == kept
     assert 0 < len(kept) < 41
 
 
@@ -347,6 +406,29 @@ def test_integer_sum_rechecks_each_floor(monkeypatch):
     monkeypatch.setattr(link_invariants, "principal_spec_poly", lowest_term_missing)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(spec, 12)
+
+
+def test_integer_sum_rechecks_the_window_floor(monkeypatch):
+    window = link_invariants._cone_window
+
+    def shifted(*args):
+        for mu, n in window(*args):
+            yield mu, n + 1
+
+    monkeypatch.setattr(link_invariants, "_cone_window", shifted)
+    with pytest.raises(AssertionError, match="floor"):
+        shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
+    monkeypatch.setattr(link_invariants, "_cone_window", window)
+    weight_of = link_invariants.partition_of_weight
+
+    def one_column_more(mu, k):
+        # a shape of the same size with the last row moved to the first
+        lam = weight_of(mu, k)
+        return (lam[0] + lam[-1],) + lam[1:-1] if len(lam) > 1 else lam
+
+    monkeypatch.setattr(link_invariants, "partition_of_weight", one_column_more)
+    with pytest.raises(AssertionError, match="floor"):
+        shifted_invariant_singlet(TorusLinkSpec(3, 3, 2, 5), 12)
 
 
 def test_a_grain_that_misses_the_shift_raises():
