@@ -246,8 +246,10 @@ def _run_kostka(config: CliConfig) -> tuple[int, str]:
 
 
 def _run_schur(config: CliConfig) -> tuple[int, str]:
-    series = principal_spec(config.params["shape"], config.params["rank"])
-    return 0, _render_series(series, config)
+    shape, rank = config.params["shape"], config.params["rank"]
+    if len(shape) > rank:
+        raise ValueError(f"--shape has {len(shape)} rows, more than --rank {rank}")
+    return 0, _render_series(principal_spec(shape, rank), config)
 
 
 def _run_jones(config: CliConfig) -> tuple[int, str]:

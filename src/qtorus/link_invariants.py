@@ -131,7 +131,7 @@ def _doubled_sum(spec: TorusLinkSpec, below: Fraction | None) -> dict[int, int]:
         if below is not None:
             if base != 2 * summand_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
                 raise AssertionError(f"summand {lam} does not start at its floor")
-            del poly[(ceil(2 * below) - base + 1) // 2:]  # 2 * exponent < 2 * below
+            poly = poly[:(ceil(2 * below) - base + 1) // 2]  # 2 * exponent < 2 * below
         for e, a in zip(range(base, base + 2 * len(poly), 2), poly):
             acc[e] = acc.get(e, 0) + weight * a
     return acc

@@ -10,6 +10,7 @@ Weyl-group alternant quotient provides an independent oracle for small ranks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable
 
@@ -33,19 +34,32 @@ def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
     return _halved(*principal_spec_poly(shape, rank))
 
 
-def principal_spec_poly(shape: Iterable[int], rank: int) -> tuple[list[int], int]:
-    """(P's coefficient list, D) for :func:`principal_spec`; P(0) = 1."""
+def principal_spec_poly(shape: Iterable[int], rank: int) -> tuple[tuple[int, ...], int]:
+    """(P's coefficients, D) for :func:`principal_spec`; P(0) = 1."""
     lam = as_partition(shape)
     if len(lam) > rank:
         raise ValueError(f"partition has {len(lam)} rows, rank is {rank}")
     padded = lam + (0,) * (rank - len(lam))
+    return _spec_of_gaps(tuple(padded[i] - padded[i + 1] for i in range(rank - 1)))
+
+
+# Shared (P, D) tuples, which no caller can mutate.  Seed-1 runs use 707 gap vectors
+# in 400 jones_full rounds (32,423 coefficients), 67 in verify_scan, 105 in char_order.
+SPEC_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _spec_of_gaps(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(P, D) at rank len(gaps) + 1 for the shapes with row differences
+    ``gaps``; the gap at k is counted in D by the k(rank - k) pairs i <= k < j."""
+    rank = len(gaps) + 1
     pairs = [(i, j) for j in range(rank) for i in range(j)]
-    poly = one_minus_q_product(padded[i] - padded[j] + j - i for i, j in pairs)
+    poly = one_minus_q_product(sum(gaps[i:j]) + j - i for i, j in pairs)
     poly = divide_one_minus_q(poly, (j - i for i, j in pairs))
-    return poly, sum(padded[i] - padded[j] for i, j in pairs)
+    return tuple(poly), sum(k * (rank - k) * g for k, g in enumerate(gaps, 1))
 
 
-def _halved(poly: list[int], shift: int, sign: int = 1) -> QSeries:
+def _halved(poly: Iterable[int], shift: int, sign: int = 1) -> QSeries:
     # sign * q^(-shift/2) * sum_k poly[k] q^k, with declared grain 2
     return QSeries.from_grid({2 * k - shift: sign * c for k, c in enumerate(poly)}, 2)
 

@@ -22,13 +22,12 @@ from .lie_sl import (
     WeightVector,
     _cone_window,
     casimir_pairing,
-    partition_of_weight,
     scaled_coeff_sum,
     weyl_dim,
     zero_weight_dim,
 )
 from .qseries import QSeries, divide_series_one_minus_q
-from .schur_spec import principal_spec_poly
+from .schur_spec import _spec_of_gaps
 
 _ExponentLike = Fraction | int
 
@@ -109,7 +108,7 @@ def _cone_sum(
         dim = dim_of(mu)
         if dim == 0:
             continue
-        poly, d = principal_spec_poly(partition_of_weight(mu), rank)
+        poly, d = _spec_of_gaps(mu.coeffs)
         start, rem = divmod(n * grain, 2 * rank)
         if rank * (p * casimir_pairing(mu) - d) != n or not poly[0] or rem:
             raise AssertionError(

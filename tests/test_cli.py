@@ -223,6 +223,8 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
         pytest.param(["jones", "--rank", "2", "--components", "2", "--p", "2",
                       "--colour", "-1"],
                      "--colour: must be at least 0, got -1", id="jones-colour-negative"),
+        pytest.param(["schur", "--shape", "3,1", "--rank", "1"],
+                     "--shape has 2 rows, more than --rank 1", id="schur-shape-above-rank"),
         pytest.param(["char", "--kind", "singlet", "--rank", "1", "--p", "2"],
                      "--rank: must be at least 2, got 1", id="char-rank-below-two"),
         pytest.param(["char", "--kind", "singlet", "--rank", "2", "--p", "1"],

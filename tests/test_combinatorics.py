@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtorus import combinatorics
+from qtorus import combinatorics, schur_spec
 from qtorus.combinatorics import Composition, Partition
 from qtorus import (
     QSeries,
@@ -374,6 +374,8 @@ def test_partitions_of_agree_with_recurrence(n, k):
         (combinatorics._kostka_table,
          lambda k: combinatorics._kostka_table((k,), (k + 1,))),
         (combinatorics._schur_expand, lambda k: combinatorics._schur_expand((k,), 1)),
+        # rank-2 specializations have k + 1 coefficients
+        (schur_spec._spec_of_gaps, lambda k: schur_spec._spec_of_gaps((k,))),
     ],
 )
 def test_caches_are_bounded_and_evict(cached, call):

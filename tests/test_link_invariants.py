@@ -4,7 +4,7 @@ oracle, grain bookkeeping, the shifted forms and their pruning at a cutoff."""
 from fractions import Fraction
 
 import pytest
-from qtorus import link_invariants
+from qtorus import link_invariants, schur_spec
 from qtorus import (
     QSeries,
     TorusLinkSpec,
@@ -367,6 +367,21 @@ def test_each_summand_stops_below_twice_the_window(rank, components, p, n):
             e: a for e, a in doubled.items() if a}
 
 
+def test_a_truncated_sum_leaves_the_cached_specializations_whole():
+    # the truncated sum cuts each summand below its window; it must not cut
+    # the cached polynomial that the next, untruncated sum reads
+    schur_spec._spec_of_gaps.cache_clear()
+    spec = TorusLinkSpec(3, 3, 2, 5)
+    expected = reference_jones_torus_link(spec).to_json_dict()
+    below = 12 - singlet_shift_exponent(spec)
+    # some kept summand reaches past the window, so the sum does cut one
+    assert any(
+        summand_floor(spec, lam) + len(schur_spec.principal_spec_poly(lam, 3)[0]) > below
+        for lam in link_invariants._kept_shapes(spec, below))
+    shifted_invariant_singlet(spec, 12)
+    assert jones_torus_link(spec).to_json_dict() == expected
+
+
 def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
     tabled = []
 
@@ -401,7 +416,7 @@ def test_integer_sum_rechecks_each_floor(monkeypatch):
 
     def lowest_term_missing(lam, rank):
         poly, d = spec_poly(lam, rank)
-        return [0] + poly, d
+        return [0, *poly], d
 
     monkeypatch.setattr(link_invariants, "principal_spec_poly", lowest_term_missing)
     with pytest.raises(AssertionError, match="floor"):

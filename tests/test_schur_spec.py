@@ -65,7 +65,16 @@ def test_matches_the_half_bracket_reference_on_random_large_shapes():
         assert principal_spec(lam, rank).to_json_dict() == expected
 
 
-def test_dividing_by_a_wrong_height_raises(monkeypatch):
+@pytest.fixture
+def cold_spec_cache():
+    """An empty specialization cache, emptied again afterwards, so that every
+    lookup computes and no patched computation is left cached."""
+    schur_spec._spec_of_gaps.cache_clear()
+    yield schur_spec._spec_of_gaps
+    schur_spec._spec_of_gaps.cache_clear()
+
+
+def test_dividing_by_a_wrong_height_raises(monkeypatch, cold_spec_cache):
     divide = schur_spec.divide_one_minus_q
 
     def off_by_one(coeffs, heights):
@@ -77,6 +86,43 @@ def test_dividing_by_a_wrong_height_raises(monkeypatch):
     # the torus-link invariant's integer sum divides with the same check
     with pytest.raises(ValueError, match="not exactly divisible"):
         jones_torus_link(TorusLinkSpec(3, 2, 2, 2))
+
+
+# (rank, components, colour): the largest colour of each jones_full family
+# whose shapes reach past size 12
+JONES_TOPS = [(2, 2, 100), (3, 4, 9), (4, 4, 6), (5, 5, 3)]
+
+
+@pytest.mark.parametrize("rank,components,colour", JONES_TOPS)
+def test_cached_core_matches_the_reference_at_the_jones_tops(rank, components, colour):
+    for lam in partitions_of(colour * components, min(rank, components)):
+        expected = reference_principal_spec(lam, rank).terms
+        for _ in range(2):  # computed or cached, then certainly cached
+            poly, d = schur_spec.principal_spec_poly(lam, rank)
+            assert {Fraction(2 * k - d, 2): a for k, a in enumerate(poly) if a} == expected
+
+
+def test_shapes_with_equal_row_gaps_share_one_entry(cold_spec_cache):
+    first = schur_spec.principal_spec_poly((5, 3), 2)
+    info = cold_spec_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    assert schur_spec.principal_spec_poly((2,), 2) is first
+    assert schur_spec.principal_spec_poly([9, 7, 0], 2) is first
+    info = cold_spec_cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # the same shape at another rank has other gaps, so another entry
+    schur_spec.principal_spec_poly((5, 3), 3)
+    assert cold_spec_cache.cache_info().currsize == 2
+
+
+def test_cached_coefficients_are_immutable():
+    poly, _ = schur_spec.principal_spec_poly((4, 2, 1), 4)
+    assert isinstance(poly, tuple)
+    with pytest.raises(TypeError):
+        poly[0] = 2
+    with pytest.raises(TypeError):
+        del poly[1:]
+    assert schur_spec.principal_spec_poly((4, 2, 1), 4)[0] == poly
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])

@@ -227,13 +227,13 @@ def test_wrong_floor_raises(monkeypatch):
 
 
 def test_summand_without_its_floor_term_raises(monkeypatch):
-    spec_poly = voa_characters.principal_spec_poly
+    spec_poly = voa_characters._spec_of_gaps
 
-    def raised(shape, rank):
-        poly, d = spec_poly(shape, rank)
-        return [0] + poly, d
+    def raised(gaps):
+        poly, d = spec_poly(gaps)
+        return [0, *poly], d
 
-    monkeypatch.setattr(voa_characters, "principal_spec_poly", raised)
+    monkeypatch.setattr(voa_characters, "_spec_of_gaps", raised)
     with pytest.raises(AssertionError, match="floor"):
         _cone_sum(2, 2, 0, Fraction(20), weyl_dim)
 
