@@ -82,12 +82,16 @@ def weyl_vector(rank: int) -> WeightVector:
     return WeightVector(rank, (1,) * (rank - 1))
 
 
-def casimir_pairing(mu: WeightVector) -> Fraction:
-    """(mu, mu + 2*delta) as a sum of r (w_i, w_j) = min(i,j) r - ij, over r."""
+def scaled_casimir(mu: WeightVector) -> int:
+    """r (mu, mu + 2*delta), an integer: the sum of r (w_i, w_j) = min(i,j) r - ij."""
     r, a = mu.rank, mu.coeffs
-    total = sum(ai * (aj + 2) * (min(i, j) * r - i * j)
-                for i, ai in enumerate(a, 1) if ai for j, aj in enumerate(a, 1))
-    return Fraction(total, r)
+    return sum(ai * (aj + 2) * (min(i, j) * r - i * j)
+               for i, ai in enumerate(a, 1) if ai for j, aj in enumerate(a, 1))
+
+
+def casimir_pairing(mu: WeightVector) -> Fraction:
+    """(mu, mu + 2*delta), exactly."""
+    return Fraction(scaled_casimir(mu), mu.rank)
 
 
 def weight_of_partition(shape: Iterable[int], rank: int) -> WeightVector:

@@ -27,6 +27,7 @@ from qtorus import (
     weyl_vector,
     zero_weight_dim,
 )
+from qtorus.lie_sl import scaled_casimir
 
 
 def simple_root_coords(rank: int, i: int) -> list[int]:
@@ -127,6 +128,19 @@ def test_casimir_matches_the_bilinear_form(rank):
         value = casimir_pairing(mu)
         assert isinstance(value, Fraction)
         assert value == pairing(mu, mu) + 2 * pairing(mu, delta)
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_scaled_casimir_is_rank_times_the_pairing(rank):
+    # the integer the cone sum re-checks its floors with
+    rng = random.Random(20261018 + rank)
+    delta = weyl_vector(rank)
+    for _ in range(60):
+        mu = WeightVector(rank, tuple(rng.randint(0, 9) for _ in range(rank - 1)))
+        value = scaled_casimir(mu)
+        assert isinstance(value, int)
+        assert value == rank * casimir_pairing(mu)
+        assert value == rank * (pairing(mu, mu) + 2 * pairing(mu, delta))
 
 
 # -- partition <-> weight dictionary -------------------------------------------------

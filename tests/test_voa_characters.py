@@ -25,7 +25,7 @@ from qtorus import (
     triplet_char,
     weyl_vector,
 )
-from qtorus.voa_characters import _cone_sum, _cone_window
+from qtorus.voa_characters import _cone_sum, _cone_window, _prefactor
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
 from qtorus.qseries import one_minus_q_product
 
@@ -216,14 +216,17 @@ def test_doubling_the_window_changes_nothing(rank, p):
 
 def test_wrong_floor_raises(monkeypatch):
     window = voa_characters._cone_window
+    # a shift by 2r = 6 moves each floor by a whole unit, onto the grid, so
+    # only the Casimir re-check can catch it
+    for shift in (1, 6):
 
-    def shifted(*args):
-        for mu, n in window(*args):
-            yield mu, n + 1
+        def shifted(*args):
+            for mu, n in window(*args):
+                yield mu, n + shift
 
-    monkeypatch.setattr(voa_characters, "_cone_window", shifted)
-    with pytest.raises(AssertionError, match="floor"):
-        _cone_sum(3, 2, 0, Fraction(12), weyl_dim)
+        monkeypatch.setattr(voa_characters, "_cone_window", shifted)
+        with pytest.raises(AssertionError, match="floor"):
+            _cone_sum(3, 2, 0, Fraction(12), weyl_dim)
 
 
 def test_summand_without_its_floor_term_raises(monkeypatch):
@@ -316,10 +319,67 @@ def test_rhs_triplet_leading_terms():
     assert series.low == 1
 
 
-def test_characters_are_schedule_independent_values():
+@pytest.fixture
+def cold_prefactor_cache():
+    _prefactor.cache_clear()
+    yield
+    _prefactor.cache_clear()
+
+
+def test_characters_are_schedule_independent_values(cold_prefactor_cache):
     # two independent evaluations construct equal values
     spec = CharacterSpec(3, 2, "singlet", 14)
     assert singlet_char(spec) == singlet_char(spec)
+    # order 100 reads the length-128 prefactor and order 300 the length-512
+    # one; neither evaluation may change what the other computes
+    low, high = (CharacterSpec(3, 2, "singlet", order) for order in (100, 300))
+    cold_low = singlet_char(low).to_json_dict()
+    _prefactor.cache_clear()
+    cold_high = singlet_char(high).to_json_dict()
+    assert singlet_char(low).to_json_dict() == cold_low
+    _prefactor.cache_clear()
+    assert singlet_char(low).to_json_dict() == cold_low
+    assert singlet_char(high).to_json_dict() == cold_high
+    assert _prefactor.cache_info().currsize == 2
+
+
+# -- the cached prefactor against the per-factor division ---------------------
+
+
+def reference_character(spec):
+    """The cone sum divided in place by each (1 - q^k) of the prefactor,
+    min(k, r) - 1 times: the per-factor division the cached series replaces."""
+    r = spec.rank
+    dim_of = zero_weight_dim if spec.kind == "singlet" else weyl_dim
+    divisors = [k for k in range(2, ceil(spec.cutoff)) for _ in range(min(k, r) - 1)]
+    return _cone_sum(r, spec.p, spec.coset, spec.cutoff, dim_of, divisors)
+
+
+# the power-of-two edges of the prefactor's length, and two fractional cutoffs
+PREFACTOR_CUTOFFS = [Fraction(7, 3), Fraction(31, 6)] + [
+    1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129
+]
+
+
+@pytest.mark.parametrize("rank,p", [(r, p) for r in (2, 3, 4, 5) for p in (2, 3, 4)])
+def test_characters_match_the_per_factor_division(rank, p):
+    for cut in PREFACTOR_CUTOFFS:
+        spec = CharacterSpec(rank, p, "singlet", cut)
+        assert singlet_char(spec).to_json_dict() == reference_character(spec).to_json_dict()
+        for coset in range(rank):
+            spec = CharacterSpec(rank, p, "triplet", cut, coset)
+            expected = reference_character(spec).to_json_dict()
+            assert triplet_char(spec).to_json_dict() == expected, (cut, coset)
+
+
+def test_prefactor_is_an_immutable_prefix_of_the_longer_ones():
+    for rank in (2, 3, 5):
+        series = _prefactor(rank, 16)
+        assert isinstance(series, tuple) and len(series) == 16
+        for n in (1, 2, 4, 8, 16):
+            assert _prefactor(rank, 2 * n)[:n] == _prefactor(rank, n)
+    # rank 2: 1 / prod_(k >= 2) (1 - q^k), the partitions without a part 1
+    assert _prefactor(2, 8) == (1, 0, 1, 1, 2, 2, 4, 4)
 
 
 # -- the integer-grid characters against the Fraction-dict assembly ------------
