@@ -226,7 +226,7 @@ def run(config: CliConfig) -> tuple[int, str]:
 
 def _render_series(series: QSeries, config: CliConfig) -> str:
     if config.output == "json":
-        return _dumps(series.to_json_dict())
+        return series.to_json()
     return series.to_text()
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil, gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 _ExponentLike = Union[Fraction, int, str]
 
@@ -66,7 +66,9 @@ class QSeries:
         min_grain = lcm(*(e.denominator for e in clean),
                         1 if cut is None else cut.denominator)
         grain = min_grain if grain is None else int(grain)
-        if grain <= 0 or grain % min_grain:
+        if grain <= 0:
+            raise ValueError(f"grain must be positive, got {grain}")
+        if grain % min_grain:
             raise ValueError(
                 f"grain {grain} does not cover the exponent denominators "
                 f"(needs a multiple of {min_grain})"
@@ -218,24 +220,34 @@ class QSeries:
 
     # -- rendering ---------------------------------------------------------
 
-    def to_text(self) -> str:
-        """Canonical rendering: terms in increasing exponent order."""
-        bits: list[str] = []
+    def _reductions(self, fmt: Callable[[int], str]) -> dict[int, tuple[int, str]]:
+        # k mod grain -> (d, fmt(grain // d)) with d = gcd(k, grain), so that
+        # k/grain reduces to (k // d)/(grain // d); at most one entry per term
         g, grid = self.grain, self._grid
+        residues = range(g) if g <= len(grid) else {k % g for k in grid}
+        return {i: (d, fmt(g // d)) for i in residues for d in (gcd(i, g),)}
+
+    def to_text(self) -> str:
+        """Canonical rendering: terms in increasing exponent order, one pass
+        with each term formatted in place as its sign, magnitude and power."""
+        g, grid, parts = self.grain, self._grid, []
+        table = self._reductions(lambda den: "" if den == 1 else f"/{den})")
+        append = parts.append
         for k in sorted(grid):
             c = grid[k]
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                d = gcd(k, g)  # k/g reduced
-                power = _format_power(k // d, g // d)
-                body = power if mag == 1 else f"{mag}*{power}"
-            sign = ("+ " if c > 0 else "- ") if bits else ("" if c > 0 else "-")
-            bits.append(sign + body)
+            sign = (" + " if c == 1 else f" + {c}*") if c > 0 else (
+                " - " if c == -1 else f" - {-c}*")
+            d, tail = table[k % g]
+            n = k // d  # the power as one f-string; n = 0 is the constant term
+            append(f"{sign}q^({n}{tail}" if tail else f"{sign}q^{n}" if n > 1
+                   else f"{sign}q" if n == 1 else f"{sign}q^({n})" if n
+                   else f" + {c}" if c > 0 else f" - {-c}")
+        if parts:  # the first term has no separator, only its minus sign
+            parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
         cut = self.cutoff
-        return " ".join(bits or ["0"]) + (
-            "" if cut is None else f" + O({_format_power(cut.numerator, cut.denominator)})")
+        if cut is not None:
+            parts.append(f" + O({_format_power(cut.numerator, cut.denominator)})")
+        return ("" if grid else "0") + "".join(parts)
 
     __str__ = to_text
 
@@ -243,28 +255,33 @@ class QSeries:
         return f"QSeries({self.to_text()!r})"
 
     def to_json_dict(self) -> dict:
-        cut, g, grid = self.cutoff, self.grain, self._grid
-        return {
-            "grain": g,
-            "cutoff": None if cut is None else {"num": cut.numerator, "den": cut.denominator},
-            "terms": [[k // d, g // d, str(grid[k])]  # k/g reduced
-                      for k in sorted(grid) for d in (gcd(k, g),)],
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QSeries":
         g, cut = data["grain"], data.get("cutoff")
+        if cut is not None and not cut["den"]:
+            raise ValueError(f"cutoff {cut} has a zero denominator")
         cut = None if cut is None else Fraction(cut["num"], cut["den"])
         grid: dict[int, int] = {}
         for num, den, coeff in data["terms"]:
-            if g % den:
-                raise ValueError(f"grain {g} is not a multiple of the denominator {den}")
+            if not den or g % den:
+                raise ValueError(f"term {[num, den, coeff]}: the grain {g} is not "
+                                 f"a multiple of the denominator {den}")
             grid[num * (g // den)] = grid.get(num * (g // den), 0) + int(coeff)
         # the constructor checks that the grain is positive and covers the cutoff
         return cls.from_grid(grid, cls((), cut, g).grain, cut)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """``json.dumps(self.to_json_dict())`` byte for byte, written in one
+        pass: terms as reduced ``[num, den, "coefficient"]`` in increasing order."""
+        cut, g, grid = self.cutoff, self.grain, self._grid
+        table = self._reductions(lambda den: f', {den}, "')
+        terms = ", ".join([f'[{k // d}{mid}{grid[k]}"]' for k in sorted(grid)
+                           for d, mid in (table[k % g],)])
+        cutoff = "null" if cut is None else (
+            f'{{"num": {cut.numerator}, "den": {cut.denominator}}}')
+        return f'{{"grain": {g}, "cutoff": {cutoff}, "terms": [{terms}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "QSeries":

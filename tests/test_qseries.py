@@ -360,21 +360,24 @@ def reference_format_power(e: Fraction) -> str:
     return f"q^({e})"
 
 
-@given(series_st())
-@settings(max_examples=200, deadline=None)
-def test_rendering_sorts_and_formats_as_the_fraction_order(s):
-    assert s.sorted_terms() == sorted(s.terms.items())
+def reference_text(terms: Mapping[Fraction, int], cutoff: Fraction | None) -> str:
+    # term by term in the Fraction order, through reference_format_power
     bits = []
-    for e, c in sorted(s.terms.items()):
+    for e, c in sorted(terms.items()):
         body = str(abs(c)) if e == 0 else reference_format_power(e)
         if e != 0 and abs(c) != 1:
             body = f"{abs(c)}*{body}"
         sign = ("" if c > 0 else "-") if not bits else ("+ " if c > 0 else "- ")
         bits.append(sign + body)
     text = " ".join(bits or ["0"])
-    if s.cutoff is not None:
-        text += f" + O({reference_format_power(s.cutoff)})"
-    assert s.to_text() == text
+    return text if cutoff is None else f"{text} + O({reference_format_power(cutoff)})"
+
+
+@given(series_st())
+@settings(max_examples=200, deadline=None)
+def test_rendering_sorts_and_formats_as_the_fraction_order(s):
+    assert s.sorted_terms() == sorted(s.terms.items())
+    assert s.to_text() == reference_text(s.terms, s.cutoff)
 
 
 def test_json_round_trip_byte_identical():
@@ -1069,3 +1072,86 @@ def test_terms_is_a_read_only_fresh_view():
     series.terms.clear()
     assert series.terms == {Fraction(-1, 2): 3, Fraction(2): -7}
     assert series.to_json() == before
+
+
+def test_json_rejects_a_zero_denominator_naming_the_term_or_the_cutoff():
+    with pytest.raises(ValueError, match=r"term \[1, 0, '3'\]"):
+        QSeries.from_json_dict({"grain": 1, "cutoff": None, "terms": [[1, 0, "3"]]})
+    with pytest.raises(ValueError, match="cutoff .* zero denominator"):
+        QSeries.from_json_dict({"grain": 1, "cutoff": {"num": 1, "den": 0}, "terms": []})
+
+
+@pytest.mark.parametrize("grain", [0, -2])
+def test_a_grain_below_one_is_reported_as_not_positive(grain):
+    with pytest.raises(ValueError, match=f"grain must be positive, got {grain}"):
+        QSeries((), grain=grain)
+    with pytest.raises(ValueError, match="grain must be positive"):
+        QSeries.from_json_dict({"grain": grain, "cutoff": None, "terms": []})
+
+
+# -- the one-pass renderers against the per-term reference ------------------------
+
+BIG = 2**64
+
+
+@st.composite
+def render_grid_st(draw):
+    """(grid, grain, cutoff) on grains 1-12: keys of both signs in every
+    residue class and k = 0, or a few random keys, or none; coefficients +-1,
+    small, or beyond 2^64 in magnitude; no cutoff, or one whose denominator
+    divides the grain."""
+    grain = draw(st.integers(1, 12))
+    keys = set(draw(st.lists(st.integers(-5 * grain, 5 * grain), max_size=8)))
+    if draw(st.booleans()):
+        keys |= {r + m * grain for r in range(grain) for m in (-2, -1, 0, 1, 3)}
+    coeff = st.one_of(
+        st.sampled_from([1, -1]), st.integers(-5, 5),
+        st.integers(BIG, 2**80).flatmap(lambda c: st.sampled_from([c, -c])))
+    grid = {k: draw(coeff) for k in keys}
+    den = draw(st.sampled_from([d for d in range(1, grain + 1) if grain % d == 0]))
+    cutoff = draw(st.one_of(st.none(), st.integers(-6 * den, 6 * den).map(
+        lambda num: Fraction(num, den))))
+    return grid, grain, cutoff
+
+
+def assert_renders_as_the_reference(series: QSeries, ref: DictQSeries) -> None:
+    assert series.to_text() == ref.to_text() == reference_text(ref.terms, ref.cutoff)
+    assert series.to_json() == json.dumps(ref.to_json_dict())
+    assert series.to_json_dict() == ref.to_json_dict()
+
+
+@settings(max_examples=400, deadline=None)
+@given(render_grid_st())
+def test_one_pass_rendering_matches_the_per_term_reference(case):
+    grid, grain, cutoff = case
+    series = QSeries.from_grid(grid, grain, cutoff)
+    assert series.grain == grain
+    assert_renders_as_the_reference(series, DictQSeries.from_grid(grid, grain, cutoff))
+
+
+@pytest.mark.parametrize("cutoff", [None, 0, Fraction(-5, 6), 4])
+def test_the_empty_series_renders_as_the_reference(cutoff):
+    assert_renders_as_the_reference(QSeries({}, cutoff, 6), DictQSeries({}, cutoff, 6))
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({1: 1}, "q"),
+    ({3: 1}, "q^3"),
+    ({-2: 1}, "q^(-2)"),
+    ({Fraction(5, 6): 1}, "q^(5/6)"),
+    ({Fraction(-1, 2): -1}, "-q^(-1/2)"),
+    ({0: -BIG, Fraction(7, 4): BIG}, f"-{BIG} + {BIG}*q^(7/4)"),
+])
+def test_each_power_form_renders_as_the_reference(terms, text):
+    series, ref = QSeries(terms), DictQSeries(terms)
+    assert series.to_text() == text
+    assert_renders_as_the_reference(series, ref)
+
+
+def test_a_huge_grain_renders_without_a_table_per_residue():
+    grain = 10**12
+    series = QSeries.from_grid({-1: 3, grain: -1}, grain)
+    assert series.to_text() == "3*q^(-1/1000000000000) - q"
+    assert series.to_json() == (
+        '{"grain": 1000000000000, "cutoff": null, "terms": '
+        '[[-1, 1000000000000, "3"], [1, 1, "-1"]]}')
