@@ -11,7 +11,6 @@ from .combinatorics import (
     enumerate_ssyt,
     enumerate_ssyt_bounded,
     kappa,
-    kappa_from_gaps,
     kostka,
     kostka_numbers,
     partitions_of,
@@ -19,16 +18,12 @@ from .combinatorics import (
 )
 from .lie_sl import (
     WeightVector,
-    bilinear_form,
     casimir_pairing,
     dominant_weights,
-    epsilon_coords,
-    pairing,
     partition_of_weight,
     scaled_coeff_sum,
     weight_of_partition,
     weyl_dim,
-    weyl_vector,
     zero_weight_dim,
 )
 from .link_invariants import (
@@ -42,15 +37,9 @@ from .link_invariants import (
     triplet_shift_exponent,
 )
 from .qseries import QSeries, euler_product, exact_div, invert_unit
-from .schur_spec import (
-    alternant_spec_oracle,
-    principal_spec,
-    principal_spec_weight,
-    weyl_denominator,
-)
+from .schur_spec import principal_spec, principal_spec_weight
 from .verifier import (
     VerificationReport,
-    agreement_order,
     check_prop_full_dim,
     check_prop_zero_weight,
     first_disagreement,

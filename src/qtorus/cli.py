@@ -71,10 +71,6 @@ def format_partition(shape) -> str:
     return "[" + ",".join(str(p) for p in shape) + "]"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj)
-
-
 def _flag_type(parse):
     """``parse`` as an argparse type that keeps its ValueError's reason."""
     def convert(text: str):
@@ -235,7 +231,7 @@ def _run_kostka(config: CliConfig) -> tuple[int, str]:
     content = config.params["content"]
     value = kostka(shape, content)
     if config.output == "json":
-        return 0, _dumps(
+        return 0, json.dumps(
             {
                 "shape": list(shape),
                 "content": list(content),
@@ -324,7 +320,7 @@ def _run_verify(config: CliConfig) -> tuple[int, str]:
             params["rank"], params["p"], params["coset"], params["colour"], order
         )
     if config.output == "json":
-        text = _dumps([report.to_json_dict()])
+        text = json.dumps([report.to_json_dict()])
     else:
         text = report.describe()
     return (0 if report.passed else 1), text
@@ -345,7 +341,7 @@ def _run_props(config: CliConfig) -> tuple[int, str]:
     ]
     passed = not any(failures for _, _, failures in sections)
     if config.output == "json":
-        text = _dumps(
+        text = json.dumps(
             [
                 {
                     "kind": kind,
@@ -373,7 +369,7 @@ def _run_props(config: CliConfig) -> tuple[int, str]:
 def _run_selftest(config: CliConfig) -> tuple[int, str]:
     results = selftest_battery.run_all()
     if config.output == "json":
-        text = _dumps([{"check": name, "passed": ok} for name, ok in results])
+        text = json.dumps([{"check": name, "passed": ok} for name, ok in results])
     else:
         lines = [("ok " if ok else "FAIL ") + name for name, ok in results]
         good = sum(1 for _, ok in results if ok)

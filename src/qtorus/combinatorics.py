@@ -168,22 +168,6 @@ def kappa(shape: Iterable[int]) -> int:
     return sum(l * (l + 1) - 2 * i * l for i, l in enumerate(lam, 1))
 
 
-def kappa_from_gaps(gaps: Iterable[int]) -> int:
-    """The same statistic from row differences a_i = lam_i - lam_{i+1}.
-
-    Expects the full gap vector (a_1, ..., a_r) including a_r = lam_r; the
-    quadratic part runs over all ordered index pairs.
-    """
-    a = [int(x) for x in gaps]
-    r = len(a)
-    quad = sum(
-        min(i, j) * a[i - 1] * a[j - 1]
-        for i in range(1, r + 1)
-        for j in range(1, r + 1)
-    )
-    return quad - sum(i * i * a[i - 1] for i in range(1, r + 1))
-
-
 # -- tableau enumeration (brute force; used by oracles and bijection checks) --
 
 
@@ -243,13 +227,12 @@ def perm_sign(perm: Iterable[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def schur_expand_oracle(
-    shape: Iterable[int],
-    rank: int,
-    *,
-    max_weight: int = 16,
-    max_rank: int = 5,
-) -> dict[Composition, int]:
+# Size guard of the Jacobi-Trudi expansion: the largest shape weight and rank.
+ORACLE_MAX_WEIGHT = 16
+ORACLE_MAX_RANK = 5
+
+
+def schur_expand_oracle(shape: Iterable[int], rank: int) -> dict[Composition, int]:
     """Full monomial expansion of the Schur polynomial in ``rank`` variables.
 
     Computed as a Jacobi-Trudi determinant of complete homogeneous
@@ -259,10 +242,9 @@ def schur_expand_oracle(
     lam = as_partition(shape)
     if len(lam) > rank:
         raise ValueError("shape has more rows than variables")
-    if sum(lam) > max_weight or rank > max_rank:
-        raise ValueError(
-            f"oracle guard exceeded (|shape| <= {max_weight}, rank <= {max_rank})"
-        )
+    if sum(lam) > ORACLE_MAX_WEIGHT or rank > ORACLE_MAX_RANK:
+        raise ValueError(f"oracle guard exceeded (|shape| <= {ORACLE_MAX_WEIGHT}, "
+                         f"rank <= {ORACLE_MAX_RANK})")
     return dict(_schur_expand(lam, rank))
 
 

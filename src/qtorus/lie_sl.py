@@ -1,8 +1,8 @@
 """Weight-lattice dictionary for the type-A simple Lie algebras.
 
 Dominant integral weights are kept in fundamental-weight coordinates
-(a_1, ..., a_{r-1}) with the rank carried alongside.  The bilinear form is
-the standard one with (w_i, w_j) = min(i,j) - ij/r; partitions translate to
+(a_1, ..., a_{r-1}) with the rank carried alongside.  Pairings use the
+standard form (w_i, w_j) = min(i,j) - ij/r; partitions translate to
 weights by row differences, weights back to partitions by suffix sums.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .combinatorics import Partition, as_partition, kostka
 
@@ -40,46 +40,6 @@ class WeightVector:
     def coset_index(self) -> int:
         """Index i of the coset (root lattice + i * first fundamental weight)."""
         return sum(i * a for i, a in enumerate(self.coeffs, 1)) % self.rank
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def to_text(self) -> str:
-        bits = [
-            f"{a}*w{i}" if a != 1 else f"w{i}"
-            for i, a in enumerate(self.coeffs, 1)
-            if a
-        ]
-        return " + ".join(bits) if bits else "0"
-
-    def to_json_dict(self) -> dict:
-        return {"rank": self.rank, "coeffs": list(self.coeffs)}
-
-
-def bilinear_form(rank: int, a: Sequence[int], b: Sequence[int]) -> Fraction:
-    """Bilinear extension of (w_i, w_j) = min(i,j) - ij/rank.
-
-    Accepts raw coordinate sequences (length <= rank-1), so it also serves
-    for roots and other integral-span vectors in tests.
-    """
-    total = Fraction(0)
-    for i, ai in enumerate(a, 1):
-        if not ai:
-            continue
-        for j, bj in enumerate(b, 1):
-            if bj:
-                total += ai * bj * Fraction(min(i, j) * rank - i * j, rank)
-    return total
-
-
-def pairing(mu: WeightVector, nu: WeightVector) -> Fraction:
-    if mu.rank != nu.rank:
-        raise ValueError(f"rank mismatch: {mu.rank} vs {nu.rank}")
-    return bilinear_form(mu.rank, mu.coeffs, nu.coeffs)
-
-
-def weyl_vector(rank: int) -> WeightVector:
-    return WeightVector(rank, (1,) * (rank - 1))
 
 
 def scaled_casimir(mu: WeightVector) -> int:
@@ -148,16 +108,6 @@ def zero_weight_dim(mu: WeightVector) -> int:
     if rem:
         raise AssertionError("coset-zero weight with non-divisible partition weight")
     return kostka(lam, (k,) * mu.rank)
-
-
-def epsilon_coords(mu: WeightVector, a_r: int = 0) -> tuple[Fraction, ...]:
-    """Coordinates in the sum-zero hyperplane model, where the form is the
-    standard dot product and the Weyl group permutes entries."""
-    r = mu.rank
-    lam = partition_of_weight(mu, a_r)
-    padded = lam + (0,) * (r - len(lam))
-    mean = Fraction(sum(padded), r)
-    return tuple(Fraction(x) - mean for x in padded)
 
 
 def scaled_coeff_sum(mu: WeightVector) -> int:

@@ -6,7 +6,7 @@ is a declared common denominator, and an exclusive truncation ``cutoff``:
 coefficients at exponents strictly below it are exact, everything at or above
 it is unknown; ``cutoff=None`` marks an exact Laurent polynomial.  Exponents
 are ``Fraction``s only at the API boundary: the constructor, ``terms``,
-``low``, ``coefficient`` and ``sorted_terms``.
+``low`` and ``coefficient``.
 
 Every operation computes the largest cutoff at which all reported
 coefficients are provably exact, so a result never contains silently
@@ -27,7 +27,19 @@ _ExponentLike = Union[Fraction, int, str]
 
 
 def _exp(value: _ExponentLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"exponent {value!r} has a zero denominator") from None
+
+
+def _json_int(value, field: str) -> int:
+    # JSON numbers may arrive as floats or booleans, which int() would accept
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _min_cutoff(a: Fraction | None, b: Fraction | None) -> Fraction | None:
@@ -133,9 +145,6 @@ class QSeries:
     def coefficient(self, exponent: _ExponentLike) -> int:
         k = _exp(exponent) * self.grain  # 0 off the grid
         return self._grid.get(k.numerator, 0) if k.denominator == 1 else 0
-
-    def sorted_terms(self) -> list[tuple[Fraction, int]]:
-        return [(Fraction(k, self.grain), c) for k, c in sorted(self._grid.items())]
 
     def is_zero(self) -> bool:
         return not self._grid
@@ -259,12 +268,16 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QSeries":
-        g, cut = data["grain"], data.get("cutoff")
-        if cut is not None and not cut["den"]:
-            raise ValueError(f"cutoff {cut} has a zero denominator")
-        cut = None if cut is None else Fraction(cut["num"], cut["den"])
+        g, cut = _json_int(data["grain"], "grain"), data.get("cutoff")
+        if cut is not None:
+            num = _json_int(cut["num"], "cutoff num")
+            if not _json_int(cut["den"], "cutoff den"):
+                raise ValueError(f"cutoff {cut} has a zero denominator")
+            cut = Fraction(num, cut["den"])
         grid: dict[int, int] = {}
         for num, den, coeff in data["terms"]:
+            if type(num) is not int or type(den) is not int:
+                raise ValueError(f"term {[num, den, coeff]}: num and den must be integers")
             if not den or g % den:
                 raise ValueError(f"term {[num, den, coeff]}: the grain {g} is not "
                                  f"a multiple of the denominator {den}")

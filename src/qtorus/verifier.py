@@ -59,13 +59,6 @@ def first_disagreement(
     return None
 
 
-def agreement_order(a: QSeries, b: QSeries) -> Fraction | None:
-    """First differing exponent, or None for full agreement below the
-    common cutoff."""
-    witness = first_disagreement(a, b)
-    return None if witness is None else witness[0]
-
-
 @dataclass
 class VerificationReport:
     """Outcome of one verification run."""

@@ -161,16 +161,13 @@ def _cone_sum(
     return QSeries.from_grid(dict(enumerate(coeffs)), grain, cutoff)
 
 
-def _character(spec: CharacterSpec, dim_of) -> QSeries:
-    return _cone_sum(spec.rank, spec.p, spec.coset, spec.cutoff, dim_of, prefactor=True)
-
-
 def singlet_char(spec: CharacterSpec) -> QSeries:
     """Normalized singlet character: height product over the Euler-product
     power, times the zero-weight-dimension cone sum on coset 0."""
     if spec.kind != "singlet":
         raise ValueError("spec.kind must be 'singlet'")
-    return _character(spec, zero_weight_dim)
+    return _cone_sum(spec.rank, spec.p, spec.coset, spec.cutoff, zero_weight_dim,
+                     prefactor=True)
 
 
 def triplet_char(spec: CharacterSpec) -> QSeries:
@@ -178,7 +175,8 @@ def triplet_char(spec: CharacterSpec) -> QSeries:
     full-dimension cone sum."""
     if spec.kind != "triplet":
         raise ValueError("spec.kind must be 'triplet'")
-    return _character(spec, weyl_dim)
+    return _cone_sum(spec.rank, spec.p, spec.coset, spec.cutoff, weyl_dim,
+                     prefactor=True)
 
 
 def rhs_singlet_limit(

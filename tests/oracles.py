@@ -1,0 +1,114 @@
+"""Test-side references that production code never calls.
+
+Each one computes a quantity of the library by a second route, and the tests
+compare the two: the bilinear form of the weight lattice for
+``casimir_pairing``, the Weyl-group alternant quotient for
+``principal_spec``, the Weyl denominator for the root-height products, and
+the gap form of the framing statistic for ``kappa``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import permutations
+from typing import Iterable, Sequence
+
+from qtorus import QSeries, WeightVector, exact_div, partition_of_weight
+from qtorus.combinatorics import perm_sign
+from qtorus.qseries import one_minus_q_product
+
+
+# -- the weight lattice -------------------------------------------------------
+
+
+def bilinear_form(rank: int, a: Sequence[int], b: Sequence[int]) -> Fraction:
+    """Bilinear extension of (w_i, w_j) = min(i,j) - ij/rank.
+
+    Accepts raw coordinate sequences (length <= rank-1), so it also serves
+    for roots and other integral-span vectors.
+    """
+    total = Fraction(0)
+    for i, ai in enumerate(a, 1):
+        if not ai:
+            continue
+        for j, bj in enumerate(b, 1):
+            if bj:
+                total += ai * bj * Fraction(min(i, j) * rank - i * j, rank)
+    return total
+
+
+def pairing(mu: WeightVector, nu: WeightVector) -> Fraction:
+    if mu.rank != nu.rank:
+        raise ValueError(f"rank mismatch: {mu.rank} vs {nu.rank}")
+    return bilinear_form(mu.rank, mu.coeffs, nu.coeffs)
+
+
+def weyl_vector(rank: int) -> WeightVector:
+    return WeightVector(rank, (1,) * (rank - 1))
+
+
+def epsilon_coords(mu: WeightVector, a_r: int = 0) -> tuple[Fraction, ...]:
+    """Coordinates in the sum-zero hyperplane model, where the form is the
+    standard dot product and the Weyl group permutes entries."""
+    r = mu.rank
+    lam = partition_of_weight(mu, a_r)
+    padded = lam + (0,) * (r - len(lam))
+    mean = Fraction(sum(padded), r)
+    return tuple(Fraction(x) - mean for x in padded)
+
+
+# -- the framing statistic ----------------------------------------------------
+
+
+def kappa_from_gaps(gaps: Iterable[int]) -> int:
+    """The statistic of ``kappa`` from row differences a_i = lam_i - lam_{i+1}.
+
+    Expects the full gap vector (a_1, ..., a_r) including a_r = lam_r; the
+    quadratic part runs over all ordered index pairs.
+    """
+    a = [int(x) for x in gaps]
+    r = len(a)
+    quad = sum(
+        min(i, j) * a[i - 1] * a[j - 1]
+        for i in range(1, r + 1)
+        for j in range(1, r + 1)
+    )
+    return quad - sum(i * i * a[i - 1] for i in range(1, r + 1))
+
+
+# -- principal specializations ------------------------------------------------
+
+
+def weyl_denominator(rank: int) -> QSeries:
+    """Product of q^(h/2) - q^(-h/2) = -q^(-h/2) (1 - q^h) over root heights h."""
+    if rank < 2:
+        raise ValueError("rank must be at least 2")
+    heights = [j - i for j in range(rank + 1) for i in range(1, j)]
+    sign, shift = (-1) ** len(heights), sum(heights)
+    poly = one_minus_q_product(heights)
+    return QSeries.from_grid({2 * k - shift: sign * c for k, c in enumerate(poly)}, 2)
+
+
+def alternant_spec_oracle(mu: WeightVector, *, max_rank: int = 6) -> QSeries:
+    """The alternant quotient over the Weyl group.
+
+    Enumerates all rank! permutations, so it is guarded to small ranks and
+    meant for cross-checking ``principal_spec``.
+    """
+    r = mu.rank
+    if r > max_rank:
+        raise ValueError(f"oracle guard exceeded (rank <= {max_rank})")
+    shifted = WeightVector(r, tuple(a + 1 for a in mu.coeffs))
+    v = epsilon_coords(shifted)
+    d = epsilon_coords(weyl_vector(r))
+    return exact_div(alternant(v, d), alternant(d, d))
+
+
+def alternant(v: tuple[Fraction, ...], d: tuple[Fraction, ...]) -> QSeries:
+    """Sum over the symmetric group of sign(w) q^((w(v), d))."""
+    acc: dict[Fraction, int] = {}
+    for perm in permutations(range(len(v))):
+        sign = perm_sign(perm)
+        e = sum((v[perm[i]] * d[i] for i in range(len(v))), Fraction(0))
+        acc[e] = acc.get(e, 0) + sign
+    return QSeries(acc)

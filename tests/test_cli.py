@@ -116,7 +116,7 @@ def test_char_invalid_p_diagnostic(capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
-    assert "12/12 checks passed" in out
+    assert "10/10 checks passed" in out
 
 
 # -- JSON round trips ----------------------------------------------------------

@@ -18,7 +18,6 @@ from qtorus import (
     compositions_of,
     enumerate_ssyt,
     kappa,
-    kappa_from_gaps,
     kostka,
     kostka_numbers,
     partitions_of,
@@ -27,6 +26,9 @@ from qtorus import (
     weyl_dim,
     weight_of_partition,
 )
+from qtorus.cli import PROPS_WEIGHT_CAP
+
+from oracles import kappa_from_gaps
 
 
 # -- independent oracle: partition counting recurrence ---------------------------
@@ -311,6 +313,19 @@ def test_oracle_guard():
         schur_expand_oracle((20, 5), 4)
     with pytest.raises(ValueError, match="guard"):
         schur_expand_oracle((1,), 7)
+    # the bounds themselves: weight 16 and rank 5 expand, 17 and 6 raise
+    assert sum(schur_expand_oracle((16,), 2).values()) == 17
+    assert sum(schur_expand_oracle((1,), 5).values()) == 5
+    with pytest.raises(ValueError, match=r"oracle guard exceeded \(\|shape\| <= 16"):
+        schur_expand_oracle((9, 8), 2)
+    with pytest.raises(ValueError, match=r"oracle guard exceeded .* rank <= 5\)"):
+        schur_expand_oracle((1,), 6)
+
+
+def test_props_weight_caps_lie_inside_the_oracle_guard():
+    for rank, cap in PROPS_WEIGHT_CAP.items():
+        assert rank <= combinatorics.ORACLE_MAX_RANK
+        assert cap <= combinatorics.ORACLE_MAX_WEIGHT
 
 
 def test_kostka_agrees_with_oracle_through_weight_8():

@@ -11,23 +11,21 @@ from hypothesis import strategies as st
 
 from qtorus import (
     WeightVector,
-    bilinear_form,
     casimir_pairing,
     compositions_of,
     dominant_weights,
-    epsilon_coords,
     kappa,
     kostka,
-    pairing,
     partition_of_weight,
     partitions_of,
     scaled_coeff_sum,
     weight_of_partition,
     weyl_dim,
-    weyl_vector,
     zero_weight_dim,
 )
 from qtorus.lie_sl import scaled_casimir
+
+from oracles import bilinear_form, epsilon_coords, pairing, weyl_vector
 
 
 def simple_root_coords(rank: int, i: int) -> list[int]:
@@ -239,7 +237,7 @@ def test_zero_weight_dim_bounded_by_dimension():
             zero = zero_weight_dim(mu)
             full = weyl_dim(mu)
             assert zero <= full
-            if not mu.is_zero():
+            if any(mu.coeffs):
                 assert zero < full
 
 
@@ -264,9 +262,3 @@ def test_dominant_weights_levels_and_cosets():
 def test_dominant_weights_rejects_bad_coset():
     with pytest.raises(ValueError, match="coset"):
         list(dominant_weights(3, 5, coset=3))
-
-
-def test_weight_rendering():
-    assert WeightVector(3, (2, 1)).to_text() == "2*w1 + w2"
-    assert WeightVector(3, (0, 0)).to_text() == "0"
-    assert WeightVector(2, (4,)).to_json_dict() == {"rank": 2, "coeffs": [4]}

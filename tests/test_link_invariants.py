@@ -8,7 +8,7 @@ from qtorus import link_invariants, schur_spec
 from qtorus import (
     QSeries,
     TorusLinkSpec,
-    agreement_order,
+    first_disagreement,
     jones_summands,
     jones_torus_link,
     kappa,
@@ -132,8 +132,9 @@ def test_shifted_singlet_stabilizes():
     for n in range(1, 11):
         series = shifted_invariant_singlet(TorusLinkSpec(2, 2, 2, n))
         if previous is not None:
-            order = agreement_order(previous, series)
-            assert order is not None  # exact polynomials, eventually differ
+            witness = first_disagreement(previous, series)
+            assert witness is not None  # exact polynomials, eventually differ
+            order = witness[0]
             assert order >= last_order
             last_order = order
         previous = series

@@ -376,7 +376,6 @@ def reference_text(terms: Mapping[Fraction, int], cutoff: Fraction | None) -> st
 @given(series_st())
 @settings(max_examples=200, deadline=None)
 def test_rendering_sorts_and_formats_as_the_fraction_order(s):
-    assert s.sorted_terms() == sorted(s.terms.items())
     assert s.to_text() == reference_text(s.terms, s.cutoff)
 
 
@@ -917,7 +916,7 @@ def test_construction_matches_the_dict_series(pair):
     series, ref = pair
     assert_same(series, ref)
     assert series.low == ref.low and series.is_zero() == ref.is_zero()
-    assert series.sorted_terms() == ref.sorted_terms()
+    assert sorted(series.terms.items()) == ref.sorted_terms()
 
 
 @settings(max_examples=300, deadline=None)
@@ -1079,6 +1078,34 @@ def test_json_rejects_a_zero_denominator_naming_the_term_or_the_cutoff():
         QSeries.from_json_dict({"grain": 1, "cutoff": None, "terms": [[1, 0, "3"]]})
     with pytest.raises(ValueError, match="cutoff .* zero denominator"):
         QSeries.from_json_dict({"grain": 1, "cutoff": {"num": 1, "den": 0}, "terms": []})
+
+
+def test_a_zero_denominator_exponent_string_raises_value_error():
+    with pytest.raises(ValueError, match="exponent '1/0' has a zero denominator"):
+        QSeries({}, cutoff="1/0")
+    with pytest.raises(ValueError, match="exponent '1/0' has a zero denominator"):
+        QSeries({"1/0": 1})
+
+
+@pytest.mark.parametrize("grain", ["2", True, 2.5])
+def test_json_rejects_a_grain_that_is_not_an_integer(grain):
+    data = {"grain": grain, "cutoff": None, "terms": [[1, 1, "1"]]}
+    with pytest.raises(ValueError, match=f"grain must be an integer, got {grain!r}"):
+        QSeries.from_json_dict(data)
+
+
+@pytest.mark.parametrize("field", ["num", "den"])
+@pytest.mark.parametrize("value", [1.5, True])
+def test_json_rejects_a_cutoff_field_that_is_not_an_integer(field, value):
+    cut = {"num": 1, "den": 1, field: value}
+    with pytest.raises(ValueError, match=f"cutoff {field} must be an integer"):
+        QSeries.from_json_dict({"grain": 1, "cutoff": cut, "terms": []})
+
+
+@pytest.mark.parametrize("term", [[1.5, 2, "1"], [1, 2.0, "1"], [True, 1, "1"]])
+def test_json_rejects_a_term_exponent_that_is_not_an_integer(term):
+    with pytest.raises(ValueError, match=r"term \[.*\]: num and den must be integers"):
+        QSeries.from_json_dict({"grain": 2, "cutoff": None, "terms": [term]})
 
 
 @pytest.mark.parametrize("grain", [0, -2])

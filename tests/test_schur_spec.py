@@ -3,30 +3,31 @@ palindromicity, the dimension limit, and the denominator identity."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from qtorus import schur_spec
 from qtorus import (
     QSeries,
     WeightVector,
-    alternant_spec_oracle,
     as_partition,
-    epsilon_coords,
     exact_div,
-    pairing,
     partitions_of,
-    partition_of_weight,
     TorusLinkSpec,
     jones_torus_link,
     principal_spec,
     principal_spec_weight,
     weight_of_partition,
-    weyl_denominator,
     weyl_dim,
+)
+
+from oracles import (
+    alternant,
+    alternant_spec_oracle,
+    epsilon_coords,
+    pairing,
+    weyl_denominator,
     weyl_vector,
 )
-from qtorus.combinatorics import perm_sign
 
 
 # -- reference: half brackets q^(k/2) - q^(-k/2) and exact_div ----------------
@@ -225,11 +226,7 @@ def test_weyl_denominator_rank_three():
 def _delta_alternant(rank: int) -> QSeries:
     # sum over the symmetric group of sign(w) q^((w(delta), delta))
     d = epsilon_coords(weyl_vector(rank))
-    acc: dict[Fraction, int] = {}
-    for perm in permutations(range(rank)):
-        e = sum((d[p] * d[i] for i, p in enumerate(perm)), Fraction(0))
-        acc[e] = acc.get(e, 0) + perm_sign(perm)
-    return QSeries(acc)
+    return alternant(d, d)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from qtorus import (
     QSeries,
-    agreement_order,
     check_prop_full_dim,
     check_prop_zero_weight,
     enumerate_ssyt,
@@ -29,25 +28,24 @@ from qtorus import (
 
 def test_agreement_equal_series():
     a = QSeries({0: 1, 2: 3}, cutoff=9)
-    assert agreement_order(a, a) is None
+    assert first_disagreement(a, a) is None
 
 
 def test_agreement_first_difference():
-    assert agreement_order(QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: 2})) == 1
+    witness = first_disagreement(QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: 2}))
+    assert witness == (Fraction(1), 1, 2)
 
 
 def test_agreement_with_cutoff():
     a = QSeries({0: 1}, cutoff=10)
     b = QSeries({0: 1, 3: 1}, cutoff=10)
-    assert agreement_order(a, b) == 3
-    witness = first_disagreement(a, b)
-    assert witness == (Fraction(3), 0, 1)
+    assert first_disagreement(a, b) == (Fraction(3), 0, 1)
 
 
 def test_agreement_ignores_terms_beyond_common_cutoff():
     a = QSeries({0: 1, 5: 9}, cutoff=10)
     b = QSeries({0: 1}, cutoff=4)
-    assert agreement_order(a, b) is None
+    assert first_disagreement(a, b) is None
 
 
 # -- singlet identity ---------------------------------------------------------------

@@ -15,7 +15,6 @@ from qtorus import (
     euler_product,
     first_disagreement,
     invert_unit,
-    pairing,
     principal_spec_weight,
     rhs_singlet_limit,
     rhs_triplet_limit,
@@ -23,11 +22,12 @@ from qtorus import (
     singlet_char,
     summand_exponent_bound,
     triplet_char,
-    weyl_vector,
 )
 from qtorus.voa_characters import _cone_sum, _cone_window, _prefactor
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
 from qtorus.qseries import one_minus_q_product
+
+from oracles import pairing, weyl_vector
 
 
 def test_spec_validation():
