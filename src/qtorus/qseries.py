@@ -17,10 +17,10 @@ are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, gcd, lcm
-from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
 _ExponentLike = Union[Fraction, int, str]
@@ -35,8 +35,8 @@ def _exp(value: _ExponentLike) -> Fraction:
         raise ValueError(f"exponent {value!r} has a zero denominator") from None
 
 
-def _json_int(value, field: str) -> int:
-    # JSON numbers may arrive as floats or booleans, which int() would accept
+def _exact_int(value, field: str) -> int:
+    # int() would truncate a float or Fraction and accept a bool
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
@@ -72,12 +72,14 @@ class QSeries:
         acc: dict[Fraction, int] = {}
         for e, c in terms.items() if isinstance(terms, Mapping) else terms:
             e = _exp(e)
+            if type(c) is not int:  # int() would truncate 2.7 and 1/2
+                raise ValueError(f"q^({e}) has a non-integer coefficient {c!r}")
             if cut is None or e < cut:
-                acc[e] = acc.get(e, 0) + int(c)
+                acc[e] = acc.get(e, 0) + c
         clean = {e: c for e, c in acc.items() if c}
         min_grain = lcm(*(e.denominator for e in clean),
                         1 if cut is None else cut.denominator)
-        grain = min_grain if grain is None else int(grain)
+        grain = min_grain if grain is None else _exact_int(grain, "grain")
         if grain <= 0:
             raise ValueError(f"grain must be positive, got {grain}")
         if grain % min_grain:
@@ -103,7 +105,7 @@ class QSeries:
     def monomial(
         cls, coeff: int, exponent: _ExponentLike, cutoff: _ExponentLike | None = None
     ) -> "QSeries":
-        return cls({_exp(exponent): int(coeff)}, cutoff)
+        return cls({exponent: coeff}, cutoff)
 
     @classmethod
     def from_grid(
@@ -268,16 +270,18 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QSeries":
-        g, cut = _json_int(data["grain"], "grain"), data.get("cutoff")
+        g, cut = _exact_int(data["grain"], "grain"), data.get("cutoff")
         if cut is not None:
-            num = _json_int(cut["num"], "cutoff num")
-            if not _json_int(cut["den"], "cutoff den"):
+            num = _exact_int(cut["num"], "cutoff num")
+            if not _exact_int(cut["den"], "cutoff den"):
                 raise ValueError(f"cutoff {cut} has a zero denominator")
             cut = Fraction(num, cut["den"])
         grid: dict[int, int] = {}
         for num, den, coeff in data["terms"]:
-            if type(num) is not int or type(den) is not int:
-                raise ValueError(f"term {[num, den, coeff]}: num and den must be integers")
+            if not (type(num) is type(den) is int and type(coeff) is str
+                    and re.fullmatch("-?[0-9]+", coeff)):
+                raise ValueError(f"term {[num, den, coeff]}: num and den must be integers"
+                                 " and the coefficient a decimal string")
             if not den or g % den:
                 raise ValueError(f"term {[num, den, coeff]}: the grain {g} is not "
                                  f"a multiple of the denominator {den}")
@@ -408,19 +412,10 @@ def one_minus_q_product(heights: Iterable[int]) -> list[int]:
 
 
 def divide_series_one_minus_q(coeffs: list[int], d: int) -> list[int]:
-    """Divide the coefficient list in place by (1 - q^d), d >= 1, as a power
-    series truncated at its length: the running sum b[k] = a[k] + b[k-d].
-
-    With n = len(coeffs): d strided sums if d*d <= n, else each block of
-    length d added into the next, j = d, 2d, ...; entry k reads only entry
-    k - d, in the block before, already final.  So min(d, n/d) slice steps.
-    """
-    if d * d <= len(coeffs):
-        for r in range(d):
-            coeffs[r::d] = accumulate(coeffs[r::d])
-    else:
-        for j in range(d, len(coeffs), d):
-            coeffs[j : j + d] = map(add, coeffs[j : j + d], coeffs[j - d : j])
+    """Divide the list in place by (1 - q^d), d >= 1, as a power series truncated
+    at its length n: b[k] = a[k] + b[k-d], one running sum per residue r < n - d."""
+    for r in range(min(d, len(coeffs) - d)):
+        coeffs[r::d] = accumulate(coeffs[r::d])
     return coeffs
 
 

@@ -8,15 +8,14 @@ whose summand reaches below the cutoff are visited: its lowest exponent is a
 closed-form floor that grows in every coordinate, so that window is walked
 directly in integer arithmetic.  The kept summands are added below the
 cutoff on one integer grid, each floor re-checked at run time.  The
-prefactor is one cached series per rank and power-of-two length, added into
-the character once for each nonzero coefficient of that grid.
+prefactor, one tuple per rank from Euler's pentagonal recurrence, is added
+into the character once for each nonzero coefficient of that grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import ceil, lcm
 from operator import add, mul
@@ -31,7 +30,8 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import QSeries, divide_series_one_minus_q
+from .qseries import (QSeries, divide_series_one_minus_q, euler_product,
+                      one_minus_q_product)
 from .schur_spec import _spec_of_gaps
 
 _ExponentLike = Fraction | int
@@ -69,20 +69,27 @@ def summand_exponent_bound(rank: int, p: int) -> Fraction:
     return Fraction(p, 2 * rank) + Fraction(p - 1, 2)
 
 
-# Prefactor coefficient tuples, which no caller can mutate.  The 9,600 seed-1
-# char_order requests use 14 (rank, length) keys: 14 misses, 9,586 hits.
-PREFACTOR_CACHE_SIZE = 64
+_prefactors: dict[int, tuple[int, ...]] = {}
 
 
-@lru_cache(maxsize=PREFACTOR_CACHE_SIZE)
 def _prefactor(rank: int, length: int) -> tuple[int, ...]:
-    """The first ``length`` coefficients of H_r / E^(r-1), that is of
-    1 / prod_k (1 - q^k)^(min(k, r) - 1); factors with k >= length leave them."""
-    coeffs = [1] + [0] * (length - 1)
-    for k in range(2, length):
-        for _ in range(min(k, rank) - 1):
-            divide_series_one_minus_q(coeffs, k)
-    return tuple(coeffs)
+    """At least the first ``length`` coefficients of H_r / E^(r-1), that is of
+    prod_(k<r) (1 - q^k)^(r-k) divided r - 1 times by the Euler product E =
+    1 + sum_(m>=1) (-1)^m (q^(m(3m-1)/2) + q^(m(3m+1)/2)) (pentagonal number
+    theorem): c E = a reads c[n] = a[n] - sum e_g c[n-g] over the pentagonal g
+    in 1..n, each c[n-g] already final, so O(r N sqrt N) in all.  Coefficient
+    n reads none above n: one tuple per rank, the longest asked for, is kept.
+    """
+    pref = _prefactors.get(rank, ())
+    if len(pref) < length:
+        heights = [k for k in range(1, rank) for _ in range(rank - k)]
+        coeffs = (one_minus_q_product(heights) + [0] * length)[:length]
+        pentagonal = [(int(g), e) for g, e in euler_product(length).terms.items() if g]
+        for _ in range(rank - 1):
+            for n in range(1, length):
+                coeffs[n] -= sum([e * coeffs[n - g] for g, e in pentagonal if g <= n])
+        pref = _prefactors[rank] = tuple(coeffs)
+    return pref
 
 
 def _cone_sum(
@@ -115,11 +122,9 @@ def _cone_sum(
 
     Prefactor: the grid and :func:`_prefactor` are power series in q^(1/grain)
     with nonnegative exponents, so coefficient k of their product reads only
-    coefficients <= k of each, and the product truncated at the cutoff equals
-    the grid divided in place by each (1 - q^k) in turn; those factors
-    commute.  A grid index i times prefactor term j lands at i + j grain.
-    The prefactor has a power of two >= ceil(cutoff) >= ceil(L / grain) terms,
-    L the grid's length, so each slice i::grain is shorter and bounds the map.
+    coefficients <= k of each.  A grid index i times prefactor term j lands at
+    i + j grain.  The prefactor has at least ceil(cutoff) >= ceil(L / grain)
+    terms, L the grid's length, so no slice i::grain is longer; each bounds the map.
 
     Grain: on coset k, mu = w_k + beta with beta in the root lattice, so
     (mu,mu) - (w_k,w_k) is even and 2 (mu - w_k, delta) an integer; every
@@ -151,7 +156,7 @@ def _cone_sum(
     for h in divisors:
         divide_series_one_minus_q(coeffs, h * grain)
     if prefactor:
-        pref = _prefactor(rank, 1 << (ceil(cutoff) - 1).bit_length())
+        pref = _prefactor(rank, ceil(cutoff))
         cone, coeffs = coeffs, [0] * len(coeffs)
         for i, c in enumerate(cone):
             if c:

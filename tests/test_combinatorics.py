@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtorus import combinatorics, schur_spec, voa_characters
+from qtorus import combinatorics, schur_spec
 from qtorus.combinatorics import Composition, Partition
 from qtorus import (
     QSeries,
@@ -391,8 +391,6 @@ def test_partitions_of_agree_with_recurrence(n, k):
         (combinatorics._schur_expand, lambda k: combinatorics._schur_expand((k,), 1)),
         # rank-2 specializations have k + 1 coefficients
         (schur_spec._spec_of_gaps, lambda k: schur_spec._spec_of_gaps((k,))),
-        # length-1 prefactors are (1,) at every rank
-        (voa_characters._prefactor, lambda k: voa_characters._prefactor(k + 2, 1)),
     ],
 )
 def test_caches_are_bounded_and_evict(cached, call):

@@ -442,7 +442,8 @@ def test_series_division_is_multiplication_by_the_inverse_product(coeffs, height
 
 def strided_divide_series_one_minus_q(coeffs: list[int], d: int) -> list[int]:
     """Divide the coefficient list in place by (1 - q^d), d >= 1, as a power
-    series truncated at its length: the running sum b[k] = a[k] + b[k-d]."""
+    series truncated at its length: the running sum b[k] = a[k] + b[k-d],
+    over every residue of k mod d."""
     for r in range(min(d, len(coeffs))):
         coeffs[r::d] = accumulate(coeffs[r::d])
     return coeffs
@@ -458,8 +459,8 @@ def _assert_division_matches_the_strided_reference(coeffs, d):
 @settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_series_division_matches_the_strided_reference(data):
-    # both schedules, blocks of length d and d strided sums, against the
-    # strided running sum alone
+    # the kernel skips the residues r >= n - d, whose slices hold one entry;
+    # the reference sums every residue
     big = 2**100
     coeffs = data.draw(st.lists(st.integers(-big, big), max_size=300))
     d = data.draw(st.integers(1, len(coeffs) + 5))
@@ -468,11 +469,13 @@ def test_series_division_matches_the_strided_reference(data):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 99, 100, 101, 300])
 def test_series_division_at_the_schedule_boundary(n):
-    # d*d next to n (at n - 1, n or n + 1), and d at n - 1, n, n + 1 and n + 5
+    # d next to n / 2, where the residues start to hold one entry, and at
+    # n - 1, n, n + 1 and n + 5, where the kernel sums no residue; d*d next to n
     rng = random.Random(n)
     coeffs = [rng.randint(-(2**100), 2**100) for _ in range(n)]
-    root = isqrt(n)
-    divisors = {root - 1, root, root + 1, n - 1, n, n + 1, n + 5}
+    root, half = isqrt(n), n // 2
+    divisors = {root - 1, root, root + 1, half - 1, half, half + 1,
+                n - 1, n, n + 1, n + 5}
     for d in sorted(k for k in divisors if k >= 1):
         _assert_division_matches_the_strided_reference(coeffs, d)
 
@@ -1106,6 +1109,50 @@ def test_json_rejects_a_cutoff_field_that_is_not_an_integer(field, value):
 def test_json_rejects_a_term_exponent_that_is_not_an_integer(term):
     with pytest.raises(ValueError, match=r"term \[.*\]: num and den must be integers"):
         QSeries.from_json_dict({"grain": 2, "cutoff": None, "terms": [term]})
+
+
+@pytest.mark.parametrize(
+    "coeff", ["1.5", "1e3", "+1", " 1", "1_0", "--1", "", 7, 1.5, True, None])
+def test_json_rejects_a_coefficient_that_is_not_a_decimal_string(coeff):
+    # only what to_json writes: an optional minus sign, then digits
+    data = {"grain": 1, "cutoff": None, "terms": [[0, 1, "1"], [2, 1, coeff]]}
+    with pytest.raises(ValueError, match=r"term \[2, 1, .*\]: .*a decimal string"):
+        QSeries.from_json_dict(data)
+
+
+def test_json_reads_signed_decimal_string_coefficients():
+    data = {"grain": 1, "cutoff": None,
+            "terms": [[0, 1, "-12345678901234567890"], [1, 1, "007"], [2, 1, "-0"]]}
+    assert QSeries.from_json_dict(data) == QSeries({0: -12345678901234567890, 1: 7})
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 2.7, 2.0, True, False, "1"])
+def test_a_coefficient_that_is_not_an_int_raises_naming_its_exponent(coeff):
+    # int() would truncate these silently: 1/2 to 0 and 2.7 to 2
+    with pytest.raises(ValueError, match=r"q\^\(1/2\) has a non-integer coefficient"):
+        QSeries({0: 1, Fraction(1, 2): coeff})
+    with pytest.raises(ValueError, match=r"q\^\(5\) has a non-integer coefficient"):
+        QSeries.monomial(coeff, 5)
+    # also above the cutoff, where the term would drop
+    with pytest.raises(ValueError, match=r"q\^\(5\) has a non-integer coefficient"):
+        QSeries([(5, coeff)], cutoff=1)
+
+
+def test_mixed_coefficients_raise_instead_of_truncating():
+    with pytest.raises(ValueError, match=re.escape("q^(0) has a non-integer coefficient "
+                                                   "Fraction(1, 2)")):
+        QSeries({0: Fraction(1, 2), 1: 2.7, 2: True})
+    with pytest.raises(ValueError, match=re.escape("q^(1) has a non-integer coefficient "
+                                                   "Fraction(5, 2)")):
+        QSeries.monomial(Fraction(5, 2), 1)
+    assert QSeries({0: -3, 1: 2**100}).terms == {0: -3, 1: 2**100}
+
+
+@pytest.mark.parametrize("grain", [2.5, 2.0, True, "2", Fraction(2)])
+def test_a_grain_that_is_not_an_int_raises(grain):
+    message = re.escape(f"grain must be an integer, got {grain!r}")
+    with pytest.raises(ValueError, match=message):
+        QSeries({1: 1}, grain=grain)
 
 
 @pytest.mark.parametrize("grain", [0, -2])

@@ -1,6 +1,7 @@
 """Character series: leading terms, the rank-two closed-form oracle,
 positivity, cone-window safety, and the comparison-side assemblies."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
@@ -25,7 +26,7 @@ from qtorus import (
 )
 from qtorus.voa_characters import _cone_sum, _cone_window, _prefactor
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
-from qtorus.qseries import one_minus_q_product
+from qtorus.qseries import divide_series_one_minus_q, one_minus_q_product
 
 from oracles import pairing, weyl_vector
 
@@ -320,42 +321,111 @@ def test_rhs_triplet_leading_terms():
 
 
 @pytest.fixture
-def cold_prefactor_cache():
-    _prefactor.cache_clear()
-    yield
-    _prefactor.cache_clear()
+def cold_prefactors():
+    voa_characters._prefactors.clear()
+    yield voa_characters._prefactors
+    voa_characters._prefactors.clear()
 
 
-def test_characters_are_schedule_independent_values(cold_prefactor_cache):
+def test_characters_are_schedule_independent_values(cold_prefactors):
     # two independent evaluations construct equal values
     spec = CharacterSpec(3, 2, "singlet", 14)
     assert singlet_char(spec) == singlet_char(spec)
-    # order 100 reads the length-128 prefactor and order 300 the length-512
-    # one; neither evaluation may change what the other computes
+    # order 300 rebuilds the rank-3 prefactor that order 100 built, and order
+    # 100 then reads the longer one; neither may change what the other computes
     low, high = (CharacterSpec(3, 2, "singlet", order) for order in (100, 300))
     cold_low = singlet_char(low).to_json_dict()
-    _prefactor.cache_clear()
+    cold_prefactors.clear()
     cold_high = singlet_char(high).to_json_dict()
     assert singlet_char(low).to_json_dict() == cold_low
-    _prefactor.cache_clear()
+    cold_prefactors.clear()
     assert singlet_char(low).to_json_dict() == cold_low
     assert singlet_char(high).to_json_dict() == cold_high
-    assert _prefactor.cache_info().currsize == 2
+    assert {rank: len(pref) for rank, pref in cold_prefactors.items()} == {3: 300}
 
 
-# -- the cached prefactor against the per-factor division ---------------------
+# -- the pentagonal prefactor against the per-factor division -----------------
+
+
+def per_factor_prefactor(rank, length):
+    """The first ``length`` coefficients of H_r / E^(r-1), that is of
+    1 / prod_k (1 - q^k)^(min(k, r) - 1), by dividing [1, 0, ...] once by each
+    factor; factors with k >= length leave them.  The build that Euler's
+    pentagonal recurrence replaced."""
+    coeffs = [1] + [0] * (length - 1)
+    for k in range(2, length):
+        for _ in range(min(k, rank) - 1):
+            divide_series_one_minus_q(coeffs, k)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_prefactor_matches_the_per_factor_division(cold_prefactors, order):
+    # factors with k >= n leave the first n coefficients, so the length-200
+    # reference covers every shorter length
+    expected = {rank: per_factor_prefactor(rank, 200) for rank in (2, 3, 4, 5)}
+    requests = [(rank, n) for rank in expected for n in range(201)]
+    if order == "descending":
+        requests.sort(key=lambda request: -request[1])
+    elif order == "shuffled":
+        random.Random(16).shuffle(requests)
+    for rank, n in requests:
+        pref = _prefactor(rank, n)
+        assert isinstance(pref, tuple) and len(pref) >= n
+        assert pref[:n] == expected[rank][:n], (rank, n)
+    assert {rank: len(pref) for rank, pref in cold_prefactors.items()} == dict.fromkeys(
+        expected, 200)
+
+
+def test_prefactor_matches_the_per_factor_division_past_a_power_of_two(cold_prefactors):
+    assert _prefactor(2, 2049) == per_factor_prefactor(2, 2049)
+
+
+def test_prefactor_memo_keeps_one_tuple_per_rank_at_the_longest_length(cold_prefactors):
+    # a longer request rebuilds at exactly its length, with no rounding up;
+    # a shorter one reads the longer tuple
+    for rank, n in [(2, 1), (3, 65), (2, 129), (3, 33), (5, 17), (2, 100)]:
+        _prefactor(rank, n)
+    assert {rank: len(pref) for rank, pref in cold_prefactors.items()} == {
+        2: 129, 3: 65, 5: 17}
+    longest = cold_prefactors[2]
+    assert _prefactor(2, 129) is longest and _prefactor(2, 5) is longest
+    singlet_char(CharacterSpec(2, 2, "singlet", Fraction(401, 2)))
+    assert len(cold_prefactors[2]) == 201  # ceil(cutoff)
+
+
+def test_prefactor_is_an_immutable_prefix_of_the_longer_ones(cold_prefactors):
+    for rank in (2, 3, 5):
+        series = _prefactor(rank, 16)
+        assert isinstance(series, tuple) and len(series) == 16
+        for n in (1, 2, 4, 8, 16):
+            assert _prefactor(rank, 2 * n)[:n] == series[:n]
+    # rank 2: 1 / prod_(k >= 2) (1 - q^k), the partitions without a part 1
+    assert _prefactor(2, 8)[:8] == (1, 0, 1, 1, 2, 2, 4, 4)
+
+
+# -- the characters against the per-factor division ----------------------------
 
 
 def reference_character(spec):
     """The cone sum divided in place by each (1 - q^k) of the prefactor,
-    min(k, r) - 1 times: the per-factor division the cached series replaces."""
-    r = spec.rank
+    min(k, r) - 1 times, as the running sum b[j] = a[j] + b[j - k grain] on
+    the exponent grid: the per-factor division the prefactor series replaces."""
+    r, cut = spec.rank, spec.cutoff
     dim_of = zero_weight_dim if spec.kind == "singlet" else weyl_dim
-    divisors = [k for k in range(2, ceil(spec.cutoff)) for _ in range(min(k, r) - 1)]
-    return _cone_sum(r, spec.p, spec.coset, spec.cutoff, dim_of, divisors)
+    cone = _cone_sum(r, spec.p, spec.coset, cut, dim_of)
+    g = cone.grain
+    grid = {int(e * g): c for e, c in cone.terms.items()}
+    coeffs = [grid.get(j, 0) for j in range(ceil(cut * g))]
+    for k in range(2, ceil(cut)):
+        for _ in range(min(k, r) - 1):
+            for j in range(k * g, len(coeffs)):
+                coeffs[j] += coeffs[j - k * g]
+    return QSeries.from_grid(dict(enumerate(coeffs)), g, cut)
 
 
-# the power-of-two edges of the prefactor's length, and two fractional cutoffs
+# integer cutoffs on both sides of powers of two, where the prefactor was once
+# rounded up, and two fractional cutoffs
 PREFACTOR_CUTOFFS = [Fraction(7, 3), Fraction(31, 6)] + [
     1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129
 ]
@@ -370,16 +440,6 @@ def test_characters_match_the_per_factor_division(rank, p):
             spec = CharacterSpec(rank, p, "triplet", cut, coset)
             expected = reference_character(spec).to_json_dict()
             assert triplet_char(spec).to_json_dict() == expected, (cut, coset)
-
-
-def test_prefactor_is_an_immutable_prefix_of_the_longer_ones():
-    for rank in (2, 3, 5):
-        series = _prefactor(rank, 16)
-        assert isinstance(series, tuple) and len(series) == 16
-        for n in (1, 2, 4, 8, 16):
-            assert _prefactor(rank, 2 * n)[:n] == _prefactor(rank, n)
-    # rank 2: 1 / prod_(k >= 2) (1 - q^k), the partitions without a part 1
-    assert _prefactor(2, 8) == (1, 0, 1, 1, 2, 2, 4, 4)
 
 
 # -- the integer-grid characters against the Fraction-dict assembly ------------
