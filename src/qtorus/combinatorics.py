@@ -24,14 +24,15 @@ Tableau = tuple[tuple[int, ...], ...]
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize to a tuple of weakly decreasing positive parts.
 
-    Trailing zeros are dropped; anything else out of order raises.
+    Trailing zeros are dropped; anything else out of order, or a part that
+    is not an ``int`` (``int()`` would truncate 2.9 and take ``True``), raises.
     """
-    seq = [int(p) for p in parts]
-    while seq and seq[-1] == 0:
+    seq = list(parts)
+    while seq and seq[-1] == 0 and type(seq[-1]) is int:
         seq.pop()
     for i, p in enumerate(seq):
-        if p <= 0:
-            raise ValueError(f"partition parts must be positive, got {p}")
+        if type(p) is not int or p <= 0:
+            raise ValueError(f"partition parts must be positive integers, got {p!r}")
         if i and seq[i - 1] < p:
             raise ValueError(f"parts must weakly decrease, got {tuple(seq)}")
     return tuple(seq)
@@ -42,9 +43,10 @@ def as_composition(entries: Iterable[int]) -> Composition:
     # kept as is, so the cached Kostka tables of one content share its tuple
     if type(entries) is tuple and all(type(e) is int and e > 0 for e in entries):
         return entries
-    seq = [int(e) for e in entries]
-    if any(e < 0 for e in seq):
-        raise ValueError("composition entries must be nonnegative")
+    seq = list(entries)
+    for e in seq:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"composition entries must be nonnegative integers, got {e!r}")
     while seq and seq[-1] == 0:
         seq.pop()
     return tuple(seq)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
 from typing import Iterable, Iterator
 
 from .combinatorics import Partition, as_partition, kostka
+from .qseries import _exact_int
 
 
 @dataclass(frozen=True)
@@ -24,16 +26,17 @@ class WeightVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 2:
+        if _exact_int(self.rank, "rank") < 2:
             raise ValueError("rank must be at least 2")
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if len(coeffs) != self.rank - 1:
             raise ValueError(
                 f"need {self.rank - 1} fundamental-weight coordinates, "
                 f"got {len(coeffs)}"
             )
-        if any(c < 0 for c in coeffs):
-            raise ValueError("dominant integral weights need nonnegative coordinates")
+        for a in coeffs:
+            if _exact_int(a, "weight coordinate") < 0:
+                raise ValueError("dominant integral weights need nonnegative coordinates")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -68,14 +71,7 @@ def partition_of_weight(mu: WeightVector, a_r: int = 0) -> Partition:
     if a_r < 0:
         raise ValueError("last row must be nonnegative")
     # suffix sums: row i is a_i + ... + a_{r-1} + a_r
-    rows = list(mu.coeffs) + [a_r]
-    out = []
-    total = 0
-    for a in reversed(rows):
-        total += a
-        out.append(total)
-    out.reverse()
-    return as_partition(out)
+    return as_partition(tuple(accumulate(reversed((*mu.coeffs, a_r))))[::-1])
 
 
 def weyl_dim(mu: WeightVector) -> int:

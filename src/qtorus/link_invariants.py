@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import ceil, lcm
+from operator import sub
 from typing import Iterator
 
-from .combinatorics import Partition, kappa, kostka, kostka_numbers, partitions_of
+from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
 from .lie_sl import _cone_window, partition_of_weight, scaled_coeff_sum
-from .qseries import QSeries
-from .schur_spec import principal_spec, principal_spec_poly
+from .qseries import QSeries, _exact_int
+from .schur_spec import _spec_of_gaps, principal_spec
 
 
 @dataclass(frozen=True)
@@ -33,14 +35,9 @@ class TorusLinkSpec:
     colour: int
 
     def __post_init__(self):
-        if self.rank < 2:
-            raise ValueError("rank must be at least 2")
-        if self.components < 1:
-            raise ValueError("need at least one component")
-        if self.p < 1:
-            raise ValueError("p must be positive")
-        if self.colour < 0:
-            raise ValueError("colour must be nonnegative")
+        for field, low in (("rank", 2), ("components", 1), ("p", 1), ("colour", 0)):
+            if _exact_int(getattr(self, field), field) < low:
+                raise ValueError(f"{field} must be at least {low}")
 
 
 def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
@@ -115,25 +112,31 @@ def _kept_shapes(spec: TorusLinkSpec, below: Fraction) -> dict[Partition, int]:
     return kept
 
 
-def _doubled_sum(spec: TorusLinkSpec, below: Fraction | None) -> dict[int, int]:
-    # jones_summands on integers: a summand is weight * q^(p*kappa/2 - D/2) P(q),
-    # so its k-th term sits at twice p*kappa/2 - D/2 + k; P(0) = 1 is its floor
+def _doubled_sum(
+    spec: TorusLinkSpec, below: Fraction | None, step: int = 1, offset: int = 0
+) -> dict[int, int]:
+    # jones_summands on integers: the k-th term of weight * q^(p*kappa/2 - D/2) P(q)
+    # is keyed step * (p*kappa - D + 2k) + offset; P(0) = 1 is its floor.  The shapes
+    # are partitions already: Kostka from one table on their union, (P, D) by gaps
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     m = min(r, c)
-    if below is None:
-        shapes = dict.fromkeys(partitions_of(n * c, m))
-    else:
-        shapes = _kept_shapes(spec, below)
+    shapes = list(partitions_of(n * c, m)) if below is None else _kept_shapes(spec, below)
+    bound = tuple(map(max, zip_longest(*shapes, fillvalue=0)))
+    table, rows, zeros = _kostka_table(bound, (n,) * c), len(bound), (0,) * r
     acc: dict[int, int] = {}
-    for lam, weight in kostka_numbers(shapes, (n,) * c).items():
-        poly, d = principal_spec_poly(lam, r)
-        base = p * kappa(lam) - d
+    get = acc.get
+    for lam in shapes:
+        padded = lam + zeros[len(lam):]
+        weight = table.get(padded[:rows], 0)
+        poly, d = _spec_of_gaps(tuple(map(sub, padded, padded[1:])))
+        base = p * sum(l * (l + 1 - 2 * i) for i, l in enumerate(lam, 1)) - d
         if below is not None:
             if base != 2 * summand_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
                 raise AssertionError(f"summand {lam} does not start at its floor")
             poly = poly[:(ceil(2 * below) - base + 1) // 2]  # 2 * exponent < 2 * below
-        for e, a in zip(range(base, base + 2 * len(poly), 2), poly):
-            acc[e] = acc.get(e, 0) + weight * a
+        start = base * step + offset
+        for e, a in zip(range(start, start + 2 * step * len(poly), 2 * step), poly):
+            acc[e] = get(e, 0) + weight * a
     return acc
 
 
@@ -154,8 +157,7 @@ def _shifted(
     # q^shift times the invariant, on the grid of 1/grain
     if (shift * grain).denominator != 1:
         raise ValueError(f"grain {grain} does not cover the shift {shift}")
-    half, offset = grain // 2, int(shift * grain)
-    terms = {e * half + offset: a for e, a in _doubled_sum(spec, below).items()}
+    terms = _doubled_sum(spec, below, grain // 2, int(shift * grain))
     return QSeries.from_grid(terms, grain, cutoff)
 
 

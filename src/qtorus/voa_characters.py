@@ -30,7 +30,7 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import QSeries, divide_series_one_minus_q, one_minus_q_product
+from .qseries import QSeries, _exact_int, divide_series_one_minus_q, one_minus_q_product
 from .schur_spec import _spec_of_gaps
 
 _ExponentLike = Fraction | int
@@ -47,13 +47,13 @@ class CharacterSpec:
     coset: int = 0
 
     def __post_init__(self):
-        if self.rank < 2:
+        if _exact_int(self.rank, "rank") < 2:
             raise ValueError("rank must be at least 2")
-        if self.p < 2:
+        if _exact_int(self.p, "p") < 2:
             raise ValueError("the character family is defined for p >= 2")
         if self.kind not in ("singlet", "triplet"):
             raise ValueError(f"kind must be 'singlet' or 'triplet', got {self.kind!r}")
-        if not 0 <= self.coset < self.rank:
+        if not 0 <= _exact_int(self.coset, "coset") < self.rank:
             raise ValueError(f"coset index must be in 0..{self.rank - 1}")
         if self.kind == "singlet" and self.coset != 0:
             raise ValueError("the singlet character lives on coset 0")

@@ -2,6 +2,7 @@
 oracle, cross-checked against brute-force enumeration."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -417,3 +418,28 @@ def test_a_normalized_content_is_kept_as_is():
     assert as_composition((4, 0)) == (4,)
     with pytest.raises(ValueError):
         as_composition((3, -1))
+
+
+# -- strict integer input ------------------------------------------------------
+
+
+@pytest.mark.parametrize("parts", [(2.9, 1.2), (2, 1.0), (True, 1), (2, False), (2, 0.0),
+                                   (Fraction(2),), ("2",)])
+def test_partition_parts_must_be_ints(parts):
+    # int() would truncate 2.9 to 2 and read True as 1
+    with pytest.raises(ValueError, match="partition parts must be positive integers"):
+        as_partition(parts)
+
+
+def test_kostka_rejects_a_float_shape_instead_of_truncating_it():
+    with pytest.raises(ValueError, match="partition parts must be positive integers, got 2.9"):
+        kostka([2.9, 1.2], [1, 1, 1])
+    assert as_partition([3, 1, 0, 0]) == (3, 1)
+
+
+@pytest.mark.parametrize("entries", [(True, 2), (1.5,), (2, 0.0), [2, Fraction(1)], (-1, 4)])
+def test_composition_entries_must_be_nonnegative_ints(entries):
+    with pytest.raises(ValueError, match="composition entries must be nonnegative integers"):
+        as_composition(entries)
+    with pytest.raises(ValueError, match="composition entries"):
+        kostka((1,), entries)

@@ -2,6 +2,7 @@
 framing-to-Casimir identity."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -66,6 +67,20 @@ def test_weight_vector_validation():
         WeightVector(3, (1,))
     with pytest.raises(ValueError):
         WeightVector(1, ())
+
+
+@pytest.mark.parametrize("coeffs", [(1.9,), (True,), (Fraction(1),), ("1",)])
+def test_weight_coordinates_must_be_ints(coeffs):
+    # int() once truncated 1.9 to the coordinate 1
+    message = re.escape(f"weight coordinate must be an integer, got {coeffs[0]!r}")
+    with pytest.raises(ValueError, match=message):
+        WeightVector(2, coeffs)
+
+
+def test_weight_rank_must_be_an_int_and_coordinates_a_tuple():
+    with pytest.raises(ValueError, match="rank must be an integer, got 2.0"):
+        WeightVector(2.0, (1,))
+    assert WeightVector(3, [1, 2]).coeffs == (1, 2)
 
 
 def test_epsilon_coords_reproduce_the_form():

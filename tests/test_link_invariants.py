@@ -1,6 +1,7 @@
 """Torus-link invariants: worked examples, the tensor-power reassembly
 oracle, grain bookkeeping, the shifted forms and their pruning at a cutoff."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from qtorus import (
     jones_torus_link,
     kappa,
     kostka,
-    kostka_numbers,
     partitions_of,
     principal_spec,
     shifted_invariant_singlet,
@@ -24,6 +24,7 @@ from qtorus import (
     triplet_shift_exponent,
     verify_singlet_theorem,
     verify_triplet_theorem,
+    weight_of_partition,
 )
 
 
@@ -36,6 +37,16 @@ def test_spec_validation():
         TorusLinkSpec(2, 2, 0, 1)
     with pytest.raises(ValueError):
         TorusLinkSpec(2, 2, 2, -1)
+
+
+@pytest.mark.parametrize("field", ["rank", "components", "p", "colour"])
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, Fraction(2), "2"])
+def test_spec_fields_must_be_ints(field, value):
+    # TorusLinkSpec(2, 2, True, 2) once computed with p = 1
+    args = dict(rank=2, components=2, p=2, colour=2)
+    args[field] = value
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        TorusLinkSpec(**args)
 
 
 def test_unknot_single_summand():
@@ -268,25 +279,46 @@ def test_walked_shapes_match_the_filtered_enumeration(rank, p):
                 assert floors == reference_kept_shapes(spec, below), (spec, cutoff)
 
 
+def record_the_integer_sum(monkeypatch):
+    """Lists that fill as the integer sum runs: the bound of each Kostka table
+    it builds, each key it reads from one, and each gap vector it specializes."""
+    bounds, looked_up, specialized = [], [], []
+    table_of, spec_of = link_invariants._kostka_table, link_invariants._spec_of_gaps
+
+    class RecordedTable(dict):
+        def get(self, key, default=None):
+            looked_up.append(key)
+            return super().get(key, default)
+
+    def recorded_table(bound, content):
+        bounds.append(bound)
+        return RecordedTable(table_of(bound, content))
+
+    def recorded_spec(gaps):
+        specialized.append(gaps)
+        return spec_of(gaps)
+
+    monkeypatch.setattr(link_invariants, "_kostka_table", recorded_table)
+    monkeypatch.setattr(link_invariants, "_spec_of_gaps", recorded_spec)
+    return bounds, looked_up, specialized
+
+
+def unpadded(key):
+    # a table key is a shape padded with zeros; parts of a shape are positive
+    return tuple(part for part in key if part)
+
+
 def test_pruning_skips_shapes_before_kostka(monkeypatch):
-    tabled, specialized = [], []
-    spec_poly = link_invariants.principal_spec_poly
-
-    def counted_kostka_numbers(shapes, content):
-        tabled.extend(shapes)
-        return kostka_numbers(shapes, content)
-
-    def counted_spec_poly(lam, rank):
-        specialized.append(lam)
-        return spec_poly(lam, rank)
-
-    monkeypatch.setattr(link_invariants, "kostka_numbers", counted_kostka_numbers)
-    monkeypatch.setattr(link_invariants, "principal_spec_poly", counted_spec_poly)
+    _, looked_up, specialized = record_the_integer_sum(monkeypatch)
     spec = TorusLinkSpec(2, 2, 2, 40)
     below = 30 - singlet_shift_exponent(spec)
     shifted_invariant_singlet(spec, 30)
     kept = set(reference_kept_shapes(spec, below))
-    assert set(tabled) == set(specialized) == kept
+    tabled = [unpadded(key) for key in looked_up]
+    # at a fixed size the row gaps determine the shape, so each gap vector
+    # stands for one kept shape
+    assert set(tabled) == kept
+    assert set(specialized) == {weight_of_partition(lam, 2).coeffs for lam in kept}
     assert len(tabled) == len(specialized) == len(kept)
     assert 0 < len(kept) < 41
 
@@ -354,6 +386,37 @@ def test_one_pass_sum_matches_the_running_sum(rank, components, colour, p):
             assert shifted(spec, cutoff).to_json_dict() == expected
 
 
+# (rank, components, colour): fewer components than the rank, down to one,
+# where only the unshifted invariant is defined
+UNSHIFTED_TOPS = [(3, 2, 12), (4, 2, 8), (5, 3, 3), (3, 1, 12), (2, 1, 30)]
+
+
+@pytest.mark.parametrize("rank,components,colour", UNSHIFTED_TOPS)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_unshifted_sum_below_the_rank_matches_the_running_sum(rank, components, colour, p):
+    for n in sorted({0, 1, colour // 2, colour}):
+        spec = TorusLinkSpec(rank, components, p, n)
+        expected = reference_jones_torus_link(spec).to_json_dict()
+        assert jones_torus_link(spec).to_json_dict() == expected
+
+
+@pytest.mark.parametrize(
+    "rank,components,p,n",
+    [(2, 2, 3, 9), (3, 2, 2, 6), (3, 3, 2, 5), (2, 3, 2, 7), (3, 4, 3, 4), (4, 5, 2, 2)])
+def test_folded_keys_equal_the_remapped_doubled_sum(rank, components, p, n):
+    # the shifted forms once remapped each doubled key e to e * half + offset,
+    # half = grain // 2: 1 at grain 2 and rank at grain 2 * rank
+    spec = TorusLinkSpec(rank, components, p, n)
+    shift = _shift(spec)
+    for below in (None, Fraction(31, 6) - shift, 12 - shift):
+        doubled = link_invariants._doubled_sum(spec, below)
+        assert doubled
+        for half in (1, rank):
+            for offset in (int(shift * 2 * half), -1, -7 * rank - 3, 0, 5):
+                folded = link_invariants._doubled_sum(spec, below, half, offset)
+                assert folded == {e * half + offset: a for e, a in doubled.items()}
+
+
 @pytest.mark.parametrize(
     "rank,components,p,n", [(2, 2, 3, 40), (3, 3, 2, 9), (2, 3, 2, 30), (4, 5, 3, 3)]
 )
@@ -384,24 +447,24 @@ def test_a_truncated_sum_leaves_the_cached_specializations_whole():
 
 
 def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
-    tabled = []
-
-    def counted_kostka_numbers(shapes, content):
-        tabled.append(list(shapes))
-        return kostka_numbers(shapes, content)
+    bounds, looked_up, _ = record_the_integer_sum(monkeypatch)
 
     def no_single_kostka(lam, content):
         raise AssertionError("the integer sum looked up a single Kostka number")
 
-    monkeypatch.setattr(link_invariants, "kostka_numbers", counted_kostka_numbers)
     monkeypatch.setattr(link_invariants, "kostka", no_single_kostka)
     spec = TorusLinkSpec(2, 2, 2, 40)
     below = 30 - singlet_shift_exponent(spec)
     shifted_invariant_singlet(spec, 30)
     kept = set(reference_kept_shapes(spec, below))
-    # one table, of exactly the kept shapes, each once
-    assert len(tabled) == 1 and len(tabled[0]) == len(kept)
-    assert set(tabled[0]) == kept
+    # one table, bounded by the union of the kept shapes, read at exactly the
+    # kept shapes, each once, each padded to the bound's rows
+    assert len(bounds) == 1
+    assert bounds[0] == tuple(max(lam[i] if i < len(lam) else 0 for lam in kept)
+                              for i in range(max(map(len, kept))))
+    assert len(looked_up) == len(kept)
+    assert {unpadded(key) for key in looked_up} == kept
+    assert {len(key) for key in looked_up} == {len(bounds[0])}
     assert 0 < len(kept) < 41
 
 
@@ -413,13 +476,13 @@ def test_integer_sum_rechecks_each_floor(monkeypatch):
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(spec, 12)
     monkeypatch.setattr(link_invariants, "summand_floor", floor)
-    spec_poly = link_invariants.principal_spec_poly
+    spec_of = link_invariants._spec_of_gaps
 
-    def lowest_term_missing(lam, rank):
-        poly, d = spec_poly(lam, rank)
-        return [0, *poly], d
+    def lowest_term_missing(gaps):
+        poly, d = spec_of(gaps)
+        return (0, *poly), d
 
-    monkeypatch.setattr(link_invariants, "principal_spec_poly", lowest_term_missing)
+    monkeypatch.setattr(link_invariants, "_spec_of_gaps", lowest_term_missing)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(spec, 12)
 

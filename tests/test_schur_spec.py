@@ -162,6 +162,14 @@ def test_rejects_long_shapes():
         principal_spec((1, 1, 1), 2)
 
 
+def test_rejects_a_shape_that_is_not_integers():
+    # int() once truncated 2.5 to 2, printing q^(-1) + 1 + q
+    with pytest.raises(ValueError, match="partition parts must be positive integers, got 2.5"):
+        principal_spec([2.5], 2)
+    with pytest.raises(ValueError, match="got True"):
+        schur_spec.principal_spec_poly((True,), 2)
+
+
 def test_declared_grain_two():
     assert principal_spec((2,), 2).grain == 2
     assert principal_spec((3, 1), 3).grain == 2

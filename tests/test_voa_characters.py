@@ -2,6 +2,7 @@
 positivity, cone-window safety, and the comparison-side assemblies."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
@@ -42,6 +43,16 @@ def test_spec_validation():
         CharacterSpec(3, 2, "singlet", 10, coset=1)
     with pytest.raises(ValueError, match="cutoff"):
         CharacterSpec(2, 2, "singlet", 0)
+
+
+@pytest.mark.parametrize("field", ["rank", "p", "coset"])
+@pytest.mark.parametrize("value", [True, 2.0, Fraction(1), "2"])
+def test_spec_fields_must_be_ints(field, value):
+    # CharacterSpec(2.0, ...) once failed later with a TypeError
+    args = dict(rank=3, p=2, kind="triplet", cutoff=10, coset=1)
+    args[field] = value
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        CharacterSpec(**args)
 
 
 def test_singlet_leading_term_is_vacuum():
