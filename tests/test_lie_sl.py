@@ -71,7 +71,7 @@ def test_weight_vector_validation():
 
 @pytest.mark.parametrize("coeffs", [(1.9,), (True,), (Fraction(1),), ("1",)])
 def test_weight_coordinates_must_be_ints(coeffs):
-    # int() once truncated 1.9 to the coordinate 1
+    # int() would truncate 1.9 to the coordinate 1
     message = re.escape(f"weight coordinate must be an integer, got {coeffs[0]!r}")
     with pytest.raises(ValueError, match=message):
         WeightVector(2, coeffs)

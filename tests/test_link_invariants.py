@@ -42,7 +42,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("field", ["rank", "components", "p", "colour"])
 @pytest.mark.parametrize("value", [True, 2.0, 2.5, Fraction(2), "2"])
 def test_spec_fields_must_be_ints(field, value):
-    # TorusLinkSpec(2, 2, True, 2) once computed with p = 1
+    # int() would read TorusLinkSpec(2, 2, True, 2) as p = 1
     args = dict(rank=2, components=2, p=2, colour=2)
     args[field] = value
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
@@ -404,7 +404,7 @@ def test_unshifted_sum_below_the_rank_matches_the_running_sum(rank, components, 
     "rank,components,p,n",
     [(2, 2, 3, 9), (3, 2, 2, 6), (3, 3, 2, 5), (2, 3, 2, 7), (3, 4, 3, 4), (4, 5, 2, 2)])
 def test_folded_keys_equal_the_remapped_doubled_sum(rank, components, p, n):
-    # the shifted forms once remapped each doubled key e to e * half + offset,
+    # folding must equal remapping each doubled key e to e * half + offset,
     # half = grain // 2: 1 at grain 2 and rank at grain 2 * rank
     spec = TorusLinkSpec(rank, components, p, n)
     shift = _shift(spec)

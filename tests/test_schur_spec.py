@@ -163,7 +163,7 @@ def test_rejects_long_shapes():
 
 
 def test_rejects_a_shape_that_is_not_integers():
-    # int() once truncated 2.5 to 2, printing q^(-1) + 1 + q
+    # int() would truncate 2.5 to 2 and print q^(-1) + 1 + q
     with pytest.raises(ValueError, match="partition parts must be positive integers, got 2.5"):
         principal_spec([2.5], 2)
     with pytest.raises(ValueError, match="got True"):

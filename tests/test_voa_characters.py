@@ -48,7 +48,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("field", ["rank", "p", "coset"])
 @pytest.mark.parametrize("value", [True, 2.0, Fraction(1), "2"])
 def test_spec_fields_must_be_ints(field, value):
-    # CharacterSpec(2.0, ...) once failed later with a TypeError
+    # a float rank would otherwise fail later, with a TypeError
     args = dict(rank=3, p=2, kind="triplet", cutoff=10, coset=1)
     args[field] = value
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
