@@ -8,8 +8,9 @@ whose summand reaches below the cutoff are visited: its lowest exponent is a
 closed-form floor that grows in every coordinate, so that window is walked
 directly in integer arithmetic.  The kept summands are added below the
 cutoff on one integer grid, each floor re-checked at run time.  The
-prefactor, one tuple per rank from Euler's pentagonal recurrence, is added
-into the character once for each nonzero coefficient of that grid.
+prefactor, from Euler's pentagonal recurrence, is added into the character
+once for each nonzero coefficient of that grid.  One grid per character
+family, the longest built, serves every shorter order from its prefix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import ceil, isqrt, lcm
 from operator import add, mul
-from typing import Callable, Iterable
+from typing import Callable
 
 from .lie_sl import (
     WeightVector,
@@ -68,28 +69,24 @@ def summand_exponent_bound(rank: int, p: int) -> Fraction:
     return Fraction(p, 2 * rank) + Fraction(p - 1, 2)
 
 
-_prefactors: dict[int, tuple[int, ...]] = {}
-
-
 def _prefactor(rank: int, length: int) -> tuple[int, ...]:
-    """At least the first ``length`` coefficients of H_r / E^(r-1), that is of
+    """The first ``length`` coefficients of H_r / E^(r-1), that is of
     prod_(k<r) (1 - q^k)^(r-k) divided r - 1 times by the Euler product E =
     1 + sum_(m>=1) (-1)^m (q^(m(3m-1)/2) + q^(m(3m+1)/2)) (pentagonal number
     theorem; each g >= m^2): c E = a reads c[n] = a[n] - sum e_g c[n-g] over
-    the g in 1..n, each c[n-g] already final, so O(r N sqrt N) in all.  As c[n]
-    reads none above n, one tuple per rank, the longest, is kept: 14 builds in
-    9,600 seed-1 char_order calls; a build per call costs 15 % of requests/s.
+    the g in 1..n, each c[n-g] already final, so O(r N sqrt N) in all.
     """
-    if len(_prefactors.get(rank, ())) < length:
-        heights = [k for k in range(1, rank) for _ in range(rank - k)]
-        coeffs = (one_minus_q_product(heights) + [0] * length)[:length]
-        pentagonal = [(g, (-1) ** m) for m in range(1, isqrt(length) + 1)
-                      for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2) if g < length]
-        for _ in range(rank - 1):
-            for n in range(1, length):
-                coeffs[n] -= sum([e * coeffs[n - g] for g, e in pentagonal if g <= n])
-        _prefactors[rank] = tuple(coeffs)
-    return _prefactors.get(rank, ())
+    heights = [k for k in range(1, rank) for _ in range(rank - k)]
+    coeffs = (one_minus_q_product(heights) + [0] * length)[:length]
+    pentagonal = [(g, (-1) ** m) for m in range(1, isqrt(length) + 1)
+                  for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2) if g < length]
+    for _ in range(rank - 1):
+        for n in range(1, length):
+            coeffs[n] -= sum([e * coeffs[n - g] for g, e in pentagonal if g <= n])
+    return tuple(coeffs)
+
+
+_cone_sums: dict[tuple, tuple[int, ...]] = {}
 
 
 def _cone_sum(
@@ -98,7 +95,7 @@ def _cone_sum(
     coset: int,
     cutoff: Fraction,
     dim_of: Callable[[WeightVector], int],
-    divisors: Iterable[int] = (),
+    divisors: tuple[int, ...] = (),
     prefactor: bool = False,
 ) -> QSeries:
     """Sum over the weights mu of ``coset`` of dim_of(mu) q^(p/2 (mu,mu+2delta))
@@ -120,11 +117,15 @@ def _cone_sum(
     Each kept summand is added on the integer grid of the grain, only below
     the cutoff, and an AssertionError is raised unless it starts at F(mu).
 
-    Prefactor: the grid and :func:`_prefactor` are power series in q^(1/grain)
-    with nonnegative exponents, so coefficient k of their product reads only
-    coefficients <= k of each.  A grid index i times prefactor term j lands at
-    i + j grain.  The prefactor has at least ceil(cutoff) >= ceil(L / grain)
-    terms, L the grid's length, so no slice i::grain is longer; each bounds the map.
+    Prefix: the final grid, after the divisions and the prefactor product, is
+    kept in ``_cone_sums`` per family and grain, at the longest length built,
+    and a request reads its first L = cutoff grain entries (an integer: the
+    grain is a multiple of the cutoff's denominator).  These equal a build at
+    L: the window {F < cutoff} grows with the cutoff, and a weight outside the
+    shorter one starts at index F grain >= L; the strided running sums of the
+    divisions read only lower coefficients, and so does the product, where
+    index i times prefactor term j lands at i + j grain and the prefactor's
+    ceil(cutoff) = ceil(L / grain) terms cover every slice i::grain.
 
     Grain: on coset k, mu = w_k + beta with beta in the root lattice, so
     (mu,mu) - (w_k,w_k) is even and 2 (mu - w_k, delta) an integer; every
@@ -139,31 +140,36 @@ def _cone_sum(
     linear = summand_exponent_bound(rank, p) * scaled_coeff_sum(lowest)
     if linear < cutoff and dim_of(lowest):
         grain = lcm(grain, 2, (Fraction(p, 2) * casimir_pairing(lowest)).denominator)
-    coeffs = [0] * ceil(cutoff * grain)
-    for mu, n in _cone_window(rank, p, coset, cutoff):
-        dim = dim_of(mu)
-        if dim == 0:
-            continue
-        poly, d = _spec_of_gaps(mu.coeffs)
-        start, rem = divmod(n * grain, 2 * rank)
-        if p * scaled_casimir(mu) - rank * d != n or not poly[0] or rem:
-            raise AssertionError(
-                f"summand at {mu} does not start at its floor {Fraction(n, 2 * rank)}"
-                f" on the grid of 1/{grain}; truncation would be unsound"
-            )
-        for k, a in zip(range(start, len(coeffs), grain), poly):
-            coeffs[k] += dim * a
-    for h in divisors:
-        divide_series_one_minus_q(coeffs, h * grain)
-    if prefactor:
-        pref = _prefactor(rank, ceil(cutoff))
-        cone, coeffs = coeffs, [0] * len(coeffs)
-        for i, c in enumerate(cone):
-            if c:
-                # every coefficient of the rank-2 singlet's cone sum is 1
-                part = pref if c == 1 else map(mul, pref, repeat(c))
-                coeffs[i::grain] = map(add, coeffs[i::grain], part)
-    return QSeries.from_grid(dict(enumerate(coeffs)), grain, cutoff)
+    key = (rank, p, coset, dim_of, divisors, prefactor, grain)
+    length = ceil(cutoff * grain)
+    grid = _cone_sums.get(key, ())
+    if len(grid) < length:
+        coeffs = [0] * length
+        for mu, n in _cone_window(rank, p, coset, cutoff):
+            dim = dim_of(mu)
+            if dim == 0:
+                continue
+            poly, d = _spec_of_gaps(mu.coeffs)
+            start, rem = divmod(n * grain, 2 * rank)
+            if p * scaled_casimir(mu) - rank * d != n or not poly[0] or rem:
+                raise AssertionError(
+                    f"summand at {mu} does not start at its floor {Fraction(n, 2 * rank)}"
+                    f" on the grid of 1/{grain}; truncation would be unsound"
+                )
+            for k, a in zip(range(start, length, grain), poly):
+                coeffs[k] += dim * a
+        for h in divisors:
+            divide_series_one_minus_q(coeffs, h * grain)
+        if prefactor:
+            pref = _prefactor(rank, ceil(cutoff))
+            cone, coeffs = coeffs, [0] * length
+            for i, c in enumerate(cone):
+                if c:
+                    # every coefficient of the rank-2 singlet's cone sum is 1
+                    part = pref if c == 1 else map(mul, pref, repeat(c))
+                    coeffs[i::grain] = map(add, coeffs[i::grain], part)
+        grid = _cone_sums[key] = tuple(coeffs)
+    return QSeries.from_grid(dict(zip(range(length), grid)), grain, cutoff)
 
 
 def singlet_char(spec: CharacterSpec) -> QSeries:
@@ -201,7 +207,7 @@ def rhs_singlet_limit(
         )
     cut = CharacterSpec(components, p, "singlet", cutoff).cutoff
     lower, upper = range(1, components + 1), range(components + 1, rank + 1)
-    cross = [j - i for j in upper for i in lower]
+    cross = tuple(j - i for j in upper for i in lower)
     return _cone_sum(components, p, 0, cut, zero_weight_dim, cross)
 
 

@@ -4,7 +4,7 @@ positivity, cone-window safety, and the comparison-side assemblies."""
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil, lcm
 
 import pytest
@@ -331,28 +331,22 @@ def test_rhs_triplet_leading_terms():
     assert series.low == 1
 
 
-@pytest.fixture
-def cold_prefactors():
-    voa_characters._prefactors.clear()
-    yield voa_characters._prefactors
-    voa_characters._prefactors.clear()
-
-
-def test_characters_are_schedule_independent_values(cold_prefactors):
+def test_characters_are_schedule_independent_values(cold_cone_sums):
     # two independent evaluations construct equal values
     spec = CharacterSpec(3, 2, "singlet", 14)
     assert singlet_char(spec) == singlet_char(spec)
-    # order 300 rebuilds the rank-3 prefactor that order 100 built, and order
-    # 100 then reads the longer one; neither may change what the other computes
+    # order 300 rebuilds the rank-3 grid that order 100 built, and order 100
+    # then reads the longer one; neither may change what the other computes
     low, high = (CharacterSpec(3, 2, "singlet", order) for order in (100, 300))
     cold_low = singlet_char(low).to_json_dict()
-    cold_prefactors.clear()
+    cold_cone_sums.clear()
     cold_high = singlet_char(high).to_json_dict()
     assert singlet_char(low).to_json_dict() == cold_low
-    cold_prefactors.clear()
+    cold_cone_sums.clear()
     assert singlet_char(low).to_json_dict() == cold_low
     assert singlet_char(high).to_json_dict() == cold_high
-    assert {rank: len(pref) for rank, pref in cold_prefactors.items()} == {3: 300}
+    # one grid for the family, at order 300 on the grain 2
+    assert [len(grid) for grid in cold_cone_sums.values()] == [600]
 
 
 # -- the pentagonal prefactor against the per-factor division -----------------
@@ -371,7 +365,7 @@ def per_factor_prefactor(rank, length):
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_prefactor_matches_the_per_factor_division(cold_prefactors, order):
+def test_prefactor_matches_the_per_factor_division(order):
     # factors with k >= n leave the first n coefficients, so the length-200
     # reference covers every shorter length
     expected = {rank: per_factor_prefactor(rank, 200) for rank in (2, 3, 4, 5)}
@@ -382,30 +376,77 @@ def test_prefactor_matches_the_per_factor_division(cold_prefactors, order):
         random.Random(16).shuffle(requests)
     for rank, n in requests:
         pref = _prefactor(rank, n)
-        assert isinstance(pref, tuple) and len(pref) >= n
-        assert pref[:n] == expected[rank][:n], (rank, n)
-    assert {rank: len(pref) for rank, pref in cold_prefactors.items()} == dict.fromkeys(
-        expected, 200)
+        assert isinstance(pref, tuple) and len(pref) == n
+        assert pref == expected[rank][:n], (rank, n)
 
 
-def test_prefactor_matches_the_per_factor_division_past_a_power_of_two(cold_prefactors):
+def test_prefactor_matches_the_per_factor_division_past_a_power_of_two():
     assert _prefactor(2, 2049) == per_factor_prefactor(2, 2049)
 
 
-def test_prefactor_memo_keeps_one_tuple_per_rank_at_the_longest_length(cold_prefactors):
-    # a longer request rebuilds at exactly its length, with no rounding up;
-    # a shorter one reads the longer tuple
+def test_cone_memo_keeps_one_grid_per_family_at_the_longest_length(cold_cone_sums):
+    # a longer order rebuilds at exactly its length, cutoff times the grain 2,
+    # with no rounding up; a shorter one reads the longer grid
     for rank, n in [(2, 1), (3, 65), (2, 129), (3, 33), (5, 17), (2, 100)]:
-        _prefactor(rank, n)
-    assert {rank: len(pref) for rank, pref in cold_prefactors.items()} == {
-        2: 129, 3: 65, 5: 17}
-    longest = cold_prefactors[2]
-    assert _prefactor(2, 129) is longest and _prefactor(2, 5) is longest
+        singlet_char(CharacterSpec(rank, 2, "singlet", n))
+    assert {key[0]: len(grid) for key, grid in cold_cone_sums.items()} == {
+        2: 258, 3: 130, 5: 34}
+    (key,) = (key for key in cold_cone_sums if key[0] == 2)
+    longest = cold_cone_sums[key]
+    for n in (129, 5):
+        singlet_char(CharacterSpec(2, 2, "singlet", n))
+        assert cold_cone_sums[key] is longest
     singlet_char(CharacterSpec(2, 2, "singlet", Fraction(401, 2)))
-    assert len(cold_prefactors[2]) == 201  # ceil(cutoff)
+    assert len(cold_cone_sums[key]) == 401  # cutoff times the grain
 
 
-def test_prefactor_is_an_immutable_prefix_of_the_longer_ones(cold_prefactors):
+# Integer and fractional cutoffs; on each family they change the grain, and
+# order 1 holds the grain boundary of the triplet r3 p2 (grain 6 on coset 1,
+# 1 on coset 2, both with no terms).
+MEMO_CUTOFFS = (Fraction(1, 2), 1, 2, Fraction(7, 3), 5, Fraction(11, 2), 9)
+
+
+def memo_requests():
+    """One request per entry point, rank 2-4, p 2-3, coset or component count
+    and cutoff, as (label, thunk)."""
+    for rank in (2, 3, 4):
+        for p in (2, 3):
+            for cut in MEMO_CUTOFFS:
+                yield (rank, p, "singlet", cut), partial(
+                    singlet_char, CharacterSpec(rank, p, "singlet", cut))
+                for coset in range(rank):
+                    yield (rank, p, "triplet", coset, cut), partial(
+                        triplet_char, CharacterSpec(rank, p, "triplet", cut, coset))
+                    yield (rank, p, "rhs triplet", coset, cut), partial(
+                        rhs_triplet_limit, rank, p, coset, cut)
+                for components in range(2, rank + 1):
+                    yield (rank, p, "rhs singlet", components, cut), partial(
+                        rhs_singlet_limit, rank, components, p, cut)
+
+
+@pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
+def test_memo_reads_equal_the_cold_builds(cold_cone_sums, schedule):
+    boundary = [triplet_char(CharacterSpec(3, 2, "triplet", 1, coset)) for coset in (1, 2)]
+    assert [(series.grain, series.terms) for series in boundary] == [(6, {}), (1, {})]
+    cold_cone_sums.clear()
+    requests = sorted(memo_requests(), key=lambda request: Fraction(request[0][-1]))
+    if schedule == "descending":
+        requests.reverse()
+    elif schedule == "shuffled":
+        random.Random(18).shuffle(requests)
+    for label, thunk in requests:
+        warm = thunk().to_json()
+        kept = dict(cold_cone_sums)
+        # a repeat at the same length reads the kept grid and builds nothing
+        assert thunk().to_json() == warm, label
+        assert all(cold_cone_sums[key] is grid for key, grid in kept.items()), label
+        cold_cone_sums.clear()
+        assert thunk().to_json() == warm, label
+        cold_cone_sums.clear()
+        cold_cone_sums.update(kept)
+
+
+def test_prefactor_is_an_immutable_prefix_of_the_longer_ones():
     for rank in (2, 3, 5):
         series = _prefactor(rank, 16)
         assert isinstance(series, tuple) and len(series) == 16
