@@ -7,19 +7,18 @@ of dominant weights in one coset of the root lattice.  Only the weights
 whose summand reaches below the cutoff are visited: its lowest exponent is a
 closed-form floor that grows in every coordinate, so that window is walked
 directly in integer arithmetic.  The kept summands are added below the
-cutoff on one integer grid, each floor re-checked at run time.  The
-prefactor, from Euler's pentagonal recurrence, is added into the character
-once for each nonzero coefficient of that grid.  One grid per character
-family, the longest built, serves every shorter order from its prefix.
+cutoff on one integer grid, each floor re-checked at run time, and the
+prefactor is applied to that grid in place by strided differences and Euler's
+pentagonal recurrence.  One grid per character family, the longest built,
+serves every shorter order from its prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import ceil, isqrt, lcm
-from operator import add, mul
+from operator import sub
 from typing import Callable
 
 from .lie_sl import (
@@ -31,7 +30,7 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import QSeries, _exact_int, divide_series_one_minus_q, one_minus_q_product
+from .qseries import QSeries, _exact_int, divide_series_one_minus_q
 from .schur_spec import _spec_of_gaps
 
 _ExponentLike = Fraction | int
@@ -58,6 +57,9 @@ class CharacterSpec:
             raise ValueError(f"coset index must be in 0..{self.rank - 1}")
         if self.kind == "singlet" and self.coset != 0:
             raise ValueError("the singlet character lives on coset 0")
+        # a float's Fraction has a power-of-two denominator, and the grain with it
+        if type(self.cutoff) not in (Fraction, int):
+            raise ValueError(f"cutoff must be a Fraction or an integer, got {self.cutoff!r}")
         object.__setattr__(self, "cutoff", Fraction(self.cutoff))
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -69,21 +71,23 @@ def summand_exponent_bound(rank: int, p: int) -> Fraction:
     return Fraction(p, 2 * rank) + Fraction(p - 1, 2)
 
 
-def _prefactor(rank: int, length: int) -> tuple[int, ...]:
-    """The first ``length`` coefficients of H_r / E^(r-1), that is of
-    prod_(k<r) (1 - q^k)^(r-k) divided r - 1 times by the Euler product E =
-    1 + sum_(m>=1) (-1)^m (q^(m(3m-1)/2) + q^(m(3m+1)/2)) (pentagonal number
-    theorem; each g >= m^2): c E = a reads c[n] = a[n] - sum e_g c[n-g] over
-    the g in 1..n, each c[n-g] already final, so O(r N sqrt N) in all.
+def _times_prefactor(coeffs: list[int], rank: int) -> list[int]:
+    """Multiply the list in place by H_r / E^(r-1), as a power series
+    truncated at its length: by (1 - q^k), r - k times for each k < r, then
+    r - 1 times divided by the Euler product E = 1 + sum_(m>=1) (-1)^m
+    (q^(m(3m-1)/2) + q^(m(3m+1)/2)) (pentagonal number theorem; g >= m^2):
+    c E = a reads c[n] = a[n] - sum e_g c[n-g] over g in 1..n, so O(r N sqrt N).
     """
-    heights = [k for k in range(1, rank) for _ in range(rank - k)]
-    coeffs = (one_minus_q_product(heights) + [0] * length)[:length]
+    for k in range(1, rank):
+        for _ in range(rank - k):
+            coeffs[k:] = map(sub, coeffs[k:], coeffs[:-k])
+    length = len(coeffs)
     pentagonal = [(g, (-1) ** m) for m in range(1, isqrt(length) + 1)
                   for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2) if g < length]
     for _ in range(rank - 1):
         for n in range(1, length):
             coeffs[n] -= sum([e * coeffs[n - g] for g, e in pentagonal if g <= n])
-    return tuple(coeffs)
+    return coeffs
 
 
 _cone_sums: dict[tuple, tuple[int, ...]] = {}
@@ -117,15 +121,15 @@ def _cone_sum(
     Each kept summand is added on the integer grid of the grain, only below
     the cutoff, and an AssertionError is raised unless it starts at F(mu).
 
-    Prefix: the final grid, after the divisions and the prefactor product, is
-    kept in ``_cone_sums`` per family and grain, at the longest length built,
-    and a request reads its first L = cutoff grain entries (an integer: the
-    grain is a multiple of the cutoff's denominator).  These equal a build at
-    L: the window {F < cutoff} grows with the cutoff, and a weight outside the
-    shorter one starts at index F grain >= L; the strided running sums of the
-    divisions read only lower coefficients, and so does the product, where
-    index i times prefactor term j lands at i + j grain and the prefactor's
-    ceil(cutoff) = ceil(L / grain) terms cover every slice i::grain.
+    Prefix: H_r / E^(r-1) is a series in integer powers of q, so
+    :func:`_times_prefactor` applies it to each residue slice i::grain.  The
+    final grid is kept in ``_cone_sums`` per family and grain, at the longest
+    length built, and a request reads its first L = cutoff grain entries (an
+    integer: the grain is a multiple of the cutoff's denominator).  These
+    equal a build at L: the window {F < cutoff} grows with the cutoff, and a
+    weight outside the shorter one starts at index F grain >= L; every later
+    step is a strided sum, a strided difference or the pentagonal recurrence,
+    and each reads only lower coefficients.
 
     Grain: on coset k, mu = w_k + beta with beta in the root lattice, so
     (mu,mu) - (w_k,w_k) is even and 2 (mu - w_k, delta) an integer; every
@@ -161,13 +165,9 @@ def _cone_sum(
         for h in divisors:
             divide_series_one_minus_q(coeffs, h * grain)
         if prefactor:
-            pref = _prefactor(rank, ceil(cutoff))
-            cone, coeffs = coeffs, [0] * length
-            for i, c in enumerate(cone):
-                if c:
-                    # every coefficient of the rank-2 singlet's cone sum is 1
-                    part = pref if c == 1 else map(mul, pref, repeat(c))
-                    coeffs[i::grain] = map(add, coeffs[i::grain], part)
+            for i in range(grain):
+                if any(coeffs[i::grain]):
+                    coeffs[i::grain] = _times_prefactor(coeffs[i::grain], rank)
         grid = _cone_sums[key] = tuple(coeffs)
     return QSeries.from_grid(dict(zip(range(length), grid)), grain, cutoff)
 

@@ -5,7 +5,9 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import ceil, lcm
+from itertools import repeat
+from math import ceil, gcd, lcm
+from operator import add, mul
 
 import pytest
 import qtorus.voa_characters as voa_characters
@@ -25,7 +27,7 @@ from qtorus import (
     summand_exponent_bound,
     triplet_char,
 )
-from qtorus.voa_characters import _cone_sum, _cone_window, _prefactor
+from qtorus.voa_characters import _cone_sum, _cone_window, _times_prefactor
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
 from qtorus.qseries import divide_series_one_minus_q, one_minus_q_product
 
@@ -53,6 +55,18 @@ def test_spec_fields_must_be_ints(field, value):
     args[field] = value
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         CharacterSpec(**args)
+
+
+@pytest.mark.parametrize("cutoff", [0.1, 2.5, True, "7/3"])
+def test_spec_cutoff_must_be_a_fraction_or_an_int(cutoff):
+    # Fraction(0.1) has the denominator 2^55, which would become the grain
+    match = re.escape(f"cutoff must be a Fraction or an integer, got {cutoff!r}")
+    with pytest.raises(ValueError, match=match):
+        CharacterSpec(2, 2, "singlet", cutoff)
+    with pytest.raises(ValueError, match=match):
+        rhs_singlet_limit(3, 2, 2, cutoff)
+    with pytest.raises(ValueError, match=match):
+        rhs_triplet_limit(2, 2, 0, cutoff)
 
 
 def test_singlet_leading_term_is_vacuum():
@@ -364,6 +378,14 @@ def per_factor_prefactor(rank, length):
     return tuple(coeffs)
 
 
+def prefactor_series(rank, n):
+    """The first n coefficients of H_r / E^(r-1): the in-place operator
+    applied to the series 1 truncated at n."""
+    coeffs = ([1] + [0] * n)[:n]
+    assert _times_prefactor(coeffs, rank) is coeffs
+    return tuple(coeffs)
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_prefactor_matches_the_per_factor_division(order):
     # factors with k >= n leave the first n coefficients, so the length-200
@@ -375,13 +397,13 @@ def test_prefactor_matches_the_per_factor_division(order):
     elif order == "shuffled":
         random.Random(16).shuffle(requests)
     for rank, n in requests:
-        pref = _prefactor(rank, n)
+        pref = prefactor_series(rank, n)
         assert isinstance(pref, tuple) and len(pref) == n
         assert pref == expected[rank][:n], (rank, n)
 
 
 def test_prefactor_matches_the_per_factor_division_past_a_power_of_two():
-    assert _prefactor(2, 2049) == per_factor_prefactor(2, 2049)
+    assert prefactor_series(2, 2049) == per_factor_prefactor(2, 2049)
 
 
 def test_cone_memo_keeps_one_grid_per_family_at_the_longest_length(cold_cone_sums):
@@ -448,12 +470,75 @@ def test_memo_reads_equal_the_cold_builds(cold_cone_sums, schedule):
 
 def test_prefactor_is_an_immutable_prefix_of_the_longer_ones():
     for rank in (2, 3, 5):
-        series = _prefactor(rank, 16)
+        series = prefactor_series(rank, 16)
         assert isinstance(series, tuple) and len(series) == 16
         for n in (1, 2, 4, 8, 16):
-            assert _prefactor(rank, 2 * n)[:n] == series[:n]
+            assert prefactor_series(rank, 2 * n)[:n] == series[:n]
     # rank 2: 1 / prod_(k >= 2) (1 - q^k), the partitions without a part 1
-    assert _prefactor(2, 8)[:8] == (1, 0, 1, 1, 2, 2, 4, 4)
+    assert prefactor_series(2, 8)[:8] == (1, 0, 1, 1, 2, 2, 4, 4)
+
+
+# -- the in-place prefactor against the cone-times-series product ------------
+
+
+def reference_times_prefactor(grid, rank, grain):
+    """The prefactor applied to a grid of step 1/grain by the product that the
+    in-place operator replaced: the series at ceil(len / grain) terms, added
+    into a second buffer once per nonzero coefficient c at index i, as c times
+    term j at index i + j grain."""
+    pref = per_factor_prefactor(rank, ceil(len(grid) / grain))
+    out = [0] * len(grid)
+    for i, c in enumerate(grid):
+        if c:
+            out[i::grain] = map(add, out[i::grain], map(mul, pref, repeat(c)))
+    return out
+
+
+def random_grid(rng, n, grain, parity):
+    """Sparse and dense integer coefficients, with the residue slices i::grain
+    of i = parity mod 2 left at zero."""
+    grid = [rng.choice((0, 0, 0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(n)]
+    for i in range(parity, grain, 2):
+        grid[i::grain] = [0] * len(grid[i::grain])
+    return grid
+
+
+def test_times_prefactor_matches_the_product_and_is_causal():
+    rng = random.Random(19)
+    for rank in (2, 3, 4, 5):
+        for n in list(range(12)) + [31, 64, 65, 150]:
+            grid = random_grid(rng, n, 1, 1)
+            result = _times_prefactor(list(grid), rank)
+            assert result == reference_times_prefactor(grid, rank, 1), (rank, n)
+            for m in range(n + 1):
+                assert _times_prefactor(grid[:m], rank) == result[:m], (rank, n, m)
+
+
+@pytest.mark.parametrize("grain", [1, 2, 6, 8, 10, 24])
+def test_cone_sum_applies_the_prefactor_to_every_residue_slice(
+        cold_cone_sums, monkeypatch, grain):
+    # zero_weight_dim off the root lattice keeps no weight, so the grain is
+    # the cutoff's denominator and the grid is the one the division leaves:
+    # here a random one, so that every residue slice can be nonzero
+    grids = []
+    monkeypatch.setattr(voa_characters, "divide_series_one_minus_q",
+                        lambda coeffs, d: coeffs.__setitem__(slice(None), grids[-1]))
+    rng = random.Random(grain)
+    lengths = [n for n in (1, 2, grain - 1, grain + 1, 3 * grain + 1, 7 * grain - 1)
+               if n > 0 and gcd(n, grain) == 1]
+    for rank in (2, 3, 4, 5):
+        # even ranks keep the odd slices, at an even grain the last one among them
+        grid = random_grid(rng, max(lengths), grain, rank % 2)
+        results = {}
+        for n in lengths:
+            cold_cone_sums.clear()
+            grids.append(grid[:n])
+            char = _cone_sum(rank, 2, 1, Fraction(n, grain), zero_weight_dim, (1,), True)
+            assert char.grain == grain
+            results[n] = [char._grid.get(j, 0) for j in range(n)]
+            assert results[n] == reference_times_prefactor(grid[:n], rank, grain), (rank, n)
+        # each shorter build is the prefix of the longest
+        assert all(results[n] == results[max(lengths)][:n] for n in lengths), rank
 
 
 # -- the characters against the per-factor division ----------------------------
@@ -462,7 +547,8 @@ def test_prefactor_is_an_immutable_prefix_of_the_longer_ones():
 def reference_character(spec):
     """The cone sum divided in place by each (1 - q^k) of the prefactor,
     min(k, r) - 1 times, as the running sum b[j] = a[j] + b[j - k grain] on
-    the exponent grid: the per-factor division the prefactor series replaces."""
+    the exponent grid: the per-factor division that the pentagonal
+    recurrence replaced."""
     r, cut = spec.rank, spec.cutoff
     dim_of = zero_weight_dim if spec.kind == "singlet" else weyl_dim
     cone = _cone_sum(r, spec.p, spec.coset, cut, dim_of)
