@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
 from .lie_sl import _cone_window, partition_of_weight, scaled_coeff_sum
-from .qseries import QSeries, _exact_int
+from .qseries import QSeries, _exact_cutoff, _exact_int
 from .schur_spec import _spec_of_gaps, principal_spec
 
 
@@ -92,6 +92,7 @@ def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSerie
 def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
     """The specialized coloured invariant, as an exact Laurent polynomial,
     or truncated at ``below``, which needs 2 <= components <= rank + 1."""
+    below = None if below is None else _exact_cutoff(below)
     return QSeries.from_grid(_doubled_sum(spec, below), 2, below)
 
 
@@ -153,7 +154,7 @@ def triplet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
 def _shifted(
     spec: TorusLinkSpec, shift: Fraction, grain: int, cutoff: Fraction | int | None
 ) -> QSeries:
-    below = None if cutoff is None else Fraction(cutoff) - shift
+    below = None if cutoff is None else _exact_cutoff(cutoff) - shift
     # q^shift times the invariant, on the grid of 1/grain
     if (shift * grain).denominator != 1:
         raise ValueError(f"grain {grain} does not cover the shift {shift}")

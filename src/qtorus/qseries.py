@@ -20,7 +20,8 @@ import json
 import re
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, gcd, lcm
+from math import ceil, gcd, isqrt, lcm
+from operator import sub
 from typing import Callable, Iterable, Mapping, Union
 
 _ExponentLike = Union[Fraction, int, str]
@@ -40,6 +41,13 @@ def _exact_int(value, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _exact_cutoff(value) -> Fraction:
+    # a float's Fraction has a power-of-two denominator, and the grain with it
+    if type(value) not in (Fraction, int):
+        raise ValueError(f"cutoff must be a Fraction or an integer, got {value!r}")
+    return Fraction(value)
 
 
 def _min_cutoff(a: Fraction | None, b: Fraction | None) -> Fraction | None:
@@ -403,11 +411,11 @@ def exact_div(num: QSeries, den: QSeries) -> QSeries:
     return _least_grain({k + lo_a - lo_b: c for k, c in enumerate(quot) if c}, g, None)
 
 
-def one_minus_q_product(heights: Iterable[int]) -> list[int]:
-    """Coefficient list (index = exponent) of the product of (1 - q^h), h >= 1."""
-    coeffs = [1]
-    for h in heights:
-        coeffs = [a - b for a, b in zip(coeffs + [0] * h, [0] * h + coeffs)]
+def times_one_minus_q(coeffs: list[int], h: int) -> list[int]:
+    """Multiply the list in place by (1 - q^h), h >= 1, as a power series
+    truncated at its length n: b[k] = a[k] - a[k-h], one strided difference;
+    h >= n leaves the list as it is."""
+    coeffs[h:] = map(sub, coeffs[h:], coeffs[:-h])
     return coeffs
 
 
@@ -416,22 +424,6 @@ def divide_series_one_minus_q(coeffs: list[int], d: int) -> list[int]:
     at its length n: b[k] = a[k] + b[k-d], one running sum per residue r < n - d."""
     for r in range(min(d, len(coeffs) - d)):
         coeffs[r::d] = accumulate(coeffs[r::d])
-    return coeffs
-
-
-def divide_one_minus_q(coeffs: list[int], heights: Iterable[int]) -> list[int]:
-    """Divide the coefficient list in place by each (1 - q^d), exactly.
-
-    The power-series quotient is the running sum of
-    :func:`divide_series_one_minus_q`; it is a polynomial exactly when
-    b[k] = 0 for deg(a) - d < k <= deg(a), since beyond deg(a) the sum then
-    only copies zeros.  Raises ValueError if not.
-    """
-    for d in heights:
-        divide_series_one_minus_q(coeffs, d)
-        if any(coeffs[-d:]):
-            raise ValueError(f"not exactly divisible by 1 - q^{d}")
-        del coeffs[-d:]
     return coeffs
 
 
@@ -445,18 +437,18 @@ def _dense(series: QSeries, g: int) -> tuple[list[int], int]:
     return out, low
 
 
-def euler_product(cutoff: _ExponentLike) -> QSeries:
-    """The product of (1 - q^k) over k >= 1, truncated at ``cutoff``.
+def _pentagonal(length: int) -> list[tuple[int, int]]:
+    """(g, (-1)^m) for the pentagonal numbers 0 < g = m(3m -+ 1)/2 < length,
+    m >= 1, increasing: prod_(k>=1) (1 - q^k) = 1 + sum (-1)^m q^g (Euler's
+    pentagonal number theorem); g >= m^2, so m <= isqrt(length) covers them."""
+    return [(g, (-1) ** m) for m in range(1, isqrt(length) + 1)
+            for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2) if g < length]
 
-    By Euler's pentagonal number theorem it is the sum over all integers m of
-    (-1)^m q^(m(3m-1)/2); both exponents at +-m grow with m >= 0.
-    """
+
+def euler_product(cutoff: _ExponentLike) -> QSeries:
+    """The product of (1 - q^k) over k >= 1, truncated at ``cutoff``: 1 plus
+    the terms of :func:`_pentagonal` below it."""
     cut = _exp(cutoff)
     if cut < 0:
         raise ValueError("cutoff must be nonnegative")
-    terms: dict[int, int] = {}
-    m = 0
-    while m * (3 * m - 1) // 2 < cut:
-        terms[m * (3 * m - 1) // 2] = terms[m * (3 * m + 1) // 2] = (-1) ** m
-        m += 1
-    return QSeries.from_grid(terms, 1, cut)
+    return QSeries.from_grid({0: 1, **dict(_pentagonal(ceil(cut)))}, 1, cut)

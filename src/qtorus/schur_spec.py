@@ -2,8 +2,8 @@
 
 The symmetric normalization is used throughout: the Schur polynomial is
 evaluated at q^((r-1)/2), q^((r-3)/2), ..., q^((1-r)/2), giving a palindromic
-Laurent polynomial of grain 2.  The product form is evaluated on an integer
-coefficient list, by exact division of products of factors 1 - q^k.
+Laurent polynomial of grain 2.  The product form is evaluated on one integer
+coefficient list by the in-place (1 - q^h) kernels, with one exactness check.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .combinatorics import as_partition
 from .lie_sl import WeightVector, partition_of_weight
-from .qseries import QSeries, divide_one_minus_q, one_minus_q_product
+from .qseries import QSeries, divide_series_one_minus_q, times_one_minus_q
 
 
 def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
@@ -49,12 +49,24 @@ SPEC_CACHE_SIZE = 1024
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _spec_of_gaps(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(P, D) at rank len(gaps) + 1 for the shapes with row differences
-    ``gaps``; the gap at k is counted in D by the k(rank - k) pairs i <= k < j."""
+    ``gaps``; the gap at k is counted in D by the k(rank - k) pairs i <= k < j.
+
+    The factors act in any order on length S + 1, S = sum h_ij = D + sum (j - i):
+    the (1 - q^h_ij) exactly, and the divisions leave the power-series quotient
+    Q.  If Q is 0 above degree D, Q times the divisors has degree at most S and
+    agrees with the product below q^(S+1), so equals it: P = Q.  Otherwise no
+    P exists (it would be Q), and ValueError is raised.
+    """
     rank = len(gaps) + 1
     pairs = [(i, j) for j in range(rank) for i in range(j)]
-    poly = one_minus_q_product(sum(gaps[i:j]) + j - i for i, j in pairs)
-    poly = divide_one_minus_q(poly, (j - i for i, j in pairs))
-    return tuple(poly), sum(k * (rank - k) * g for k, g in enumerate(gaps, 1))
+    d = sum(k * (rank - k) * g for k, g in enumerate(gaps, 1))
+    poly = [1] + [0] * (d + sum(j - i for i, j in pairs))
+    for i, j in pairs:
+        times_one_minus_q(poly, sum(gaps[i:j]) + j - i)
+        divide_series_one_minus_q(poly, j - i)
+    if any(poly[d + 1:]):
+        raise ValueError(f"not exactly divisible by the (1 - q^(j - i)) at gaps {gaps}")
+    return tuple(poly[:d + 1]), d
 
 
 def principal_spec_weight(mu: WeightVector) -> QSeries:

@@ -32,7 +32,7 @@ from .link_invariants import (
     shifted_invariant_singlet,
     shifted_invariant_triplet,
 )
-from .qseries import QSeries, _min_cutoff
+from .qseries import QSeries, _exact_cutoff, _min_cutoff
 from .voa_characters import (
     rhs_singlet_limit,
     rhs_triplet_limit,
@@ -128,7 +128,7 @@ def verify_singlet_theorem(
     Passes when the agreement order reaches (p/(2c) + (p-1)/2) * colour,
     capped at the cutoff.
     """
-    cut = Fraction(cutoff)
+    cut = _exact_cutoff(cutoff)
     spec = TorusLinkSpec(rank, components, p, colour)
     lhs = shifted_invariant_singlet(spec, cut)
     rhs = rhs_singlet_limit(rank, components, p, cut)
@@ -151,7 +151,7 @@ def verify_triplet_theorem(
         raise ValueError(
             f"colour {colour} is not congruent to coset {coset} modulo rank {rank}"
         )
-    cut = Fraction(cutoff)
+    cut = _exact_cutoff(cutoff)
     spec = TorusLinkSpec(rank, rank + 1, p, colour)
     lhs = shifted_invariant_triplet(spec, cut)
     rhs = rhs_triplet_limit(rank, p, coset, cut)
@@ -179,18 +179,18 @@ def check_prop_zero_weight(shape: Iterable[int], rank: int) -> bool:
     return kostka(lam, (k,) * rank) == oracle == zero_weight_dim(mu)
 
 
-def check_prop_full_dim(shape: Iterable[int], colour: int, rank: int) -> str:
-    """Full-dimension proposition on one shape: returns pass/fail/skipped.
+def _in_full_dim_domain(lam: Partition, colour: int, rank: int) -> bool:
+    """The full-dimension proposition's domain: weight colour * (rank + 1),
+    at most ``rank`` rows, the ``rank``-th row at least the colour."""
+    return (sum(lam) == colour * (rank + 1) and len(lam) <= rank
+            and (lam + (0,) * rank)[rank - 1] >= colour)
 
-    Applies to shapes of weight colour*(rank+1) with at most rank rows whose
-    last row is at least the colour; anything else is skipped, not failed.
-    """
+
+def check_prop_full_dim(shape: Iterable[int], colour: int, rank: int) -> str:
+    """Full-dimension proposition on one shape: returns pass/fail/skipped;
+    a shape outside :func:`_in_full_dim_domain` is skipped, not failed."""
     lam = as_partition(shape)
-    if (
-        sum(lam) != colour * (rank + 1)
-        or len(lam) > rank
-        or (lam + (0,) * rank)[rank - 1] < colour
-    ):
+    if not _in_full_dim_domain(lam, colour, rank):
         return "skipped"
     lhs = kostka(lam, (colour,) * (rank + 1))
     rhs = weyl_dim(weight_of_partition(lam, rank))
@@ -267,10 +267,9 @@ def phi_bijection_check(shape: Iterable[int], colour: int, rank: int) -> bool:
     proposition's domain.
     """
     lam = as_partition(shape)
-    padded = lam + (0,) * rank
-    if sum(lam) != colour * (rank + 1) or len(lam) > rank or padded[rank - 1] < colour:
+    if not _in_full_dim_domain(lam, colour, rank):
         raise ValueError("shape is outside the bijection's domain")
-    width = padded[rank - 1]
+    width = (lam + (0,) * rank)[rank - 1]
     small_shape = strip_columns(lam) if len(lam) == rank else lam
     big = enumerate_ssyt(lam, (colour,) * (rank + 1))
     small = enumerate_ssyt_bounded(small_shape, rank)
@@ -299,8 +298,8 @@ def scan_propositions(
 
     The zero-weight check runs on every shape of weight at most
     ``max_weight`` with at most ``rank`` rows; the full-dimension check and
-    the bijection on every shape of weight colour * (rank + 1) at most
-    ``max_weight`` with ``rank`` rows, the last at least the colour.
+    the bijection on every shape of weight at most ``max_weight`` in
+    :func:`_in_full_dim_domain` at a colour >= 1.
     """
     zero_shapes = [
         lam for weight in range(max_weight + 1) for lam in partitions_of(weight, rank)
@@ -309,7 +308,7 @@ def scan_propositions(
         (lam, colour)
         for colour in range(1, max_weight // (rank + 1) + 1)
         for lam in partitions_of(colour * (rank + 1), rank)
-        if len(lam) == rank and lam[-1] >= colour
+        if _in_full_dim_domain(lam, colour, rank)
     ]
     return [
         ("props-zero-weight", len(zero_shapes),

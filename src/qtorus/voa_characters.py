@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, lcm
-from operator import sub
+from math import ceil, lcm
 from typing import Callable
 
 from .lie_sl import (
@@ -30,7 +29,8 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import QSeries, _exact_int, divide_series_one_minus_q
+from .qseries import (QSeries, _exact_cutoff, _exact_int, _pentagonal,
+                      divide_series_one_minus_q, times_one_minus_q)
 from .schur_spec import _spec_of_gaps
 
 _ExponentLike = Fraction | int
@@ -57,10 +57,7 @@ class CharacterSpec:
             raise ValueError(f"coset index must be in 0..{self.rank - 1}")
         if self.kind == "singlet" and self.coset != 0:
             raise ValueError("the singlet character lives on coset 0")
-        # a float's Fraction has a power-of-two denominator, and the grain with it
-        if type(self.cutoff) not in (Fraction, int):
-            raise ValueError(f"cutoff must be a Fraction or an integer, got {self.cutoff!r}")
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
+        object.__setattr__(self, "cutoff", _exact_cutoff(self.cutoff))
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
 
@@ -74,16 +71,14 @@ def summand_exponent_bound(rank: int, p: int) -> Fraction:
 def _times_prefactor(coeffs: list[int], rank: int) -> list[int]:
     """Multiply the list in place by H_r / E^(r-1), as a power series
     truncated at its length: by (1 - q^k), r - k times for each k < r, then
-    r - 1 times divided by the Euler product E = 1 + sum_(m>=1) (-1)^m
-    (q^(m(3m-1)/2) + q^(m(3m+1)/2)) (pentagonal number theorem; g >= m^2):
-    c E = a reads c[n] = a[n] - sum e_g c[n-g] over g in 1..n, so O(r N sqrt N).
-    """
+    r - 1 times divided by the Euler product E = 1 + sum e_g q^g, the terms
+    (g, e_g) of ``_pentagonal``: c E = a reads c[n] = a[n] - sum e_g c[n-g]
+    over g in 1..n, so O(r N sqrt N)."""
     for k in range(1, rank):
         for _ in range(rank - k):
-            coeffs[k:] = map(sub, coeffs[k:], coeffs[:-k])
+            times_one_minus_q(coeffs, k)
     length = len(coeffs)
-    pentagonal = [(g, (-1) ** m) for m in range(1, isqrt(length) + 1)
-                  for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2) if g < length]
+    pentagonal = _pentagonal(length)
     for _ in range(rank - 1):
         for n in range(1, length):
             coeffs[n] -= sum([e * coeffs[n - g] for g, e in pentagonal if g <= n])

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 from qtorus import QSeries, WeightVector, exact_div, partition_of_weight
 from qtorus.combinatorics import perm_sign
-from qtorus.qseries import one_minus_q_product
 
 
 # -- the weight lattice -------------------------------------------------------
@@ -85,7 +84,9 @@ def weyl_denominator(rank: int) -> QSeries:
         raise ValueError("rank must be at least 2")
     heights = [j - i for j in range(rank + 1) for i in range(1, j)]
     sign, shift = (-1) ** len(heights), sum(heights)
-    poly = one_minus_q_product(heights)
+    poly = [1]
+    for h in heights:
+        poly = [a - b for a, b in zip(poly + [0] * h, [0] * h + poly)]
     return QSeries.from_grid({2 * k - shift: sign * c for k, c in enumerate(poly)}, 2)
 
 

@@ -18,11 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus import QSeries, euler_product, exact_div, first_disagreement, invert_unit
-from qtorus.qseries import (
-    divide_one_minus_q,
-    divide_series_one_minus_q,
-    one_minus_q_product,
-)
+from qtorus.qseries import divide_series_one_minus_q, times_one_minus_q
 
 
 # -- independent oracles -------------------------------------------------------
@@ -408,18 +404,41 @@ def _one_minus_q_series(heights) -> QSeries:
 
 
 @settings(deadline=None)
-@given(st.lists(st.integers(1, 9), max_size=8))
-def test_one_minus_q_product_matches_series_product(heights):
-    coeffs = one_minus_q_product(heights)
-    assert len(coeffs) == sum(heights) + 1
-    assert QSeries(dict(enumerate(coeffs))) == _one_minus_q_series(heights)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=40),
+    st.lists(st.integers(1, 45), max_size=6),
+)
+def test_times_one_minus_q_matches_the_truncated_series_product(coeffs, heights):
+    # the strided difference against the slow path: the exact product, truncated
+    cut = len(coeffs)
+    expected = (QSeries(dict(enumerate(coeffs))) * _one_minus_q_series(heights)).truncate(cut)
+    product = list(coeffs)
+    for h in heights:
+        assert times_one_minus_q(product, h) is product
+    assert len(product) == cut
+    assert QSeries(dict(enumerate(product)), cut) == expected
 
 
 @settings(deadline=None)
-@given(st.lists(st.integers(1, 9), max_size=6), st.lists(st.integers(1, 9), max_size=6))
-def test_divide_one_minus_q_undoes_the_product(kept, divided):
-    coeffs = one_minus_q_product(kept + divided)
-    assert divide_one_minus_q(coeffs, divided) == one_minus_q_product(kept)
+@given(st.data())
+def test_times_one_minus_q_past_the_length_leaves_the_list(data):
+    coeffs = data.draw(st.lists(st.integers(-(2**70), 2**70), max_size=30))
+    h = data.draw(st.integers(max(len(coeffs), 1), len(coeffs) + 10))
+    before = list(coeffs)
+    assert times_one_minus_q(coeffs, h) is coeffs
+    assert coeffs == before
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=30), st.lists(st.integers(1, 9), max_size=6))
+def test_series_division_undoes_times_one_minus_q(coeffs, heights):
+    # both kernels are exact on power series truncated at the length
+    out = list(coeffs)
+    for h in heights:
+        times_one_minus_q(out, h)
+    for h in reversed(heights):
+        divide_series_one_minus_q(out, h)
+    assert out == coeffs
 
 
 @settings(deadline=None)
@@ -480,21 +499,14 @@ def test_series_division_at_the_schedule_boundary(n):
         _assert_division_matches_the_strided_reference(coeffs, d)
 
 
-@pytest.mark.parametrize(
-    "heights,wrong",
-    [([3, 5], [2]), ([2, 2], [2, 3]), ([4], [4, 1]), ([1], [2]), ([], [1])],
-)
-def test_divide_one_minus_q_raises_on_a_wrong_height(heights, wrong):
-    with pytest.raises(ValueError, match="not exactly divisible"):
-        divide_one_minus_q(one_minus_q_product(heights), wrong)
-
-
-def test_divide_one_minus_q_checks_the_quotient_against_exact_div():
-    # a polynomial that is not a product of (1 - q^h) factors
+def test_kernel_pair_quotient_matches_exact_div():
+    # a polynomial that is not a product of (1 - q^h) factors, times one and
+    # divided by it again at the length of the product
     coeffs = [2, -1, 0, 5, -6, 1, -1]
     num = QSeries(dict(enumerate(coeffs))) * QSeries({0: 1, 3: -1})
-    grid = [num.coefficient(k) for k in range(len(coeffs) + 3)]
-    assert divide_one_minus_q(grid, [3]) == coeffs
+    grid = times_one_minus_q(coeffs + [0] * 3, 3)
+    assert grid == [num.coefficient(k) for k in range(len(coeffs) + 3)]
+    assert divide_series_one_minus_q(grid, 3) == coeffs + [0] * 3
     assert exact_div(num, QSeries({0: 1, 3: -1})) == QSeries(dict(enumerate(coeffs)))
 
 

@@ -1,8 +1,10 @@
 """Principal specializations: product formula vs alternant oracle,
 palindromicity, the dimension limit, and the denominator identity."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from qtorus import schur_spec
@@ -20,6 +22,7 @@ from qtorus import (
     weyl_dim,
 )
 
+import oracles
 from oracles import (
     alternant,
     alternant_spec_oracle,
@@ -76,17 +79,56 @@ def cold_spec_cache():
 
 
 def test_dividing_by_a_wrong_height_raises(monkeypatch, cold_spec_cache):
-    divide = schur_spec.divide_one_minus_q
+    divide = schur_spec.divide_series_one_minus_q
 
-    def off_by_one(coeffs, heights):
-        return divide(coeffs, [d + 1 for d in heights])
+    def off_by_one(coeffs, d):
+        return divide(coeffs, d + 1)
 
-    monkeypatch.setattr(schur_spec, "divide_one_minus_q", off_by_one)
+    monkeypatch.setattr(schur_spec, "divide_series_one_minus_q", off_by_one)
     with pytest.raises(ValueError, match="not exactly divisible"):
         principal_spec((2, 1), 3)
     # the torus-link invariant's integer sum divides with the same check
     with pytest.raises(ValueError, match="not exactly divisible"):
         jones_torus_link(TorusLinkSpec(3, 2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "gaps,call,wrong",
+    [
+        ((2,), 0, 2),  # (1 - q^3) / (1 - q^2) is no polynomial
+        ((0,), 0, 2),  # nor is (1 - q) / (1 - q^2)
+        ((1, 1), 1, 1),  # a polynomial of degree D + 1: the tail check sees it
+        ((0, 2), 2, 4),
+        ((1, 0, 1), 5, 2),
+    ],
+)
+def test_spec_raises_unless_the_quotient_stops_at_degree_d(
+        monkeypatch, cold_spec_cache, gaps, call, wrong):
+    # one divisor replaced: (1 - q^wrong) at the call-th division
+    divide, calls = schur_spec.divide_series_one_minus_q, []
+
+    def wrong_once(coeffs, d):
+        calls.append(d)
+        return divide(coeffs, wrong if len(calls) == call + 1 else d)
+
+    monkeypatch.setattr(schur_spec, "divide_series_one_minus_q", wrong_once)
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        schur_spec._spec_of_gaps(gaps)
+    assert calls[call] != wrong
+
+
+def test_oracles_share_no_factor_kernel_with_production():
+    # the Weyl denominator oracle checks the (1 - q^h) kernels, so it must not
+    # reach them by an import, an attribute or a bare name
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kernels = {"times_one_minus_q", "divide_series_one_minus_q", "_spec_of_gaps",
+               "_times_prefactor"}
+    assert {"QSeries", "exact_div", "from_grid"} <= names  # the walk sees the module
+    assert not names & kernels
 
 
 # (rank, components, colour): the largest colour of each jones_full family

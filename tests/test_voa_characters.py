@@ -10,26 +10,33 @@ from math import ceil, gcd, lcm
 from operator import add, mul
 
 import pytest
+import qtorus.link_invariants as link_invariants
 import qtorus.voa_characters as voa_characters
 from qtorus import (
     CharacterSpec,
     QSeries,
+    TorusLinkSpec,
     WeightVector,
     dominant_weights,
     euler_product,
     first_disagreement,
     invert_unit,
+    jones_torus_link,
     principal_spec_weight,
     rhs_singlet_limit,
     rhs_triplet_limit,
     scaled_coeff_sum,
+    shifted_invariant_singlet,
+    shifted_invariant_triplet,
     singlet_char,
     summand_exponent_bound,
     triplet_char,
+    verify_singlet_theorem,
+    verify_triplet_theorem,
 )
 from qtorus.voa_characters import _cone_sum, _cone_window, _times_prefactor
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
-from qtorus.qseries import divide_series_one_minus_q, one_minus_q_product
+from qtorus.qseries import divide_series_one_minus_q
 
 from oracles import pairing, weyl_vector
 
@@ -57,16 +64,30 @@ def test_spec_fields_must_be_ints(field, value):
         CharacterSpec(**args)
 
 
+def unreachable(*args):
+    raise AssertionError(f"a bad cutoff reached the build: {args}")
+
+
 @pytest.mark.parametrize("cutoff", [0.1, 2.5, True, "7/3"])
-def test_spec_cutoff_must_be_a_fraction_or_an_int(cutoff):
-    # Fraction(0.1) has the denominator 2^55, which would become the grain
+def test_spec_cutoff_must_be_a_fraction_or_an_int(monkeypatch, cutoff):
+    # Fraction(0.1) has the denominator 2^55, which would become the grain: the
+    # character grid would be about 3.6e15 entries long, so no build may start
+    monkeypatch.setattr(voa_characters, "_cone_sum", unreachable)
+    monkeypatch.setattr(link_invariants, "_doubled_sum", unreachable)
+    calls = [
+        lambda: CharacterSpec(2, 2, "singlet", cutoff),
+        lambda: rhs_singlet_limit(3, 2, 2, cutoff),
+        lambda: rhs_triplet_limit(2, 2, 0, cutoff),
+        lambda: verify_singlet_theorem(2, 2, 2, 10, cutoff),
+        lambda: verify_triplet_theorem(2, 2, 0, 10, cutoff),
+        lambda: shifted_invariant_singlet(TorusLinkSpec(2, 2, 2, 10), cutoff),
+        lambda: shifted_invariant_triplet(TorusLinkSpec(2, 3, 2, 10), cutoff),
+        lambda: jones_torus_link(TorusLinkSpec(2, 2, 2, 10), cutoff),
+    ]
     match = re.escape(f"cutoff must be a Fraction or an integer, got {cutoff!r}")
-    with pytest.raises(ValueError, match=match):
-        CharacterSpec(2, 2, "singlet", cutoff)
-    with pytest.raises(ValueError, match=match):
-        rhs_singlet_limit(3, 2, 2, cutoff)
-    with pytest.raises(ValueError, match=match):
-        rhs_triplet_limit(2, 2, 0, cutoff)
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_singlet_leading_term_is_vacuum():
@@ -279,7 +300,10 @@ def test_cone_weights_lie_in_the_right_coset():
 
 def product_series(heights):
     """Product of (1 - q^h) over ``heights``, as an exact series."""
-    return QSeries(dict(enumerate(one_minus_q_product(heights))))
+    out = QSeries.one()
+    for h in heights:
+        out = out * QSeries({0: 1, h: -1})
+    return out
 
 
 def height_product(rank):
