@@ -56,24 +56,26 @@ def partitions_of(n: int, max_len: int) -> Iterator[Partition]:
     """Yield the partitions of n with at most max_len parts.
 
     Deterministic lexicographically decreasing order: (4) before (3,1)
-    before (2,2).  Weight zero yields only the empty partition.
+    before (2,2).  Weight zero yields only the empty partition.  The next one
+    lowers the last part whose tail still fits the slots left, and refills greedily.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
-
-    def rec(remaining: int, cap: int, slots: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
+    if n and max_len <= 0:
+        return
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        tail = 0
+        while parts:
+            part = parts.pop()
+            tail += part
+            if part > 1 and tail - part + 1 <= (part - 1) * (max_len - len(parts) - 1):
+                break
+        else:
             return
-        if slots <= 0:
-            return
-        top = min(cap, remaining)
-        lowest = -(-remaining // slots)
-        for first in range(top, lowest - 1, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(n, n, max_len)
+        whole, rest = divmod(tail - part + 1, part - 1)
+        parts += [part - 1] * (whole + 1) + [rest] * (rest > 0)
 
 
 def compositions_of(n: int, length: int) -> Iterator[Composition]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil
 from typing import Iterable, Iterator
 
 from .combinatorics import Partition, as_partition, kostka
@@ -111,13 +110,13 @@ def scaled_coeff_sum(mu: WeightVector) -> int:
     return sum(i * a for i, a in enumerate(mu.coeffs, 1))
 
 
-def _cone_window(rank: int, p: int, coset: int, cutoff: Fraction):
-    """Yield each dominant weight of ``coset`` whose floor F lies below
-    ``cutoff``, paired with the integer 2r F; see ``voa_characters._cone_sum``."""
+def _cone_window(rank: int, p: int, coset: int, limit: int):
+    """Yield each dominant weight of ``coset`` whose floor F has 2r F below
+    ``limit``, paired with the integer 2r F; see ``voa_characters._cone_sum``.
+    F < cutoff iff 2r F < ceil(2r cutoff): an integer x < y iff x < ceil(y)."""
     coords = range(1, rank)
     gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
     linear = [rank * (p - 1) * i * (rank - i) for i in coords]
-    limit = ceil(2 * rank * cutoff)  # an integer is below 2r cutoff iff below this
 
     def walk(k: int, coeffs: tuple[int, ...], n: int, scaled: int):
         # n is 2r F of coeffs padded with zeros

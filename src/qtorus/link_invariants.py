@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import ceil, lcm
+from math import lcm
 from operator import sub
 from typing import Iterator
 
 from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
 from .lie_sl import _cone_window, partition_of_weight, scaled_coeff_sum
-from .qseries import QSeries, _exact_cutoff, _exact_int
+from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int
 from .schur_spec import _spec_of_gaps, principal_spec
 
 
@@ -41,7 +41,12 @@ class TorusLinkSpec:
 
 
 def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
-    """Lowest exponent of the summand at ``lam`` in :func:`jones_summands`.
+    """Lowest exponent of the summand at ``lam`` in :func:`jones_summands`."""
+    return Fraction(_doubled_floor(spec, lam), 2)
+
+
+def _doubled_floor(spec: TorusLinkSpec, lam: Partition) -> int:
+    """Twice :func:`summand_floor`, an integer.
 
     Floor: the summand is weight * q^(p kappa(lam)/2) times the principal
     specialization, the sum over the weights mu of s_lam of K(lam, mu)
@@ -51,7 +56,8 @@ def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
     sum (lam_i - mu+_i) rho_i = sum_k (partial-sum gap at k)(rho_k -
     rho_(k+1)) >= 0.  Both are equalities only at mu = w0.lam, where
     K(lam, lam) = 1.  So the summand starts at weight * q^floor, floor =
-    p kappa(lam)/2 - sum_i lam_i rho_i.
+    p kappa(lam)/2 - sum_i lam_i rho_i, and 2 floor = p kappa(lam) -
+    sum_i lam_i (r+1-2i) is an integer.
 
     Window: let |lam| = N = nc, m = min(r, c) and mu(lam) the rank-m weight
     with labels lam_i - lam_(i+1), i < m; in the sum-zero model it is
@@ -64,12 +70,13 @@ def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
     m = c <= r, plus the triplet shift when c = r + 1.  As sum i a_i =
     N - m lam_m, mu(lam) lies in coset N mod m and lam =
     ``partition_of_weight(mu, k)``, k = (N - sum i a_i)/m; each weight of that
-    coset with k >= 0 is some mu(lam).  So the shapes with floor below
-    ``below`` are the images of the cone window below ``below`` plus the shift.
+    coset with k >= 0 is some mu(lam).  So the shapes whose floor plus the
+    shift lies below a cutoff are the images of the cone window below it; its
+    integer 2m F(mu(lam)) is m times the doubled floor plus 2m shift, an
+    integer as the shift's denominator divides 2 (singlet) or 2r = 2m (triplet).
     """
     r = spec.rank
-    lowest_weight = sum(l * (r + 1 - 2 * i) for i, l in enumerate(lam, 1))
-    return Fraction(spec.p * kappa(lam) - lowest_weight, 2)
+    return spec.p * kappa(lam) - sum(l * (r + 1 - 2 * i) for i, l in enumerate(lam, 1))
 
 
 def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSeries]]:
@@ -92,38 +99,46 @@ def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSerie
 def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
     """The specialized coloured invariant, as an exact Laurent polynomial,
     or truncated at ``below``, which needs 2 <= components <= rank + 1."""
-    below = None if below is None else _exact_cutoff(below)
-    return QSeries.from_grid(_doubled_sum(spec, below), 2, below)
-
-
-def _kept_shapes(spec: TorusLinkSpec, below: Fraction) -> dict[Partition, int]:
-    """Each shape whose summand floor lies below ``below``, with 2m times that
-    floor, from the rank-m cone window; see :func:`summand_floor`."""
-    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
+    if below is None:
+        return QSeries.from_grid(_doubled_sum(spec), 2)
+    c, r, below = spec.components, spec.rank, _exact_cutoff(below)
     if not 2 <= c <= r + 1:
         raise ValueError(
             f"below needs 2 <= components <= rank + 1, got components={c} rank={r}")
     shift = singlet_shift_exponent(spec) if c <= r else triplet_shift_exponent(spec)
+    m = min(r, c)
+    scaled = shift.numerator * (2 * m // shift.denominator)  # 2m shift, exact
+    terms = _doubled_sum(spec, _ceil_times(below, 2 * m) + scaled, scaled)
+    return QSeries.from_grid(terms, 2, below)
+
+
+def _kept_shapes(spec: TorusLinkSpec, limit: int, shift: int) -> dict[Partition, int]:
+    """Each shape whose floor F has 2m F + ``shift`` (2m times the shift) below
+    ``limit``, with 2m F, from the rank-m cone window; see :func:`_doubled_floor`."""
+    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     m, kept = min(r, c), {}
-    offset = int(2 * m * shift)  # exact: the shift's denominator divides 2m
-    for mu, scaled in _cone_window(m, p, n * c % m, below + shift):
+    for mu, scaled in _cone_window(m, p, n * c % m, limit):
         k = (n * c - scaled_coeff_sum(mu)) // m  # exact on the coset
         if k >= 0:
-            kept[partition_of_weight(mu, k)] = scaled - offset
+            kept[partition_of_weight(mu, k)] = scaled - shift
     return kept
 
 
-def _doubled_sum(
-    spec: TorusLinkSpec, below: Fraction | None, step: int = 1, offset: int = 0
-) -> dict[int, int]:
+def _doubled_sum(spec: TorusLinkSpec, limit: int | None = None, shift: int = 0,
+                 step: int = 1, offset: int = 0) -> dict[int, int]:
     # jones_summands on integers: the k-th term of weight * q^(p*kappa/2 - D/2) P(q)
     # is keyed step * (p*kappa - D + 2k) + offset; P(0) = 1 is its floor.  The shapes
-    # are partitions already: Kostka from one table on their union, (P, D) by gaps
+    # are partitions already: Kostka from one table on their union, (P, D) by gaps.
+    # Cut at limit = ceil(2m cutoff), shift = 2m s: term k of doubled floor base stays
+    # iff m (base + 2k) + shift < limit, iff base + 2k < top2 = ceil((limit - shift)/m)
+    # (an integer x < y iff x < ceil(y)), iff k < (top2 - base + 1) // 2.  top2 is
+    # the former ceil(2 (cutoff - s)), as ceil(ceil(x)/m) = ceil(x/m).
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     m = min(r, c)
-    shapes = list(partitions_of(n * c, m)) if below is None else _kept_shapes(spec, below)
+    shapes = list(partitions_of(n * c, m)) if limit is None else _kept_shapes(spec, limit, shift)
     bound = tuple(map(max, zip_longest(*shapes, fillvalue=0)))
     table, rows, zeros = _kostka_table(bound, (n,) * c), len(bound), (0,) * r
+    top2 = None if limit is None else -((shift - limit) // m)
     acc: dict[int, int] = {}
     get = acc.get
     for lam in shapes:
@@ -131,10 +146,10 @@ def _doubled_sum(
         weight = table.get(padded[:rows], 0)
         poly, d = _spec_of_gaps(tuple(map(sub, padded, padded[1:])))
         base = p * sum(l * (l + 1 - 2 * i) for i, l in enumerate(lam, 1)) - d
-        if below is not None:
-            if base != 2 * summand_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
+        if top2 is not None:
+            if base != _doubled_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
                 raise AssertionError(f"summand {lam} does not start at its floor")
-            poly = poly[:(ceil(2 * below) - base + 1) // 2]  # 2 * exponent < 2 * below
+            poly = poly[:(top2 - base + 1) // 2]
         start = base * step + offset
         for e, a in zip(range(start, start + 2 * step * len(poly), 2 * step), poly):
             acc[e] = get(e, 0) + weight * a
@@ -143,23 +158,27 @@ def _doubled_sum(
 
 def singlet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
-    return Fraction(p, 2) * (-n * n * c + n * c * c) + Fraction(n * c * (r - c), 2)
+    return Fraction(p * n * c * (c - n) + n * c * (r - c), 2)
 
 
 def triplet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
     n, r, p = spec.colour, spec.rank, spec.p
-    return Fraction(p, 2) * (Fraction(-n * n * (r + 1) ** 2, r) + n * r * (r + 1))
+    return Fraction(p * n * (r + 1) * (r * r - n * (r + 1)), 2 * r)
 
 
 def _shifted(
     spec: TorusLinkSpec, shift: Fraction, grain: int, cutoff: Fraction | int | None
 ) -> QSeries:
-    below = None if cutoff is None else _exact_cutoff(cutoff) - shift
-    # q^shift times the invariant, on the grid of 1/grain
-    if (shift * grain).denominator != 1:
+    # q^shift times the invariant, on the grid of 1/grain, from the integers
+    # grain shift, 2m shift (the grain, 2 or 2r, divides 2m) and ceil(2m cutoff)
+    offset, rem = divmod(shift.numerator * grain, shift.denominator)
+    if rem:
         raise ValueError(f"grain {grain} does not cover the shift {shift}")
-    terms = _doubled_sum(spec, below, grain // 2, int(shift * grain))
-    return QSeries.from_grid(terms, grain, cutoff)
+    cut = None if cutoff is None else _exact_cutoff(cutoff)
+    m = min(spec.rank, spec.components)
+    limit = None if cut is None else _ceil_times(cut, 2 * m)
+    terms = _doubled_sum(spec, limit, 2 * m * offset // grain, grain // 2, offset)
+    return QSeries.from_grid(terms, grain, cut)
 
 
 def shifted_invariant_singlet(

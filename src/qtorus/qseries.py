@@ -20,7 +20,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, gcd, inf, isqrt, lcm
 from operator import sub
 from typing import Callable, Iterable, Mapping, Union
 
@@ -47,7 +47,12 @@ def _exact_cutoff(value) -> Fraction:
     # a float's Fraction has a power-of-two denominator, and the grain with it
     if type(value) not in (Fraction, int):
         raise ValueError(f"cutoff must be a Fraction or an integer, got {value!r}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _ceil_times(cut: Fraction, g: int) -> int:
+    # ceil(g * cut) with no Fraction built; an integer lies below g * cut iff below it
+    return -(-g * cut.numerator // cut.denominator)
 
 
 def _min_cutoff(a: Fraction | None, b: Fraction | None) -> Fraction | None:
@@ -121,14 +126,17 @@ class QSeries:
     ) -> "QSeries":
         """The sum of c q^(k/grain) over ``coeffs``, whose keys k are distinct
         integers, so nothing is added up; the terms at or above ``cutoff`` drop.
-        The grain is lifted to cover the cutoff's denominator."""
+        The grain is lifted to cover the cutoff's denominator.  A dict with no zero
+        and no key at or above the cutoff is kept, not copied: the caller hands it over."""
         cut = None if cutoff is None else _exp(cutoff)
         g = grain if cut is None else lcm(grain, cut.denominator)
         series = cls((), cut, g)
         if g != grain:
             coeffs = {k * (g // grain): c for k, c in coeffs.items()}
-        top = None if cut is None else ceil(cut * g)
-        series._grid = {k: c for k, c in coeffs.items() if c and (top is None or k < top)}
+        top = inf if cut is None else _ceil_times(cut, g)
+        if type(coeffs) is not dict or 0 in coeffs.values() or max(coeffs, default=0) >= top:
+            coeffs = {k: c for k, c in coeffs.items() if c and k < top}
+        series._grid = coeffs
         return series
 
     # -- inspection --------------------------------------------------------
@@ -201,7 +209,7 @@ class QSeries:
         cut = min(cuts) if cuts else None
         # both grains cover the cutoffs and the lows, so g covers cut
         g = lcm(self.grain, other.grain)
-        top = None if cut is None else ceil(cut * g)
+        top = None if cut is None else _ceil_times(cut, g)
         right = other._lift(g).items()
         acc: dict[int, int] = {}
         for k1, c1 in self._lift(g).items():

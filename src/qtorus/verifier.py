@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import Iterable
 
 from .combinatorics import (
@@ -32,7 +32,7 @@ from .link_invariants import (
     shifted_invariant_singlet,
     shifted_invariant_triplet,
 )
-from .qseries import QSeries, _exact_cutoff, _min_cutoff
+from .qseries import QSeries, _ceil_times, _exact_cutoff, _min_cutoff
 from .voa_characters import (
     rhs_singlet_limit,
     rhs_triplet_limit,
@@ -46,17 +46,15 @@ def first_disagreement(
     """Least exponent below the common cutoff where coefficients differ,
     with both coefficients as witness; None if the series agree there."""
     cut = _min_cutoff(a.cutoff, b.cutoff)
-    # on the grid of 1/g, which covers both series and so the common cutoff
+    # on the grid of 1/g, which covers both series and so the common cutoff;
+    # neither grid holds a zero, so the keys of the items in one grid only
+    # are exactly those where the coefficients differ
     g = lcm(a.grain, b.grain)
     ga, gb = a._lift(g), b._lift(g)
-    top = None if cut is None else ceil(cut * g)
-    for k in sorted(ga.keys() | gb.keys()):
-        if top is not None and k >= top:
-            break
-        ca, cb = ga.get(k, 0), gb.get(k, 0)
-        if ca != cb:
-            return Fraction(k, g), ca, cb
-    return None
+    k = min((k for k, _ in ga.items() ^ gb.items()), default=None)
+    if k is None or cut is not None and k >= _ceil_times(cut, g):
+        return None
+    return Fraction(k, g), ga.get(k, 0), gb.get(k, 0)
 
 
 @dataclass

@@ -17,19 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from itertools import compress
+from math import gcd, lcm
 from typing import Callable
 
 from .lie_sl import (
     WeightVector,
     _cone_window,
-    casimir_pairing,
     scaled_casimir,
-    scaled_coeff_sum,
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import (QSeries, _exact_cutoff, _exact_int, _pentagonal,
+from .qseries import (QSeries, _ceil_times, _exact_cutoff, _exact_int, _pentagonal,
                       divide_series_one_minus_q, times_one_minus_q)
 from .schur_spec import _spec_of_gaps
 
@@ -65,7 +64,7 @@ class CharacterSpec:
 def summand_exponent_bound(rank: int, p: int) -> Fraction:
     """Per-unit lower bound: each cone summand has lowest exponent at least
     this times sum(i * a_i) of its weight; see :func:`_cone_sum`."""
-    return Fraction(p, 2 * rank) + Fraction(p - 1, 2)
+    return Fraction(p + rank * (p - 1), 2 * rank)
 
 
 def _times_prefactor(coeffs: list[int], rank: int) -> list[int]:
@@ -86,6 +85,7 @@ def _times_prefactor(coeffs: list[int], rank: int) -> list[int]:
 
 
 _cone_sums: dict[tuple, tuple[int, ...]] = {}
+_lowest_grains: dict[tuple, int] = {}
 
 
 def _cone_sum(
@@ -112,39 +112,45 @@ def _cone_sum(
     Monotonicity: F(mu + w_i) - F(mu) = p (mu,w_i) + p/2 (w_i,w_i) +
     (p-1)(w_i,delta) > 0 for dominant mu, as p >= 2 and all these pairings are
     positive.  So {F < cutoff} is closed under lowering a coordinate, and
-    :func:`_cone_window` stops each coordinate at its first value outside it.
-    Each kept summand is added on the integer grid of the grain, only below
-    the cutoff, and an AssertionError is raised unless it starts at F(mu).
+    :func:`_cone_window` stops each coordinate at its first value outside it,
+    2r F >= ceil(2r cutoff).  Each kept summand is added on the integer grid
+    of the grain, only below the cutoff, and an AssertionError is raised
+    unless it starts at F(mu).
 
     Prefix: H_r / E^(r-1) is a series in integer powers of q, so
     :func:`_times_prefactor` applies it to each residue slice i::grain.  The
     final grid is kept in ``_cone_sums`` per family and grain, at the longest
     length built, and a request reads its first L = cutoff grain entries (an
-    integer: the grain is a multiple of the cutoff's denominator).  These
-    equal a build at L: the window {F < cutoff} grows with the cutoff, and a
-    weight outside the shorter one starts at index F grain >= L; every later
-    step is a strided sum, a strided difference or the pentagonal recurrence,
-    and each reads only lower coefficients.
+    integer: the grain is a multiple of the cutoff's denominator) into a
+    dict of its own, without the zeros.  These equal a build at L: the window
+    {F < cutoff} grows with the cutoff, and a weight outside the shorter one
+    starts at index F grain >= L; every later step is a strided sum, a
+    strided difference or the pentagonal recurrence, and each reads only
+    lower coefficients.
 
     Grain: on coset k, mu = w_k + beta with beta in the root lattice, so
     (mu,mu) - (w_k,w_k) is even and 2 (mu - w_k, delta) an integer; every
     exponent is p/2 (w_k,w_k+2delta) plus a multiple of 1/2.  Linear bound:
     (mu,mu) >= sum (w_i,w_i) a_i^2 >= sum i a_i / r and (mu,delta) >=
     sum i a_i / 2, so F >= summand_exponent_bound * sum i a_i, and sum i a_i
-    >= k on the coset.  That grain is declared whenever this bound at w_k
-    lies below the cutoff, even if no summand is kept.
+    >= k on the coset.  That grain, kept per family, is declared whenever
+    this bound at w_k lies below the cutoff, even if no summand is kept.
     """
-    lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
+    family, limit = (rank, p, coset, dim_of), _ceil_times(cutoff, 2 * rank)
+    if family not in _lowest_grains:  # p/2 (w_k, w_k + 2 delta) = p scaled_casimir / 2r
+        lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
+        half = 2 * rank // gcd(p * scaled_casimir(lowest), 2 * rank)
+        _lowest_grains[family] = lcm(2, half) if dim_of(lowest) else 1
+    # 2r times the linear bound at w_k is the integer (p + r (p - 1)) k
     grain = cutoff.denominator
-    linear = summand_exponent_bound(rank, p) * scaled_coeff_sum(lowest)
-    if linear < cutoff and dim_of(lowest):
-        grain = lcm(grain, 2, (Fraction(p, 2) * casimir_pairing(lowest)).denominator)
+    if (p + rank * (p - 1)) * coset < limit:
+        grain = lcm(grain, _lowest_grains[family])
     key = (rank, p, coset, dim_of, divisors, prefactor, grain)
-    length = ceil(cutoff * grain)
+    length = cutoff.numerator * (grain // cutoff.denominator)
     grid = _cone_sums.get(key, ())
     if len(grid) < length:
         coeffs = [0] * length
-        for mu, n in _cone_window(rank, p, coset, cutoff):
+        for mu, n in _cone_window(rank, p, coset, limit):
             dim = dim_of(mu)
             if dim == 0:
                 continue
@@ -164,7 +170,7 @@ def _cone_sum(
                 if any(coeffs[i::grain]):
                     coeffs[i::grain] = _times_prefactor(coeffs[i::grain], rank)
         grid = _cone_sums[key] = tuple(coeffs)
-    return QSeries.from_grid(dict(zip(range(length), grid)), grain, cutoff)
+    return QSeries.from_grid(dict(compress(zip(range(length), grid), grid)), grain, cutoff)
 
 
 def singlet_char(spec: CharacterSpec) -> QSeries:

@@ -3,15 +3,16 @@
 Each one computes a quantity of the library by a second route, and the tests
 compare the two: the bilinear form of the weight lattice for
 ``casimir_pairing``, the Weyl-group alternant quotient for
-``principal_spec``, the Weyl denominator for the root-height products, and
-the gap form of the framing statistic for ``kappa``.
+``principal_spec``, the Weyl denominator for the root-height products, the
+gap form of the framing statistic for ``kappa``, and the recursive
+enumeration for ``partitions_of``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from qtorus import QSeries, WeightVector, exact_div, partition_of_weight
 from qtorus.combinatorics import perm_sign
@@ -113,3 +114,24 @@ def alternant(v: tuple[Fraction, ...], d: tuple[Fraction, ...]) -> QSeries:
         e = sum((v[perm[i]] * d[i] for i in range(len(v))), Fraction(0))
         acc[e] = acc.get(e, 0) + sign
     return QSeries(acc)
+
+
+# -- partitions ---------------------------------------------------------------
+
+
+def partitions_oracle(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n with at most max_len parts, lexicographically
+    decreasing: the first part from its largest value down, the rest by
+    recursion, one nested generator per row."""
+
+    def rec(remaining: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        if slots <= 0:
+            return
+        for first in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
+            for rest in rec(remaining - first, first, slots - 1):
+                yield (first,) + rest
+
+    yield from rec(n, n, max_len)

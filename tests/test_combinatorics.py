@@ -29,7 +29,7 @@ from qtorus import (
 )
 from qtorus.cli import PROPS_WEIGHT_CAP
 
-from oracles import kappa_from_gaps
+from oracles import kappa_from_gaps, partitions_oracle
 
 
 # -- independent oracle: partition counting recurrence ---------------------------
@@ -70,6 +70,22 @@ def test_partitions_exhaustive_properties(n, k):
     for lam in seen:
         assert sum(lam) == n and len(lam) <= k
         assert as_partition(lam) == lam
+
+
+def test_partitions_match_the_recursive_enumeration():
+    # every weight up to 40 and every row cap, one more than the weight
+    # included; a cap keeps the shapes with at most that many rows, in the same
+    # lexicographic order, so the uncapped recursive list, filtered, stands for
+    # the others, and the recursion runs itself at the caps up to 6
+    for n in range(41):
+        full = list(partitions_oracle(n, n + 1))
+        for max_len in range(n + 2):
+            expected = [lam for lam in full if len(lam) <= max_len]
+            if max_len <= 6:
+                assert expected == list(partitions_oracle(n, max_len)), (n, max_len)
+            assert list(partitions_of(n, max_len)) == expected, (n, max_len)
+    assert list(partitions_of(5, 0)) == list(partitions_oracle(5, 0)) == []
+    assert list(partitions_of(0, 0)) == list(partitions_oracle(0, 0)) == [()]
 
 
 # -- kostka ----------------------------------------------------------------------

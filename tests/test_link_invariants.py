@@ -3,6 +3,7 @@ oracle, grain bookkeeping, the shifted forms and their pruning at a cutoff."""
 
 import re
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from qtorus import link_invariants, schur_spec
@@ -16,6 +17,8 @@ from qtorus import (
     kostka,
     partitions_of,
     principal_spec,
+    rhs_singlet_limit,
+    rhs_triplet_limit,
     shifted_invariant_singlet,
     shifted_invariant_triplet,
     singlet_shift_exponent,
@@ -227,6 +230,18 @@ def test_pruned_invariant_matches_truncated_exact(rank, components, colours, p):
             assert pruned.to_json_dict() == exact.truncate(cutoff).to_json_dict()
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_summand_floor_is_half_the_doubled_floor(rank):
+    for components in range(1, rank + 2):
+        for p in (1, 2, 3):
+            for n in range(5 if rank < 5 else 3):
+                spec = TorusLinkSpec(rank, components, p, n)
+                for lam in partitions_of(n * components, min(rank, components)):
+                    doubled = link_invariants._doubled_floor(spec, lam)
+                    assert type(doubled) is int
+                    assert summand_floor(spec, lam) == Fraction(doubled, 2)
+
+
 @pytest.mark.parametrize(
     "rank,components,p,n", [(2, 2, 3, 9), (3, 2, 2, 6), (3, 4, 3, 3), (4, 4, 2, 3)]
 )
@@ -265,6 +280,15 @@ def _shift(spec):
     return singlet_shift_exponent(spec)
 
 
+def window_limits(spec, below):
+    """(limit, shift) of the integer sum truncated at ``below``: ceil(2m
+    (below + s)) and 2m s, m = min(rank, components), s the shift exponent."""
+    m, shift = min(spec.rank, spec.components), _shift(spec)
+    scaled = 2 * m * shift
+    assert scaled.denominator == 1
+    return ceil(2 * m * (below + shift)), scaled.numerator
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_walked_shapes_match_the_filtered_enumeration(rank, p):
@@ -274,9 +298,59 @@ def test_walked_shapes_match_the_filtered_enumeration(rank, p):
             spec = TorusLinkSpec(rank, components, p, n)
             for cutoff in PRUNING_CUTOFFS:
                 below = cutoff - _shift(spec)
-                walked = link_invariants._kept_shapes(spec, below)
+                walked = link_invariants._kept_shapes(spec, *window_limits(spec, below))
                 floors = {lam: Fraction(v, 2 * m) for lam, v in walked.items()}
                 assert floors == reference_kept_shapes(spec, below), (spec, cutoff)
+
+
+# (rank, components, colours): every singlet rank 2-5 with 2 <= c <= r, and
+# the triplet (c = r + 1) at ranks 2-4
+LIMIT_FAMILIES = [
+    (2, 2, (3, 8)), (3, 2, (2, 6)), (3, 3, (2, 5)), (4, 2, (2, 5)), (4, 3, (1, 4)),
+    (4, 4, (1, 3)), (5, 2, (1, 4)), (5, 3, (1, 3)), (5, 4, (1, 2)), (5, 5, (1, 2)),
+    (2, 3, (4, 9)), (3, 4, (2, 5)), (4, 5, (1, 3)),
+]
+
+
+def untruncated_comparison(exact, rhs, cutoff):
+    """First exponent below the cutoff where the untruncated shifted
+    invariant and the character side differ, with both coefficients."""
+    lhs, right = exact.terms, rhs.terms
+    for e in sorted(lhs.keys() | right.keys()):
+        if e >= cutoff:
+            return None
+        if lhs.get(e, 0) != right.get(e, 0):
+            return e, lhs.get(e, 0), right.get(e, 0)
+    return None
+
+
+@pytest.mark.parametrize("rank,components,colours", LIMIT_FAMILIES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_integer_limits_match_the_untruncated_invariant(rank, components, colours, p):
+    # cutoffs of denominators 1, 2, 3, 4, 6 and 2m, and one on a term's exponent
+    m = min(rank, components)
+    for n in colours:
+        spec = TorusLinkSpec(rank, components, p, n)
+        exact, unshifted = _shifted(spec)(spec), jones_torus_link(spec)
+        on_a_term = min(e for e in exact.terms if e > 0)
+        for cutoff in (7, Fraction(13, 2), Fraction(16, 3), Fraction(21, 4),
+                       Fraction(31, 6), Fraction(10 * m + 1, 2 * m), on_a_term):
+            truncated = _shifted(spec)(spec, cutoff)
+            assert truncated.to_json() == exact.truncate(cutoff).to_json(), (spec, cutoff)
+            # the integer sum itself keeps no term at or above the cutoff
+            below = cutoff - _shift(spec)
+            doubled = link_invariants._doubled_sum(spec, *window_limits(spec, below))
+            assert doubled == {2 * e: a for e, a in unshifted.truncate(below).terms.items()}
+            if components == rank + 1:
+                coset = n % rank
+                report = verify_triplet_theorem(rank, p, coset, n, cutoff)
+                rhs = rhs_triplet_limit(rank, p, coset, cutoff)
+            else:
+                report = verify_singlet_theorem(rank, components, p, n, cutoff)
+                rhs = rhs_singlet_limit(rank, components, p, cutoff)
+            witness = untruncated_comparison(exact, rhs, cutoff)
+            assert report.witness == witness, (spec, cutoff)
+            assert report.order == (None if witness is None else witness[0])
 
 
 def record_the_integer_sum(monkeypatch):
@@ -409,11 +483,13 @@ def test_folded_keys_equal_the_remapped_doubled_sum(rank, components, p, n):
     spec = TorusLinkSpec(rank, components, p, n)
     shift = _shift(spec)
     for below in (None, Fraction(31, 6) - shift, 12 - shift):
-        doubled = link_invariants._doubled_sum(spec, below)
+        limits = () if below is None else window_limits(spec, below)
+        doubled = link_invariants._doubled_sum(spec, *limits)
         assert doubled
         for half in (1, rank):
             for offset in (int(shift * 2 * half), -1, -7 * rank - 3, 0, 5):
-                folded = link_invariants._doubled_sum(spec, below, half, offset)
+                folded = link_invariants._doubled_sum(spec, *(limits or (None, 0)),
+                                                      half, offset)
                 assert folded == {e * half + offset: a for e, a in doubled.items()}
 
 
@@ -424,7 +500,7 @@ def test_each_summand_stops_below_twice_the_window(rank, components, p, n):
     spec = TorusLinkSpec(rank, components, p, n)
     low = min(summand_floor(spec, lam) for lam in partitions_of(n * components, rank))
     for below in (low + Fraction(1, 3), low + 1, low + Fraction(31, 6), low + 12):
-        doubled = link_invariants._doubled_sum(spec, below)
+        doubled = link_invariants._doubled_sum(spec, *window_limits(spec, below))
         assert doubled and max(doubled) < 2 * below
         expected = reference_jones_torus_link(spec, below)
         assert {2 * e: a for e, a in expected.terms.items()} == {
@@ -441,7 +517,7 @@ def test_a_truncated_sum_leaves_the_cached_specializations_whole():
     # some kept summand reaches past the window, so the sum does cut one
     assert any(
         summand_floor(spec, lam) + len(schur_spec.principal_spec_poly(lam, 3)[0]) > below
-        for lam in link_invariants._kept_shapes(spec, below))
+        for lam in link_invariants._kept_shapes(spec, *window_limits(spec, below)))
     shifted_invariant_singlet(spec, 12)
     assert jones_torus_link(spec).to_json_dict() == expected
 
@@ -470,12 +546,11 @@ def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
 
 def test_integer_sum_rechecks_each_floor(monkeypatch):
     spec = TorusLinkSpec(3, 3, 2, 5)
-    floor = summand_floor
-    monkeypatch.setattr(
-        link_invariants, "summand_floor", lambda s, lam: floor(s, lam) - Fraction(1, 2))
+    floor = link_invariants._doubled_floor
+    monkeypatch.setattr(link_invariants, "_doubled_floor", lambda s, lam: floor(s, lam) - 1)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(spec, 12)
-    monkeypatch.setattr(link_invariants, "summand_floor", floor)
+    monkeypatch.setattr(link_invariants, "_doubled_floor", floor)
     spec_of = link_invariants._spec_of_gaps
 
     def lowest_term_missing(gaps):

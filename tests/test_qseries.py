@@ -98,6 +98,26 @@ def test_from_grid_matches_the_constructor(grid):
     assert series.terms == expected.terms and series.grain == expected.grain
 
 
+def test_from_grid_keeps_a_clean_dict_and_filters_any_other():
+    # a dict with no zero and no key at or above the cutoff is handed over
+    clean = {-3: 2, 0: 1, 4: -5}
+    assert QSeries.from_grid(clean, 2, Fraction(5, 2))._grid is clean
+    assert QSeries.from_grid(clean, 2)._grid is clean
+    # a zero coefficient, or a key at or above the cutoff, still drops, and
+    # the handed dict stays as it was
+    for grid, cutoff, kept in [({0: 1, 1: 0, 2: 3}, None, {0: 1, 2: 3}),
+                               ({0: 1, 1: 0, 2: 3}, 1, {0: 1}),
+                               ({0: 1, 5: 2}, Fraction(5, 2), {0: 1}),
+                               ({0: 1, 4: 2}, 2, {0: 1}),
+                               ({1: 0}, 3, {})]:
+        handed = dict(grid)
+        series = QSeries.from_grid(handed, 2, cutoff)
+        assert series._grid == kept and series._grid is not handed
+        assert handed == grid
+    # a lifted grain builds its own grid
+    assert QSeries.from_grid(clean, 2, Fraction(5, 3))._grid == {-9: 2, 0: 1}
+
+
 # -- addition ------------------------------------------------------------------
 
 

@@ -43,9 +43,12 @@ def test_agreement_with_cutoff():
 
 
 def test_agreement_ignores_terms_beyond_common_cutoff():
-    a = QSeries({0: 1, 5: 9}, cutoff=10)
-    b = QSeries({0: 1}, cutoff=4)
-    assert first_disagreement(a, b) is None
+    # beyond it, and exactly at it, on the integers and on a finer grid
+    for extra, cut in [(5, 4), (4, 4), (Fraction(7, 2), Fraction(7, 2))]:
+        a = QSeries({0: 1, extra: 9}, cutoff=10)
+        b = QSeries({0: 1}, cutoff=cut)
+        assert first_disagreement(a, b) is None
+        assert first_disagreement(b, a) is None
 
 
 # -- singlet identity ---------------------------------------------------------------

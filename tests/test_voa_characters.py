@@ -235,7 +235,7 @@ def test_cone_window_is_the_floor_filtered_cone(rank, p):
     for cutoff in WINDOW_CUTOFFS + [Fraction(25)]:
         full = enumeration_level(rank, p, cutoff)
         for coset in range(rank):
-            items = list(_cone_window(rank, p, coset, cutoff))
+            items = list(_cone_window(rank, p, coset, ceil(2 * rank * cutoff)))
             window = {mu.coeffs: Fraction(n, 2 * rank) for mu, n in items}
             assert len(window) == len(items)
             # at the full level the linear bound holds the whole window
@@ -444,6 +444,24 @@ def test_cone_memo_keeps_one_grid_per_family_at_the_longest_length(cold_cone_sum
         assert cold_cone_sums[key] is longest
     singlet_char(CharacterSpec(2, 2, "singlet", Fraction(401, 2)))
     assert len(cold_cone_sums[key]) == 401  # cutoff times the grain
+
+
+def test_cone_reads_share_no_dict_with_each_other_or_the_memo(cold_cone_sums):
+    # one read at the kept length, one shorter: each is a dict of its own, and
+    # the memo keeps a tuple that no read can change
+    spec_long = CharacterSpec(2, 2, "singlet", 60)
+    spec_short = CharacterSpec(2, 2, "singlet", 25)
+    long, short = singlet_char(spec_long), singlet_char(spec_short)
+    (grid,) = cold_cone_sums.values()
+    assert type(grid) is tuple and len(grid) == 120  # 60 times the grain 2
+    assert long._grid is not short._grid
+    expected_long, expected_short = long.to_json(), short.to_json()
+    for key in list(short._grid):
+        short._grid[key] += 1
+    long._grid.clear()
+    assert singlet_char(spec_long).to_json() == expected_long
+    assert singlet_char(spec_short).to_json() == expected_short
+    assert cold_cone_sums[next(iter(cold_cone_sums))] is grid
 
 
 # Integer and fractional cutoffs; on each family they change the grain, and
