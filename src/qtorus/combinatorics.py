@@ -2,12 +2,12 @@
 
 Kostka numbers are computed by a horizontal-strip dynamic program over
 intermediate shapes (one content row at a time), which stays fast for the
-rectangular contents (n)^c that dominate this package.  One run, bounded by
-the union of the asked shapes, tables every shape inside that bound for one
-content; a single number is the table bounded by its own shape.  One LRU
-cache holds the tables, keyed on (bound, content).  A Jacobi-Trudi
-determinant expansion is provided as an independent cross-check path, and a
-brute-force tableau enumerator backs the bijection checks.
+rectangular contents (n)^c that dominate this package.  One run tables every
+shape between the componentwise minimum and maximum of the asked shapes for
+one content; a single number is the table between its own shape and itself.
+One LRU cache holds the tables, keyed on (bound, content, floor).  A
+Jacobi-Trudi determinant expansion is provided as an independent cross-check
+path, and a brute-force tableau enumerator backs the bijection checks.
 """
 
 from __future__ import annotations
@@ -94,21 +94,22 @@ def kostka(shape: Iterable[int], content: Iterable[int]) -> int:
 
     Zero whenever the weights disagree.  The content is a composition; its
     trailing zeros are irrelevant and stripped, internal zeros are kept
-    (they contribute empty strips).  One entry of the table bounded by the
-    shape itself, where the shape's key needs no padding.
+    (they contribute empty strips).  One entry of the table bounded and
+    floored by the shape itself, where the shape's key needs no padding.
     """
     lam = as_partition(shape)
-    return _kostka_table(lam, as_composition(content)).get(lam, 0)
+    return _kostka_table(lam, as_composition(content), lam).get(lam, 0)
 
 
 def kostka_numbers(
     shapes: Iterable[Iterable[int]], content: Iterable[int]
 ) -> dict[Partition, int]:
-    """Kostka numbers of several shapes for one content, keyed on the shape,
-    from one strip DP bounded by the union (componentwise maximum) of the shapes."""
+    """Kostka numbers of several shapes for one content, keyed on the shape, from
+    one strip DP between their componentwise minimum and maximum (union)."""
     lams = [as_partition(shape) for shape in shapes]
     bound = tuple(map(max, zip_longest(*lams, fillvalue=0)))
-    table = _kostka_table(bound, as_composition(content))
+    floor = tuple(map(min, zip_longest(*lams, fillvalue=0)))
+    table = _kostka_table(bound, as_composition(content), floor)
     rows = len(bound)
     return {lam: table.get(lam + (0,) * (rows - len(lam)), 0) for lam in lams}
 
@@ -120,15 +121,23 @@ KOSTKA_TABLE_CACHE_SIZE = 512
 
 # shared by every caller, which must not mutate a table
 @lru_cache(maxsize=KOSTKA_TABLE_CACHE_SIZE)
-def _kostka_table(bound: Partition, content: Composition) -> dict[tuple[int, ...], int]:
-    """Tableau counts of every shape inside ``bound`` filled with ``content``,
-    one horizontal strip per content entry.  Shapes are keyed padded with
-    zeros to ``len(bound)`` rows."""
-    states: dict[tuple[int, ...], int] = {(0,) * len(bound): 1}
-    for size in content:
-        nxt: dict[tuple[int, ...], int] = {}
+def _kostka_table(bound: Partition, content: Composition, floor: Partition = ()) -> dict:
+    """Tableau counts of every shape between ``floor`` and ``bound`` filled with
+    ``content``, one strip per content entry, keyed padded to ``len(bound)`` rows.
+
+    Floor: in an SSYT of shape lam with entries 1..c, c = len(content), the cell
+    (i, j) with j <= lam_(i+c-k) has c - k cells below it, rising strictly to c,
+    so its entry is at most k: after k strips row i is at least lam_(i+c-k) >=
+    floor_(i+c-k) (0 past the end) for each lam on or above ``floor``, and each
+    row's range starts there.  Dominance: a partition of nc with at most c rows
+    dominates (n)^c (its first j rows average at least n), and K(lam, mu) >= 1
+    when lam dominates mu; ``link_invariants._doubled_sum`` re-checks each summand's."""
+    rows, c = len(bound), len(content)
+    states: dict[tuple[int, ...], int] = {(0,) * rows: 1}
+    for k, size in enumerate(content, 1):
+        low, nxt = floor[c - k:] + (0,) * rows, {}  # row i's floor is floor_(i+c-k)
         for nu, ways in states.items():
-            for mu in _horizontal_extensions(nu, size, bound):
+            for mu in _horizontal_extensions(nu, size, bound, low):
                 nxt[mu] = nxt.get(mu, 0) + ways
         states = nxt
         if not states:
@@ -136,18 +145,17 @@ def _kostka_table(bound: Partition, content: Composition) -> dict[tuple[int, ...
     return states
 
 
-def _horizontal_extensions(
-    nu: tuple[int, ...], size: int, bound: Partition
-) -> list[tuple[int, ...]]:
-    """All shapes inside ``bound`` obtained from nu by a horizontal strip of
-    ``size`` cells, nu and the results padded to ``len(bound)`` rows.
+def _horizontal_extensions(nu: tuple[int, ...], size: int, bound: Partition,
+                           low: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All shapes between ``low`` and ``bound`` obtained from nu by a horizontal
+    strip of ``size`` cells, nu and the results padded to ``len(bound)`` rows.
 
     The strip condition (no two added cells share a column) reads
     nu_i <= mu_i <= nu_(i-1) for every row i >= 1.  It also keeps mu a
     partition, with no cap from mu's own previous row: nu is a partition
     and nu_(i-1) <= mu_(i-1), so mu_i <= nu_(i-1) <= mu_(i-1).
     """
-    rows = len(bound)
+    rows, starts = len(bound), tuple(map(max, nu, low))
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, acc: tuple[int, ...]) -> None:
@@ -159,7 +167,7 @@ def _horizontal_extensions(
         cap = min(bound[i], base + remaining)
         if i:
             cap = min(cap, nu[i - 1])
-        for v in range(base, cap + 1):
+        for v in range(starts[i], cap + 1):
             rec(i + 1, remaining - (v - base), acc + (v,))
 
     rec(0, size, ())

@@ -8,9 +8,11 @@ weights by row differences, weights back to partitions by suffix sums.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .combinatorics import Partition, as_partition, kostka
@@ -110,29 +112,42 @@ def scaled_coeff_sum(mu: WeightVector) -> int:
     return sum(i * a for i, a in enumerate(mu.coeffs, 1))
 
 
-def _cone_window(rank: int, p: int, coset: int, limit: int):
-    """Yield each dominant weight of ``coset`` whose floor F has 2r F below
-    ``limit``, paired with the integer 2r F; see ``voa_characters._cone_sum``.
-    F < cutoff iff 2r F < ceil(2r cutoff): an integer x < y iff x < ceil(y)."""
-    coords = range(1, rank)
-    gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
-    linear = [rank * (p - 1) * i * (rank - i) for i in coords]
+_windows: dict[tuple[int, int, int], tuple[int, list[tuple]]] = {}
 
-    def walk(k: int, coeffs: tuple[int, ...], n: int, scaled: int):
-        # n is 2r F of coeffs padded with zeros
-        if k == rank - 1:
-            if scaled % rank == coset:
-                yield WeightVector(rank, coeffs), n
-            return
-        cross = 2 * p * sum(g * a for g, a in zip(gram[k], coeffs))
-        a = 0
-        while n < limit:
-            yield from walk(k + 1, coeffs + (a,), n, scaled)
-            n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
-            scaled += k + 1
-            a += 1
 
-    yield from walk(0, (), 0, 0)
+def _cone_window(rank: int, p: int, coset: int, limit: int) -> list[tuple]:
+    """Each dominant weight mu of ``coset`` whose floor F (``voa_characters._cone_sum``)
+    has 2r F below ``limit``, as (mu, 2r F, sum i a_i, rows) sorted by 2r F, where
+    partition_of_weight(mu, k) is the nonzero entries of rows plus k.  F < cutoff
+    iff 2r F < ceil(2r cutoff): an integer x < y iff x < ceil(y).
+
+    The walk yields exactly {2r F < limit}: it recurses only on prefixes whose
+    zero-padded 2r F lies below the limit, and as F grows in every coordinate, each
+    such prefix of a weight below the limit lies below it.  So the window at L <= L'
+    is the prefix with 2r F < L of the walk at L': ``_windows`` keeps the longest."""
+    walked, entries = _windows.get((rank, p, coset), (0, []))
+    if limit > walked:
+        coords = range(1, rank)
+        gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
+        linear = [rank * (p - 1) * i * (rank - i) for i in coords]
+
+        def walk(k: int, coeffs: tuple[int, ...], n: int, scaled: int):
+            # n is 2r F of coeffs padded with zeros
+            if k == rank - 1:
+                if scaled % rank == coset:
+                    rows = tuple(accumulate(reversed((*coeffs, 0))))[::-1]
+                    yield WeightVector(rank, coeffs), n, scaled, rows
+                return
+            cross = 2 * p * sum(g * a for g, a in zip(gram[k], coeffs))
+            a = 0
+            while n < limit:
+                yield from walk(k + 1, coeffs + (a,), n, scaled)
+                n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
+                scaled += k + 1
+                a += 1
+        entries = sorted(walk(0, (), 0, 0), key=itemgetter(1))
+        _windows[rank, p, coset] = limit, entries
+    return entries[:bisect_left(entries, limit, key=itemgetter(1))]
 
 
 def dominant_weights(

@@ -19,7 +19,7 @@ from operator import sub
 from typing import Iterator
 
 from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
-from .lie_sl import _cone_window, partition_of_weight, scaled_coeff_sum
+from .lie_sl import _cone_window
 from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int
 from .schur_spec import _spec_of_gaps, principal_spec
 
@@ -114,13 +114,14 @@ def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSer
 
 def _kept_shapes(spec: TorusLinkSpec, limit: int, shift: int) -> dict[Partition, int]:
     """Each shape whose floor F has 2m F + ``shift`` (2m times the shift) below
-    ``limit``, with 2m F, from the rank-m cone window; see :func:`_doubled_floor`."""
+    ``limit``, with 2m F, from the rank-m cone window: partition_of_weight(mu, k)
+    is the nonzero entries of its rows plus k; see :func:`_doubled_floor`."""
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     m, kept = min(r, c), {}
-    for mu, scaled in _cone_window(m, p, n * c % m, limit):
-        k = (n * c - scaled_coeff_sum(mu)) // m  # exact on the coset
+    for _, scaled, s, rows in _cone_window(m, p, n * c % m, limit):
+        k = (n * c - s) // m  # exact on the coset
         if k >= 0:
-            kept[partition_of_weight(mu, k)] = scaled - shift
+            kept[tuple([x + k for x in rows if x + k])] = scaled - shift
     return kept
 
 
@@ -128,7 +129,8 @@ def _doubled_sum(spec: TorusLinkSpec, limit: int | None = None, shift: int = 0,
                  step: int = 1, offset: int = 0) -> dict[int, int]:
     # jones_summands on integers: the k-th term of weight * q^(p*kappa/2 - D/2) P(q)
     # is keyed step * (p*kappa - D + 2k) + offset; P(0) = 1 is its floor.  The shapes
-    # are partitions already: Kostka from one table on their union, (P, D) by gaps.
+    # are partitions: Kostka from one table on their union (floored by their minimum
+    # if cut, each count re-checked), (P, D) by gaps.
     # Cut at limit = ceil(2m cutoff), shift = 2m s: term k of doubled floor base stays
     # iff m (base + 2k) + shift < limit, iff base + 2k < top2 = ceil((limit - shift)/m)
     # (an integer x < y iff x < ceil(y)), iff k < (top2 - base + 1) // 2.  top2 is
@@ -137,7 +139,8 @@ def _doubled_sum(spec: TorusLinkSpec, limit: int | None = None, shift: int = 0,
     m = min(r, c)
     shapes = list(partitions_of(n * c, m)) if limit is None else _kept_shapes(spec, limit, shift)
     bound = tuple(map(max, zip_longest(*shapes, fillvalue=0)))
-    table, rows, zeros = _kostka_table(bound, (n,) * c), len(bound), (0,) * r
+    floor = () if limit is None else tuple(map(min, zip_longest(*shapes, fillvalue=0)))
+    table, rows, zeros = _kostka_table(bound, (n,) * c, floor), len(bound), (0,) * r
     top2 = None if limit is None else -((shift - limit) // m)
     acc: dict[int, int] = {}
     get = acc.get
@@ -150,6 +153,8 @@ def _doubled_sum(spec: TorusLinkSpec, limit: int | None = None, shift: int = 0,
             if base != _doubled_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
                 raise AssertionError(f"summand {lam} does not start at its floor")
             poly = poly[:(top2 - base + 1) // 2]
+        if weight < 1:  # lam dominates (n)^c; see _kostka_table
+            raise AssertionError(f"summand {lam} reads Kostka number {weight}")
         start = base * step + offset
         for e, a in zip(range(start, start + 2 * step * len(poly), 2 * step), poly):
             acc[e] = get(e, 0) + weight * a

@@ -129,14 +129,16 @@ class QSeries:
         The grain is lifted to cover the cutoff's denominator.  A dict with no zero
         and no key at or above the cutoff is kept, not copied: the caller hands it over."""
         cut = None if cutoff is None else _exp(cutoff)
+        if _exact_int(grain, "grain") <= 0:
+            raise ValueError(f"grain must be positive, got {grain}")
         g = grain if cut is None else lcm(grain, cut.denominator)
-        series = cls((), cut, g)
         if g != grain:
             coeffs = {k * (g // grain): c for k, c in coeffs.items()}
         top = inf if cut is None else _ceil_times(cut, g)
         if type(coeffs) is not dict or 0 in coeffs.values() or max(coeffs, default=0) >= top:
             coeffs = {k: c for k, c in coeffs.items() if c and k < top}
-        series._grid = coeffs
+        series = cls.__new__(cls)
+        series._grid, series.cutoff, series.grain = coeffs, cut, g
         return series
 
     # -- inspection --------------------------------------------------------

@@ -150,7 +150,7 @@ def _cone_sum(
     grid = _cone_sums.get(key, ())
     if len(grid) < length:
         coeffs = [0] * length
-        for mu, n in _cone_window(rank, p, coset, limit):
+        for mu, n, _, _ in _cone_window(rank, p, coset, limit):
             dim = dim_of(mu)
             if dim == 0:
                 continue

@@ -4,8 +4,9 @@ Each one computes a quantity of the library by a second route, and the tests
 compare the two: the bilinear form of the weight lattice for
 ``casimir_pairing``, the Weyl-group alternant quotient for
 ``principal_spec``, the Weyl denominator for the root-height products, the
-gap form of the framing statistic for ``kappa``, and the recursive
-enumeration for ``partitions_of``.
+gap form of the framing statistic for ``kappa``, the recursive
+enumeration for ``partitions_of``, and the strip DP with no floor for the
+floored Kostka tables.
 """
 
 from __future__ import annotations
@@ -135,3 +136,38 @@ def partitions_oracle(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
                 yield (first,) + rest
 
     yield from rec(n, n, max_len)
+
+
+# -- Kostka numbers -------------------------------------------------------------
+
+
+def unpruned_kostka_table(bound: Sequence[int], content: Sequence[int]) -> dict:
+    """Tableau counts of every shape inside ``bound`` filled with ``content``,
+    keyed padded to ``len(bound)`` rows: the strip DP as it stood before the
+    interlacing floor, each row's range starting at the previous state's row."""
+    rows = len(bound)
+    states = {(0,) * rows: 1}
+    for size in content:
+        nxt: dict[tuple[int, ...], int] = {}
+        for nu, ways in states.items():
+            for mu in _strips(nu, size, bound):
+                nxt[mu] = nxt.get(mu, 0) + ways
+        states = nxt
+    return states
+
+
+def _strips(nu: tuple[int, ...], size: int, bound: Sequence[int]) -> list[tuple[int, ...]]:
+    # every mu inside bound with nu_i <= mu_i <= nu_(i-1) and |mu| = |nu| + size
+    out = []
+
+    def rec(i: int, remaining: int, acc: tuple[int, ...]) -> None:
+        if i == len(bound):
+            if remaining == 0:
+                out.append(acc)
+            return
+        cap = min(bound[i], nu[i] + remaining, nu[i - 1] if i else bound[i])
+        for v in range(nu[i], cap + 1):
+            rec(i + 1, remaining - (v - nu[i]), acc + (v,))
+
+    rec(0, size, ())
+    return out

@@ -4,7 +4,8 @@ oracle, cross-checked against brute-force enumeration."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, zip_longest
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from qtorus import (
 )
 from qtorus.cli import PROPS_WEIGHT_CAP
 
-from oracles import kappa_from_gaps, partitions_oracle
+from oracles import kappa_from_gaps, partitions_oracle, unpruned_kostka_table
 
 
 # -- independent oracle: partition counting recurrence ---------------------------
@@ -217,6 +218,44 @@ def test_kostka_table_matches_the_unpadded_reference(rank):
                 assert all(len(mu) == len(bound) for mu in table)
                 unpadded = {as_partition(mu): ways for mu, ways in table.items()}
                 assert unpadded == _strip_dp(bound, content)
+
+
+# -- the interlacing floor against the unpruned strip DP ----------------------------
+
+
+def _floor_contents(length, rng):
+    # a rectangle (n)^c, the verify content, and compositions with internal zeros
+    n = rng.randint(1, 12 // length + 1)
+    cap = max(1, 8 // length)
+    return [(n,) * length] + [tuple(rng.randint(0, cap) for _ in range(length - 1))
+                              + (rng.randint(1, cap),) for _ in range(2)]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_floored_tables_match_the_unpruned_dp_and_enumeration(rank):
+    # random subsets of the shapes of contents with 1 to 6 entries: the table
+    # between their componentwise minimum and maximum holds exactly the unpruned
+    # counts of the shapes on or above that minimum, and every requested count
+    # agrees with the single-shape table and, up to size 12, with enumeration
+    rng = random.Random(100 + rank)
+    checked = 0
+    for length in range(1, 7):
+        for content in [c for _ in range(12) for c in _floor_contents(length, rng)]:
+            shapes = list(partitions_of(sum(content), rank))
+            subset = rng.sample(shapes, rng.randint(1, min(len(shapes), 8)))
+            bound = tuple(map(max, zip_longest(*subset, fillvalue=0)))
+            floor = tuple(map(min, zip_longest(*subset, fillvalue=0)))
+            full = unpruned_kostka_table(bound, content)
+            table = combinatorics._kostka_table(bound, as_composition(content), floor)
+            assert table == {mu: w for mu, w in full.items() if all(map(ge, mu, floor))}
+            numbers = kostka_numbers(subset, content)
+            for lam in subset:
+                expected = full.get(lam + (0,) * (len(bound) - len(lam)), 0)
+                assert numbers[lam] == kostka(lam, content) == expected, (lam, content)
+                if sum(lam) <= 12:
+                    assert expected == len(enumerate_ssyt(lam, content))
+                checked += 1
+    assert checked >= 500  # 2,527 entries over the four ranks
 
 
 # -- one strip DP for many shapes ------------------------------------------------

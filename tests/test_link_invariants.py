@@ -1,12 +1,14 @@
 """Torus-link invariants: worked examples, the tensor-power reassembly
 oracle, grain bookkeeping, the shifted forms and their pruning at a cutoff."""
 
+import random
 import re
+import sys
 from fractions import Fraction
 from math import ceil
 
 import pytest
-from qtorus import link_invariants, schur_spec
+from qtorus import combinatorics, lie_sl, link_invariants, schur_spec
 from qtorus import (
     QSeries,
     TorusLinkSpec,
@@ -15,6 +17,7 @@ from qtorus import (
     jones_torus_link,
     kappa,
     kostka,
+    partition_of_weight,
     partitions_of,
     principal_spec,
     rhs_singlet_limit,
@@ -355,8 +358,9 @@ def test_integer_limits_match_the_untruncated_invariant(rank, components, colour
 
 def record_the_integer_sum(monkeypatch):
     """Lists that fill as the integer sum runs: the bound of each Kostka table
-    it builds, each key it reads from one, and each gap vector it specializes."""
-    bounds, looked_up, specialized = [], [], []
+    it builds, each key it reads from one, each gap vector it specializes, and
+    the floor of each table."""
+    bounds, looked_up, specialized, floors = [], [], [], []
     table_of, spec_of = link_invariants._kostka_table, link_invariants._spec_of_gaps
 
     class RecordedTable(dict):
@@ -364,9 +368,10 @@ def record_the_integer_sum(monkeypatch):
             looked_up.append(key)
             return super().get(key, default)
 
-    def recorded_table(bound, content):
+    def recorded_table(bound, content, floor=()):
         bounds.append(bound)
-        return RecordedTable(table_of(bound, content))
+        floors.append(floor)
+        return RecordedTable(table_of(bound, content, floor))
 
     def recorded_spec(gaps):
         specialized.append(gaps)
@@ -374,7 +379,7 @@ def record_the_integer_sum(monkeypatch):
 
     monkeypatch.setattr(link_invariants, "_kostka_table", recorded_table)
     monkeypatch.setattr(link_invariants, "_spec_of_gaps", recorded_spec)
-    return bounds, looked_up, specialized
+    return bounds, looked_up, specialized, floors
 
 
 def unpadded(key):
@@ -383,7 +388,7 @@ def unpadded(key):
 
 
 def test_pruning_skips_shapes_before_kostka(monkeypatch):
-    _, looked_up, specialized = record_the_integer_sum(monkeypatch)
+    _, looked_up, specialized, _ = record_the_integer_sum(monkeypatch)
     spec = TorusLinkSpec(2, 2, 2, 40)
     below = 30 - singlet_shift_exponent(spec)
     shifted_invariant_singlet(spec, 30)
@@ -523,7 +528,7 @@ def test_a_truncated_sum_leaves_the_cached_specializations_whole():
 
 
 def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
-    bounds, looked_up, _ = record_the_integer_sum(monkeypatch)
+    bounds, looked_up, _, floors = record_the_integer_sum(monkeypatch)
 
     def no_single_kostka(lam, content):
         raise AssertionError("the integer sum looked up a single Kostka number")
@@ -538,6 +543,9 @@ def test_integer_sum_tables_only_the_kept_shapes(monkeypatch):
     assert len(bounds) == 1
     assert bounds[0] == tuple(max(lam[i] if i < len(lam) else 0 for lam in kept)
                               for i in range(max(map(len, kept))))
+    # floored by their componentwise minimum, padded to the same rows
+    assert floors == [tuple(min(lam[i] if i < len(lam) else 0 for lam in kept)
+                            for i in range(len(bounds[0])))]
     assert len(looked_up) == len(kept)
     assert {unpadded(key) for key in looked_up} == kept
     assert {len(key) for key in looked_up} == {len(bounds[0])}
@@ -566,23 +574,125 @@ def test_integer_sum_rechecks_the_window_floor(monkeypatch):
     window = link_invariants._cone_window
 
     def shifted(*args):
-        for mu, n in window(*args):
-            yield mu, n + 1
+        return [(mu, n + 1, *rest) for mu, n, *rest in window(*args)]
 
+    # a warm window memo is read through the same name, so the shift reaches it
+    shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
     monkeypatch.setattr(link_invariants, "_cone_window", shifted)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
     monkeypatch.setattr(link_invariants, "_cone_window", window)
-    weight_of = link_invariants.partition_of_weight
+    kept_shapes = link_invariants._kept_shapes
 
-    def one_column_more(mu, k):
-        # a shape of the same size with the last row moved to the first
-        lam = weight_of(mu, k)
-        return (lam[0] + lam[-1],) + lam[1:-1] if len(lam) > 1 else lam
+    def one_column_more(*args):
+        # each shape of the same size with the last row moved to the first
+        return {(lam[0] + lam[-1],) + lam[1:-1] if len(lam) > 1 else lam: scaled
+                for lam, scaled in kept_shapes(*args).items()}
 
-    monkeypatch.setattr(link_invariants, "partition_of_weight", one_column_more)
+    monkeypatch.setattr(link_invariants, "_kept_shapes", one_column_more)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(TorusLinkSpec(3, 3, 2, 5), 12)
+
+
+def test_integer_sum_rechecks_each_kostka_number(monkeypatch):
+    # a floor raised to the bound keeps only the bound's own shape, so every
+    # other shape reads 0 although it dominates the content (n)^c
+    table_of = link_invariants._kostka_table
+
+    def over_pruned(bound, content, floor=()):
+        return table_of(bound, content, bound)
+
+    monkeypatch.setattr(link_invariants, "_kostka_table", over_pruned)
+    for build in (lambda: shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12),
+                  lambda: shifted_invariant_singlet(TorusLinkSpec(3, 3, 2, 5), 12),
+                  lambda: jones_torus_link(TorusLinkSpec(2, 2, 2, 3))):
+        with pytest.raises(AssertionError, match="Kostka number 0"):
+            build()
+
+
+# -- the interlacing floor keeps the Kostka table flat in the colour ------------------
+
+
+def strip_dp_work(monkeypatch, rank, colour):
+    """The states the strip DP makes, counted with repeats, and the calls of its
+    row recursion, in one verify triplet at p = 2 and order 16 with every Kostka
+    table cold."""
+    extensions, made, calls = combinatorics._horizontal_extensions, [], [0]
+
+    def counted(*args):
+        out = extensions(*args)
+        made.append(len(out))
+        return out
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec" and (
+                frame.f_globals is vars(combinatorics)):
+            calls[0] += 1
+
+    monkeypatch.setattr(combinatorics, "_horizontal_extensions", counted)
+    combinatorics._kostka_table.cache_clear()
+    sys.setprofile(profile)
+    try:
+        assert verify_triplet_theorem(rank, 2, colour % rank, colour, 16).passed
+    finally:
+        sys.setprofile(None)
+        monkeypatch.setattr(combinatorics, "_horizontal_extensions", extensions)
+    return sum(made), calls[0]
+
+
+@pytest.mark.parametrize("rank,colour", [(3, 90), (4, 40), (5, 20)])
+def test_doubling_the_colour_keeps_the_strip_dp_states(rank, colour, monkeypatch):
+    # 61, 170 and 310 states; filtered after the strips are made, they would
+    # grow with the colour
+    states, calls = strip_dp_work(monkeypatch, rank, colour)
+    doubled_states, doubled_calls = strip_dp_work(monkeypatch, rank, 2 * colour)
+    assert states == doubled_states > 0
+    # the recursion's calls are affine in the colour, a + b n with a > 0: only
+    # the last row's range, whose dead ends grow with n, is not floored.  Rows
+    # ranged from nu_i and filtered after the recursion make about 3.7 times
+    # as many calls per doubling
+    assert calls < doubled_calls < 2 * calls
+
+
+# -- one cone window per family, read by the invariant side ---------------------------
+
+
+def reference_window_shapes(spec, limit, shift):
+    """_kept_shapes from a cold walk, each shape built by partition_of_weight."""
+    lie_sl._windows.clear()
+    n, c, m = spec.colour, spec.components, min(spec.rank, spec.components)
+    kept = {}
+    for mu, scaled, _, _ in lie_sl._cone_window(m, spec.p, n * c % m, limit):
+        k = (n * c - sum(i * a for i, a in enumerate(mu.coeffs, 1))) // m
+        if k >= 0:
+            kept[partition_of_weight(mu, k)] = scaled - shift
+    return kept
+
+
+@pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
+def test_warm_window_reads_equal_cold_walks_on_the_invariant_side(schedule):
+    requests = [(TorusLinkSpec(rank, c, p, n), cutoff)
+                for rank, c in ((3, 2), (3, 3), (3, 4), (4, 5))
+                for p in (2, 3) for n in (4, 7, 12)
+                for cutoff in (Fraction(7, 3), 5, Fraction(25, 2), 20)]
+    if schedule != "shuffled":
+        requests.sort(key=lambda request: request[1], reverse=schedule == "descending")
+    else:
+        random.Random(4).shuffle(requests)
+    warm, families = [], {}
+    for spec, cutoff in requests:
+        limits = window_limits(spec, cutoff - _shift(spec))
+        m = min(spec.rank, spec.components)
+        family = (m, spec.p, spec.colour * spec.components % m)
+        families[family] = max(families.get(family, 0), limits[0])
+        warm.append((limits, link_invariants._kept_shapes(spec, *limits),
+                     _shifted(spec)(spec, cutoff).to_json()))
+    # one window per family, kept at the longest limit asked
+    assert {key: walked for key, (walked, _) in lie_sl._windows.items()} == families
+    for (spec, cutoff), (limits, shapes, series) in zip(requests, warm):
+        assert shapes == reference_window_shapes(spec, *limits)
+        lie_sl._windows.clear()
+        assert series == _shifted(spec)(spec, cutoff).to_json()
 
 
 def test_a_grain_that_misses_the_shift_raises():

@@ -118,6 +118,30 @@ def test_from_grid_keeps_a_clean_dict_and_filters_any_other():
     assert QSeries.from_grid(clean, 2, Fraction(5, 3))._grid == {-9: 2, 0: 1}
 
 
+def test_from_grid_sets_its_slots_without_the_general_constructor(monkeypatch):
+    def no_init(*args, **kwargs):
+        raise AssertionError("from_grid ran QSeries.__init__")
+
+    monkeypatch.setattr(QSeries, "__init__", no_init)
+    clean = {-3: 2, 0: 1}
+    series = QSeries.from_grid(clean, 2)
+    assert (series._grid, series.grain, series.cutoff) == (clean, 2, None)
+    series = QSeries.from_grid(clean, 2, "5/3")
+    assert (series._grid, series.grain, series.cutoff) == ({-9: 2, 0: 1}, 6, Fraction(5, 3))
+
+
+@pytest.mark.parametrize("cutoff", [None, Fraction(1, 3)])
+def test_from_grid_checks_the_grain_before_lifting_it(cutoff):
+    # lcm(-2, 3) = 6 and lcm(0, 3) = 0: a bad grain is refused before the lift
+    for grain in (2.5, True, "2", Fraction(2)):
+        message = re.escape(f"grain must be an integer, got {grain!r}")
+        with pytest.raises(ValueError, match=message):
+            QSeries.from_grid({1: 1}, grain, cutoff)
+    for grain in (0, -2):
+        with pytest.raises(ValueError, match=f"grain must be positive, got {grain}"):
+            QSeries.from_grid({1: 1}, grain, cutoff)
+
+
 # -- addition ------------------------------------------------------------------
 
 

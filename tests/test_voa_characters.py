@@ -10,6 +10,7 @@ from math import ceil, gcd, lcm
 from operator import add, mul
 
 import pytest
+import qtorus.lie_sl as lie_sl
 import qtorus.link_invariants as link_invariants
 import qtorus.voa_characters as voa_characters
 from qtorus import (
@@ -235,8 +236,8 @@ def test_cone_window_is_the_floor_filtered_cone(rank, p):
     for cutoff in WINDOW_CUTOFFS + [Fraction(25)]:
         full = enumeration_level(rank, p, cutoff)
         for coset in range(rank):
-            items = list(_cone_window(rank, p, coset, ceil(2 * rank * cutoff)))
-            window = {mu.coeffs: Fraction(n, 2 * rank) for mu, n in items}
+            items = _cone_window(rank, p, coset, ceil(2 * rank * cutoff))
+            window = {mu.coeffs: Fraction(n, 2 * rank) for mu, n, _, _ in items}
             assert len(window) == len(items)
             # at the full level the linear bound holds the whole window
             for level in (full, full // 2):
@@ -261,6 +262,41 @@ def test_doubling_the_window_changes_nothing(rank, p):
                 assert wide.truncate(cutoff) == _cone_sum(rank, p, coset, cutoff, dim_of)
 
 
+# (call at a cutoff, its window family): the four entry points of _cone_sum
+CONE_ENTRY_POINTS = [
+    (lambda cut: singlet_char(CharacterSpec(3, 2, "singlet", cut)), (3, 2, 0)),
+    (lambda cut: triplet_char(CharacterSpec(3, 3, "triplet", cut, 1)), (3, 3, 1)),
+    (lambda cut: rhs_singlet_limit(4, 3, 2, cut), (3, 2, 0)),
+    (lambda cut: rhs_triplet_limit(4, 2, 2, cut), (4, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
+def test_warm_window_reads_equal_cold_walks_on_the_character_side(schedule):
+    # each call drops the kept grids, so it builds its cone sum from the window
+    cutoffs = [Fraction(1, 2), Fraction(7, 3), 5, Fraction(25, 2), 20, Fraction(61, 3)]
+    requests = [(call, cut, family) for call, family in CONE_ENTRY_POINTS
+                for cut in cutoffs]
+    if schedule != "shuffled":
+        requests.sort(key=lambda request: request[1], reverse=schedule == "descending")
+    else:
+        random.Random(5).shuffle(requests)
+    warm = []
+    for call, cut, family in requests:
+        voa_characters._cone_sums.clear()
+        limit = ceil(2 * family[0] * Fraction(cut))
+        warm.append((call(cut).to_json(), lie_sl._cone_window(*family, limit)))
+    # one window per family, kept at the longest limit asked
+    assert {key: walked for key, (walked, _) in lie_sl._windows.items()} == {
+        family: ceil(2 * family[0] * max(cutoffs)) for _, family in CONE_ENTRY_POINTS}
+    for (call, cut, family), (series, window) in zip(requests, warm):
+        voa_characters._cone_sums.clear()
+        lie_sl._windows.clear()
+        assert window == lie_sl._cone_window(*family, ceil(2 * family[0] * Fraction(cut)))
+        lie_sl._windows.clear()
+        assert series == call(cut).to_json()
+
+
 def test_wrong_floor_raises(monkeypatch):
     window = voa_characters._cone_window
     # a shift by 2r = 6 moves each floor by a whole unit, onto the grid, so
@@ -268,8 +304,7 @@ def test_wrong_floor_raises(monkeypatch):
     for shift in (1, 6):
 
         def shifted(*args):
-            for mu, n in window(*args):
-                yield mu, n + shift
+            return [(mu, n + shift, *rest) for mu, n, *rest in window(*args)]
 
         monkeypatch.setattr(voa_characters, "_cone_window", shifted)
         with pytest.raises(AssertionError, match="floor"):
