@@ -4,7 +4,9 @@ Subcommands mirror the library surface: ``kostka`` and ``schur`` for the
 combinatorial layer, ``jones`` for torus-link invariants, ``char`` for the
 character series, ``verify`` for the limit identities and propositions, and
 ``selftest`` for a quick health battery.  Each ``verify`` mode declares only
-its own flags, so argparse rejects any other.  Output is canonical text or JSON.
+its own flags, so argparse rejects any other; ``_Parser`` hands a leading
+subcommand straight down, so each request is parsed once, at its leaf parser.
+Output is canonical text or JSON.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ DEFAULT_ORDER = 20
 # Largest --max-weight per --rank at which verify props finishes in about a
 # second or two; one step higher, rank 4 takes over 10 s and rank 5 over 60 s.
 PROPS_WEIGHT_CAP = {2: 16, 3: 16, 4: 11, 5: 9}
+CONTENT_REPEAT_CAP = 100_000  # largest count in --content's base^count, checked first
 
 
 @dataclass
@@ -60,6 +63,8 @@ def parse_content(text: str):
         count = int(reps)
         if count < 0:
             raise ValueError(f"repeat count must be nonnegative, got {count}")
+        if count > CONTENT_REPEAT_CAP:
+            raise ValueError(f"repeat count {count} exceeds the cap {CONTENT_REPEAT_CAP}")
         content = (int(base),) * count
     else:
         content = tuple(int(x) for x in body.split(",")) if body else ()
@@ -91,8 +96,28 @@ def _int_at_least(low: int, reason: str | None = None):
     return _flag_type(parse)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands a line whose first word names a subcommand straight to its parser.
+    Besides ``-h`` the subcommand is the only argument, and its ``PARSER`` nargs
+    take that word and all after it, so argparse's own pass would only convert
+    and copy the rest once more.  Other lines (help, errors) take that pass."""
+
+    def add_subparsers(self, **kwargs):
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        commands = getattr(self, "_commands", None)  # None on a leaf parser
+        if commands is None or not args or args[0] not in commands.choices:
+            return super().parse_known_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        setattr(namespace, commands.dest, args[0])
+        return commands.choices[args[0]].parse_known_args(args[1:], namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtorus",
         description=(
             "Exact q-series computations: Kostka numbers, principal "
@@ -118,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_flag_type(parse_partition), required=True,
                    help="partition, e.g. 2,1")
     p.add_argument("--content", type=_flag_type(parse_content), required=True,
-                   help="composition, e.g. 1,1,1 or 7^4")
+                   help=f"composition, e.g. 1,1,1 or 7^4 (count <= {CONTENT_REPEAT_CAP:,})")
     common(p)
 
     p = sub.add_parser("schur", help="principal specialization of a Schur polynomial")

@@ -13,7 +13,7 @@ path, and a brute-force tableau enumerator backs the bijection checks.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, zip_longest
+from itertools import accumulate, permutations, zip_longest
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -153,22 +153,27 @@ def _horizontal_extensions(nu: tuple[int, ...], size: int, bound: Partition,
     The strip condition (no two added cells share a column) reads
     nu_i <= mu_i <= nu_(i-1) for every row i >= 1.  It also keeps mu a
     partition, with no cap from mu's own previous row: nu is a partition
-    and nu_(i-1) <= mu_(i-1), so mu_i <= nu_(i-1) <= mu_(i-1).
+    and nu_(i-1) <= mu_(i-1), so mu_i <= nu_(i-1) <= mu_(i-1).  So row i's range
+    [start_i, cap_i], cap_i = min(bound_i, nu_(i-1)), is fixed, and rows j >= i
+    can add exactly need_i = sum (start_j - nu_j) to room_i = sum (cap_j - nu_j)
+    cells.  Row i keeps the v that leave a count in [need_(i+1), room_(i+1)]:
+    no strip is lost, and every call ends in a leaf.
     """
     rows, starts = len(bound), tuple(map(max, nu, low))
+    caps = tuple(map(min, bound, bound[:1] + nu))
+    need = [*accumulate((s - n for s, n in zip(starts[::-1], nu[::-1])), initial=0)][::-1]
+    room = [*accumulate((c - n for c, n in zip(caps[::-1], nu[::-1])), initial=0)][::-1]
+    if any(s > c for s, c in zip(starts, caps)) or not need[0] <= size <= room[0]:
+        return []
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, acc: tuple[int, ...]) -> None:
         if i == rows:
-            if remaining == 0:
-                out.append(acc)
+            out.append(acc)
             return
-        base = nu[i]
-        cap = min(bound[i], base + remaining)
-        if i:
-            cap = min(cap, nu[i - 1])
-        for v in range(starts[i], cap + 1):
-            rec(i + 1, remaining - (v - base), acc + (v,))
+        top = nu[i] + remaining  # row i's value if it took every cell left
+        for v in range(max(starts[i], top - room[i + 1]), min(caps[i], top - need[i + 1]) + 1):
+            rec(i + 1, top - v, acc + (v,))
 
     rec(0, size, ())
     return out

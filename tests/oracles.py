@@ -150,14 +150,16 @@ def unpruned_kostka_table(bound: Sequence[int], content: Sequence[int]) -> dict:
     for size in content:
         nxt: dict[tuple[int, ...], int] = {}
         for nu, ways in states.items():
-            for mu in _strips(nu, size, bound):
+            for mu in unpruned_strips(nu, size, bound):
                 nxt[mu] = nxt.get(mu, 0) + ways
         states = nxt
     return states
 
 
-def _strips(nu: tuple[int, ...], size: int, bound: Sequence[int]) -> list[tuple[int, ...]]:
-    # every mu inside bound with nu_i <= mu_i <= nu_(i-1) and |mu| = |nu| + size
+def unpruned_strips(nu: tuple[int, ...], size: int,
+                    bound: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every mu inside bound with nu_i <= mu_i <= nu_(i-1) and |mu| = |nu| + size,
+    each row ranged from nu_i and checked only at the end."""
     out = []
 
     def rec(i: int, remaining: int, acc: tuple[int, ...]) -> None:

@@ -1,7 +1,11 @@
 """Command-line surface: worked outputs, JSON round trips, error paths,
 golden regressions, and the README's examples."""
 
+import argparse
+import importlib.util
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,21 @@ def test_parse_content_shorthand():
     assert parse_content("7^4") == (7, 7, 7, 7)
     assert parse_content("1,1,1") == (1, 1, 1)
     assert parse_content("1,0,2") == (1, 0, 2)
+
+
+def test_content_repeat_cap_is_checked_before_the_content_is_built():
+    # one past the cap would be a 100,001-entry tuple (0.8 MB); the check comes
+    # first, so the rejection allocates almost nothing
+    count = cli.CONTENT_REPEAT_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"repeat count {count} exceeds the cap"):
+            parse_content(f"0^{count}")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+    assert parse_content(f"0^{count - 1}") == (0,) * (count - 1)
 
 
 # -- worked outputs -----------------------------------------------------------
@@ -211,6 +230,9 @@ def test_order_not_positive_names_flag(argv, capsys, monkeypatch):
         pytest.param(["kostka", "--shape", "2", "--content", "7^-1"],
                      "--content: repeat count must be nonnegative",
                      id="content-negative-repeat"),
+        pytest.param(["kostka", "--shape", "2", "--content", "7^100001"],
+                     "--content: repeat count 100001 exceeds the cap 100000",
+                     id="content-repeat-above-cap"),
         pytest.param(["jones", "--rank", "1", "--components", "2", "--p", "2",
                       "--colour", "1"],
                      "--rank: must be at least 2, got 1", id="jones-rank-below-two"),
@@ -398,74 +420,172 @@ def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
 # -- golden regressions ------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (
-            ["jones", "--rank", "2", "--components", "2", "--p", "2", "--colour", "1"],
-            "jones_r2_c2_p2_n1.txt",
-        ),
-        (
-            ["char", "--kind", "singlet", "--rank", "2", "--p", "2", "--order", "12"],
-            "char_singlet_r2_p2_o12.txt",
-        ),
-        (
-            [
-                "verify", "singlet", "--rank", "2", "--components", "2",
-                "--p", "2", "--colour", "40", "--order", "30", "--json",
-            ],
-            "verify_singlet_r2_c2_p2_n40_o30.json",
-        ),
-        (
-            [
-                "verify", "triplet", "--rank", "2", "--p", "2",
-                "--coset", "1", "--colour", "21", "--order", "15", "--json",
-            ],
-            "verify_triplet_r2_p2_i1_n21_o15.json",
-        ),
-        (
-            ["verify", "props", "--rank", "2", "--max-weight", "8"],
-            "props_r2_w8.txt",
-        ),
-        (
-            ["schur", "--shape", "2,1", "--rank", "3", "--json"],
-            "schur_r3_21.json",
-        ),
-        (
-            [
-                "jones", "--rank", "3", "--components", "4", "--p", "3",
-                "--colour", "6", "--shift", "triplet", "--json",
-            ],
-            "jones_r3_c4_p3_n6_triplet.json",
-        ),
-        (
-            [
-                "jones", "--rank", "4", "--components", "4", "--p", "2",
-                "--colour", "4", "--shift", "singlet",
-            ],
-            "jones_r4_c4_p2_n4_singlet.txt",
-        ),
-        (
-            [
-                "jones", "--rank", "2", "--components", "3", "--p", "3",
-                "--colour", "3", "--shift", "triplet",
-            ],
-            "jones_r2_c3_p3_n3_triplet.txt",
-        ),
-        (
-            ["jones", "--rank", "3", "--components", "3", "--p", "3", "--colour", "2"],
-            "jones_r3_c3_p3_n2.txt",
-        ),
-        (
-            [
-                "char", "--kind", "triplet", "--rank", "3", "--p", "2",
-                "--coset", "1", "--order", "7", "--json",
-            ],
-            "char_triplet_r3_p2_i1_o7.json",
-        ),
-    ],
-)
+GOLDEN_CASES = [
+    (
+        ["jones", "--rank", "2", "--components", "2", "--p", "2", "--colour", "1"],
+        "jones_r2_c2_p2_n1.txt",
+    ),
+    (
+        ["char", "--kind", "singlet", "--rank", "2", "--p", "2", "--order", "12"],
+        "char_singlet_r2_p2_o12.txt",
+    ),
+    (
+        [
+            "verify", "singlet", "--rank", "2", "--components", "2",
+            "--p", "2", "--colour", "40", "--order", "30", "--json",
+        ],
+        "verify_singlet_r2_c2_p2_n40_o30.json",
+    ),
+    (
+        [
+            "verify", "triplet", "--rank", "2", "--p", "2",
+            "--coset", "1", "--colour", "21", "--order", "15", "--json",
+        ],
+        "verify_triplet_r2_p2_i1_n21_o15.json",
+    ),
+    (
+        ["verify", "props", "--rank", "2", "--max-weight", "8"],
+        "props_r2_w8.txt",
+    ),
+    (
+        ["schur", "--shape", "2,1", "--rank", "3", "--json"],
+        "schur_r3_21.json",
+    ),
+    (
+        [
+            "jones", "--rank", "3", "--components", "4", "--p", "3",
+            "--colour", "6", "--shift", "triplet", "--json",
+        ],
+        "jones_r3_c4_p3_n6_triplet.json",
+    ),
+    (
+        [
+            "jones", "--rank", "4", "--components", "4", "--p", "2",
+            "--colour", "4", "--shift", "singlet",
+        ],
+        "jones_r4_c4_p2_n4_singlet.txt",
+    ),
+    (
+        [
+            "jones", "--rank", "2", "--components", "3", "--p", "3",
+            "--colour", "3", "--shift", "triplet",
+        ],
+        "jones_r2_c3_p3_n3_triplet.txt",
+    ),
+    (
+        ["jones", "--rank", "3", "--components", "3", "--p", "3", "--colour", "2"],
+        "jones_r3_c3_p3_n2.txt",
+    ),
+    (
+        [
+            "char", "--kind", "triplet", "--rank", "3", "--p", "2",
+            "--coset", "1", "--order", "7", "--json",
+        ],
+        "char_triplet_r3_p2_i1_o7.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES)
 def test_golden_outputs(argv, golden, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+# -- one parse per request: the leaf dispatch against argparse's own path ------------
+
+
+def _workload_lines():
+    """The argv of 50 seed-1 rounds of every benchmark workload."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: [argv for batch in workloads.rounds(name, 1, 50) for argv in batch]
+            for name in workloads.WORKLOADS}
+
+
+SINGLET = ["verify", "singlet", "--rank", "3", "--components", "3", "--p", "2", "--colour", "4"]
+MALFORMED_LINES = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["verify"], ["verify", "-h"],
+    ["verify", "singlet", "-h"], ["verify", "singlet", "--help"], SINGLET + ["--he"],
+    ["bogus"], ["verify", "bogus"], ["verify", "--json", "singlet"], ["--json", "char"],
+    ["kostka"], ["selftest", "--json", "--json"], ["verify", "singlet", "--rank", "2"],
+    ["char", "--kind", "singlet", "--rank", "2", "--p", "2", "--ord", "5"],
+    ["char", "--kind", "singlet", "--rank", "2", "--p", "2", "--order", "5", "-h"],
+    ["char", "--kind", "quartet", "--rank", "2", "--p", "2"],
+    ["verify", "singlet", "--rank=3", "--components=3", "--p=2", "--colour=4"],
+    ["--"], ["--", "selftest"], ["verify", "--", "singlet"], ["verify", "singlet", "--"],
+    SINGLET + ["--", "--json"], ["schur", "--shape", "2,1", "--rank", "3", "--", "x"],
+    SINGLET + ["junk"], SINGLET + ["--json", "junk", "--more"], ["selftest", "junk"],
+    ["jones", "--rank", "x", "--components", "2", "--p", "2", "--colour", "1"],
+    ["verify", "triplet", "--rank", "2", "--p", "1", "--colour", "2"],
+    ["verify", "props", "--rank", "9"], ["verify", "props", "--max-weight", "17"],
+    ["kostka", "--shape", "2,1", "--content", "1,1,1", "--shape", "3"],
+    ["kostka", "--shape", "1", "--content", "0^100001"],
+    ["verify", "singlet", "verify", "singlet"], ["char", "kostka"], ["Verify"],
+]
+
+
+def _outcome(parser, argv, capsys):
+    """The namespace's items in order, or the exit status; then stdout and stderr."""
+    try:
+        result = list(vars(parser.parse_args(argv)).items())
+    except SystemExit as exit:
+        result = exit.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def _assert_dispatch_matches_argparse(lines, capsys, monkeypatch):
+    parser = cli.build_parser()
+    dispatched = [_outcome(parser, argv, capsys) for argv in lines]
+    # the reference: every level parses the whole line again, as argparse does
+    monkeypatch.setattr(cli._Parser, "parse_known_args",
+                        argparse.ArgumentParser.parse_known_args)
+    for argv, outcome in zip(lines, dispatched):
+        assert outcome == _outcome(parser, argv, capsys), argv
+
+
+@pytest.mark.parametrize("workload", ["verify_scan", "char_order", "jones_full"])
+def test_leaf_dispatch_matches_argparse_on_workload_lines(workload, capsys, monkeypatch):
+    lines = _workload_lines()[workload]
+    assert len(lines) >= 700
+    _assert_dispatch_matches_argparse(lines, capsys, monkeypatch)
+
+
+def test_leaf_dispatch_matches_argparse_on_golden_and_readme_lines(capsys, monkeypatch):
+    lines = [argv for argv, _ in GOLDEN_CASES] + readme_commands()
+    _assert_dispatch_matches_argparse(lines, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", MALFORMED_LINES, ids=" ".join)
+def test_leaf_dispatch_matches_argparse_on_malformed_lines(argv, capsys, monkeypatch):
+    _assert_dispatch_matches_argparse([argv], capsys, monkeypatch)
+
+
+def test_leaf_dispatch_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(sys, "argv", ["qtorus"] + SINGLET)
+    assert vars(parser.parse_args()) == vars(parser.parse_args(SINGLET))
+    monkeypatch.setattr(sys, "argv", ["qtorus", "bogus"])
+    assert _outcome(parser, None, capsys) == _outcome(parser, ["bogus"], capsys)
+
+
+def test_a_verify_line_runs_one_argparse_pass(monkeypatch):
+    core, passes = argparse.ArgumentParser._parse_known_args, []
+
+    def spy(self, *args, **kwargs):
+        passes.append(self.prog)
+        return core(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", spy)
+    cli.build_parser().parse_args(SINGLET)
+    assert passes == ["qtorus verify singlet"]
+    # argparse's own path runs one pass per level
+    passes.clear()
+    monkeypatch.setattr(cli._Parser, "parse_known_args",
+                        argparse.ArgumentParser.parse_known_args)
+    cli.build_parser().parse_args(SINGLET)
+    assert passes == ["qtorus", "qtorus verify", "qtorus verify singlet"]

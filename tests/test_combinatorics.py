@@ -2,6 +2,7 @@
 oracle, cross-checked against brute-force enumeration."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, zip_longest
@@ -30,7 +31,7 @@ from qtorus import (
 )
 from qtorus.cli import PROPS_WEIGHT_CAP
 
-from oracles import kappa_from_gaps, partitions_oracle, unpruned_kostka_table
+from oracles import kappa_from_gaps, partitions_oracle, unpruned_kostka_table, unpruned_strips
 
 
 # -- independent oracle: partition counting recurrence ---------------------------
@@ -256,6 +257,46 @@ def test_floored_tables_match_the_unpruned_dp_and_enumeration(rank):
                     assert expected == len(enumerate_ssyt(lam, content))
                 checked += 1
     assert checked >= 500  # 2,527 entries over the four ranks
+
+
+def _strip_calls(nu, size, bound, low):
+    """``_horizontal_extensions``' strips and the calls of its row recursion."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec" and (
+                frame.f_globals is vars(combinatorics)):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = combinatorics._horizontal_extensions(nu, size, bound, low)
+    finally:
+        sys.setprofile(None)
+    return out, calls[0]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+def test_strip_ranges_drop_no_strip_and_make_no_dead_end(rows):
+    # each row's range, cut by what the rows after it can still take, yields
+    # the unpruned strips on or above the floor, in the same order, and every
+    # call of the recursion lies on a path to a strip: at most 1 + rows calls
+    # per strip, none when there is no strip
+    rng, strips = random.Random(300 + rows), 0
+    for _ in range(400):
+        bound = tuple(sorted((rng.randint(1, 9) for _ in range(rows)), reverse=True))
+        nu = []
+        for b in bound:
+            nu.append(rng.randint(0, min([b] + nu[-1:])))
+        nu = tuple(nu)
+        low = tuple(rng.randint(0, b) if rng.random() < 0.4 else 0 for b in bound)
+        size = rng.randint(0, 12)
+        expected = [mu for mu in unpruned_strips(nu, size, bound) if all(map(ge, mu, low))]
+        out, calls = _strip_calls(nu, size, bound, low)
+        assert out == expected, (nu, size, bound, low)
+        assert calls <= (1 + rows * len(out) if out else 0)
+        strips += len(out)
+    assert strips >= 50
 
 
 # -- one strip DP for many shapes ------------------------------------------------
