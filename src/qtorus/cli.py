@@ -6,7 +6,8 @@ character series, ``verify`` for the limit identities and propositions, and
 ``selftest`` for a quick health battery.  Each ``verify`` mode declares only
 its own flags, so argparse rejects any other; ``_Parser`` hands a leading
 subcommand straight down, so each request is parsed once, at its leaf parser.
-Output is canonical text or JSON.
+Each leaf parser sets the ``handler`` that :func:`run` calls with the parsed
+namespace.  Output is canonical text or JSON.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import selftest as selftest_battery
 from .combinatorics import as_composition, as_partition, kostka
@@ -36,17 +36,6 @@ DEFAULT_ORDER = 20
 # second or two; one step higher, rank 4 takes over 10 s and rank 5 over 60 s.
 PROPS_WEIGHT_CAP = {2: 16, 3: 16, 4: 11, 5: 9}
 CONTENT_REPEAT_CAP = 100_000  # largest count in --content's base^count, checked first
-
-
-@dataclass
-class CliConfig:
-    """One resolved invocation: everything needed for a deterministic run."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    output: str = "text"
-    order: int | None = None
-    out_path: str | None = None
 
 
 def parse_partition(text: str):
@@ -70,10 +59,6 @@ def parse_content(text: str):
         content = tuple(int(x) for x in body.split(",")) if body else ()
     as_composition(content)  # raises on a negative entry
     return content
-
-
-def format_partition(shape) -> str:
-    return "[" + ",".join(str(p) for p in shape) + "]"
 
 
 def _flag_type(parse):
@@ -128,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     character_p = _int_at_least(2, "the character family is defined for p >= 2")
 
-    def common(p: argparse.ArgumentParser, with_order: bool = False):
+    def common(p: argparse.ArgumentParser, handler, with_order: bool = False):
+        p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.add_argument("--output", metavar="PATH", help="write output to a file")
         if with_order:
@@ -144,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition, e.g. 2,1")
     p.add_argument("--content", type=_flag_type(parse_content), required=True,
                    help=f"composition, e.g. 1,1,1 or 7^4 (count <= {CONTENT_REPEAT_CAP:,})")
-    common(p)
+    common(p, _run_kostka)
 
     p = sub.add_parser("schur", help="principal specialization of a Schur polynomial")
     p.add_argument("--shape", type=_flag_type(parse_partition), required=True)
     p.add_argument("--rank", type=_int_at_least(1), required=True)
-    common(p)
+    common(p, _run_schur)
 
     p = sub.add_parser("jones", help="coloured invariant of the torus link T(c, cp)")
     for flag, low in (("--rank", 2), ("--components", 1), ("--p", 1), ("--colour", 0)):
@@ -158,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shift", choices=["none", "singlet", "triplet"], default="none",
         help="apply the monomial shift used in the limit comparisons",
     )
-    common(p)
+    common(p, _run_jones)
 
     p = sub.add_parser("char", help="normalized singlet or triplet character")
     p.add_argument("--kind", choices=["singlet", "triplet"], required=True)
     p.add_argument("--rank", type=_int_at_least(2), required=True)
     p.add_argument("--p", type=character_p, required=True)
     p.add_argument("--coset", type=int, default=0)
-    common(p, with_order=True)
+    common(p, _run_char, with_order=True)
 
     p = sub.add_parser("verify", help="check a limit identity or the propositions")
     modes = p.add_subparsers(dest="mode", required=True)
@@ -174,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, kind in (("--rank", _int_at_least(2)), ("--components", _int_at_least(2)),
                        ("--p", character_p), ("--colour", _int_at_least(0))):
         m.add_argument(flag, type=kind, required=True)
-    common(m, with_order=True)
+    common(m, _run_singlet, with_order=True)
 
     m = modes.add_parser("triplet", help="triplet limit identity, components = rank + 1")
     for flag, kind in (("--rank", _int_at_least(2)), ("--p", character_p),
                        ("--colour", _int_at_least(0))):
         m.add_argument(flag, type=kind, required=True)
     m.add_argument("--coset", type=int, default=0, help="triplet coset (default 0)")
-    common(m, with_order=True)
+    common(m, _run_triplet, with_order=True)
 
     # The zero-weight check expands Schur polynomials with the Jacobi-Trudi
     # oracle, which is guarded to rank <= 5 and weight <= 16; the handler
@@ -193,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan bound for the proposition checks, at most 16, 16, 11, 9 at "
         "ranks 2 to 5 (default 10, or the cap if lower)",
     )
-    common(m)
+    common(m, _run_props)
 
     p = sub.add_parser("selftest", help="run the small-scale invariant battery")
-    common(p)
+    common(p, _run_selftest)
 
     return parser
 
@@ -217,155 +203,108 @@ def _resolve_order(value: int | None) -> int:
     return value
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("subcommand", "json", "output", "order")
-    }
-    return CliConfig(
-        subcommand=args.subcommand,
-        params=params,
-        output="json" if args.json else "text",
-        order=getattr(args, "order", None),
-        out_path=args.output,
-    )
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The request :func:`run` takes: the parsed namespace itself."""
+    return args
 
 
-def run(config: CliConfig) -> tuple[int, str]:
-    """Execute one configuration; returns (exit status, rendered output)."""
-    handler = {
-        "kostka": _run_kostka,
-        "schur": _run_schur,
-        "jones": _run_jones,
-        "char": _run_char,
-        "verify": _run_verify,
-        "selftest": _run_selftest,
-    }[config.subcommand]
-    return handler(config)
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parsed request; returns (exit status, rendered output)."""
+    return args.handler(args)
 
 
-def _render_series(series: QSeries, config: CliConfig) -> str:
-    if config.output == "json":
-        return series.to_json()
-    return series.to_text()
+def _render_series(series: QSeries, args: argparse.Namespace) -> str:
+    return series.to_json() if args.json else series.to_text()
 
 
-def _run_kostka(config: CliConfig) -> tuple[int, str]:
-    shape = config.params["shape"]
-    content = config.params["content"]
-    value = kostka(shape, content)
-    if config.output == "json":
+def _run_kostka(args: argparse.Namespace) -> tuple[int, str]:
+    value = kostka(args.shape, args.content)
+    if args.json:
         return 0, json.dumps(
             {
-                "shape": list(shape),
-                "content": list(content),
+                "shape": list(args.shape),
+                "content": list(args.content),
                 "value": str(value),
             }
         )
     return 0, str(value)
 
 
-def _run_schur(config: CliConfig) -> tuple[int, str]:
-    shape, rank = config.params["shape"], config.params["rank"]
-    if len(shape) > rank:
-        raise ValueError(f"--shape has {len(shape)} rows, more than --rank {rank}")
-    return 0, _render_series(principal_spec(shape, rank), config)
+def _run_schur(args: argparse.Namespace) -> tuple[int, str]:
+    if len(args.shape) > args.rank:
+        raise ValueError(f"--shape has {len(args.shape)} rows, more than --rank {args.rank}")
+    return 0, _render_series(principal_spec(args.shape, args.rank), args)
 
 
-def _run_jones(config: CliConfig) -> tuple[int, str]:
-    spec = TorusLinkSpec(
-        rank=config.params["rank"],
-        components=config.params["components"],
-        p=config.params["p"],
-        colour=config.params["colour"],
-    )
-    shift = config.params["shift"]
-    if shift != "none":
-        _check_components(config.params, shift, f"--shift {shift}")
-    if shift == "singlet":
-        series = shifted_invariant_singlet(spec)
-    elif shift == "triplet":
-        series = shifted_invariant_triplet(spec)
-    else:
-        series = jones_torus_link(spec)
-    return 0, _render_series(series, config)
+def _run_jones(args: argparse.Namespace) -> tuple[int, str]:
+    spec = TorusLinkSpec(args.rank, args.components, args.p, args.colour)
+    if args.shift == "none":
+        return 0, _render_series(jones_torus_link(spec), args)
+    _check_components(args, args.shift, f"--shift {args.shift}")
+    shifted = shifted_invariant_singlet if args.shift == "singlet" else shifted_invariant_triplet
+    return 0, _render_series(shifted(spec), args)
 
 
-def _check_components(params: dict, form: str, via: str) -> None:
+def _check_components(args: argparse.Namespace, form: str, via: str) -> None:
     """--components against --rank for the singlet or triplet form."""
-    rank, components = params["rank"], params["components"]
+    rank, components = args.rank, args.components
     if form == "singlet" and not 2 <= components <= rank:
         raise ValueError(f"{via} needs 2 <= --components <= --rank {rank}, got {components}")
     if form == "triplet" and components != rank + 1:
         raise ValueError(f"{via} needs --components = --rank + 1 = {rank + 1}, got {components}")
 
 
-def _check_coset(params: dict) -> None:
-    """--coset against --rank, and against --kind or --colour where given."""
-    rank, coset = params["rank"], params["coset"]
-    if not 0 <= coset < rank:
-        raise ValueError(f"--coset must be in 0..{rank - 1} at --rank {rank}, got {coset}")
-    if params.get("kind") == "singlet" and coset:
-        raise ValueError(f"--coset: the singlet character lives on coset 0, got {coset}")
-    if "colour" in params and params["colour"] % rank != coset:
-        raise ValueError(f"--colour {params['colour']} is not congruent to --coset "
-                         f"{coset} modulo --rank {rank}")
+def _check_coset(args: argparse.Namespace) -> None:
+    """--coset against --rank."""
+    if not 0 <= args.coset < args.rank:
+        raise ValueError(f"--coset must be in 0..{args.rank - 1} at --rank {args.rank}, "
+                         f"got {args.coset}")
 
 
-def _run_char(config: CliConfig) -> tuple[int, str]:
-    _check_coset(config.params)
-    order = _resolve_order(config.order)
-    spec = CharacterSpec(
-        rank=config.params["rank"],
-        p=config.params["p"],
-        kind=config.params["kind"],
-        cutoff=order,
-        coset=config.params["coset"],
-    )
+def _run_char(args: argparse.Namespace) -> tuple[int, str]:
+    _check_coset(args)
+    if args.kind == "singlet" and args.coset:
+        raise ValueError(f"--coset: the singlet character lives on coset 0, got {args.coset}")
+    spec = CharacterSpec(rank=args.rank, p=args.p, kind=args.kind,
+                         cutoff=_resolve_order(args.order), coset=args.coset)
     series = singlet_char(spec) if spec.kind == "singlet" else triplet_char(spec)
-    return 0, _render_series(series, config)
+    return 0, _render_series(series, args)
 
 
-def _run_verify(config: CliConfig) -> tuple[int, str]:
-    params = config.params
-    if params["mode"] == "props":
-        return _run_props(config)
-    if params["mode"] == "singlet":
-        _check_components(params, "singlet", "verify singlet")
-    else:
-        _check_coset(params)
-    order = _resolve_order(config.order)
-    if params["mode"] == "singlet":
-        report = verify_singlet_theorem(
-            params["rank"], params["components"], params["p"], params["colour"], order
-        )
-    else:
-        report = verify_triplet_theorem(
-            params["rank"], params["p"], params["coset"], params["colour"], order
-        )
-    if config.output == "json":
-        text = json.dumps([report.to_json_dict()])
-    else:
-        text = report.describe()
+def _run_singlet(args: argparse.Namespace) -> tuple[int, str]:
+    _check_components(args, "singlet", "verify singlet")
+    order = _resolve_order(args.order)
+    return _report(
+        verify_singlet_theorem(args.rank, args.components, args.p, args.colour, order), args)
+
+
+def _run_triplet(args: argparse.Namespace) -> tuple[int, str]:
+    _check_coset(args)
+    if args.colour % args.rank != args.coset:
+        raise ValueError(f"--colour {args.colour} is not congruent to --coset "
+                         f"{args.coset} modulo --rank {args.rank}")
+    order = _resolve_order(args.order)
+    return _report(
+        verify_triplet_theorem(args.rank, args.p, args.coset, args.colour, order), args)
+
+
+def _report(report, args: argparse.Namespace) -> tuple[int, str]:
+    text = json.dumps([report.to_json_dict()]) if args.json else report.describe()
     return (0 if report.passed else 1), text
 
 
-def _run_props(config: CliConfig) -> tuple[int, str]:
-    rank = config.params["rank"]
-    cap = PROPS_WEIGHT_CAP[rank]
-    max_weight = config.params["max_weight"]
-    if max_weight is None:
-        max_weight = min(10, cap)
+def _run_props(args: argparse.Namespace) -> tuple[int, str]:
+    rank, cap = args.rank, PROPS_WEIGHT_CAP[args.rank]
+    max_weight = min(10, cap) if args.max_weight is None else args.max_weight
     if max_weight > cap:
         raise ValueError(f"--max-weight {max_weight} exceeds the cap {cap} at --rank {rank}")
 
     sections = [
-        (kind, cases, [format_partition(lam) for lam in failures])
+        (kind, cases, [f"[{','.join(map(str, lam))}]" for lam in failures])
         for kind, cases, failures in scan_propositions(rank, max_weight)
     ]
     passed = not any(failures for _, _, failures in sections)
-    if config.output == "json":
+    if args.json:
         text = json.dumps(
             [
                 {
@@ -391,9 +330,9 @@ def _run_props(config: CliConfig) -> tuple[int, str]:
     return (0 if passed else 1), text
 
 
-def _run_selftest(config: CliConfig) -> tuple[int, str]:
+def _run_selftest(args: argparse.Namespace) -> tuple[int, str]:
     results = selftest_battery.run_all()
-    if config.output == "json":
+    if args.json:
         text = json.dumps([{"check": name, "passed": ok} for name, ok in results])
     else:
         lines = [("ok " if ok else "FAIL ") + name for name, ok in results]
@@ -404,19 +343,17 @@ def _run_selftest(config: CliConfig) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        code, text = run(config)
+        code, text = run(args)
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if not config.out_path:
+    if not args.output:
         print(text)
         return code
     try:
-        with open(config.out_path, "w") as handle:
+        with open(args.output, "w") as handle:
             handle.write(text + "\n")
     except OSError as err:
         print(f"error: --output: {err}", file=sys.stderr)

@@ -96,20 +96,9 @@ def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSerie
             yield lam, weight, QSeries.monomial(weight, framing) * principal_spec(lam, r)
 
 
-def jones_torus_link(spec: TorusLinkSpec, below: Fraction | None = None) -> QSeries:
-    """The specialized coloured invariant, as an exact Laurent polynomial,
-    or truncated at ``below``, which needs 2 <= components <= rank + 1."""
-    if below is None:
-        return QSeries.from_grid(_doubled_sum(spec), 2)
-    c, r, below = spec.components, spec.rank, _exact_cutoff(below)
-    if not 2 <= c <= r + 1:
-        raise ValueError(
-            f"below needs 2 <= components <= rank + 1, got components={c} rank={r}")
-    shift = singlet_shift_exponent(spec) if c <= r else triplet_shift_exponent(spec)
-    m = min(r, c)
-    scaled = shift.numerator * (2 * m // shift.denominator)  # 2m shift, exact
-    terms = _doubled_sum(spec, _ceil_times(below, 2 * m) + scaled, scaled)
-    return QSeries.from_grid(terms, 2, below)
+def jones_torus_link(spec: TorusLinkSpec) -> QSeries:
+    """The specialized coloured invariant, as an exact Laurent polynomial."""
+    return QSeries.from_grid(_doubled_sum(spec), 2)
 
 
 def _kept_shapes(spec: TorusLinkSpec, limit: int, shift: int) -> dict[Partition, int]:

@@ -288,14 +288,22 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QSeries":
-        g, cut = _exact_int(data["grain"], "grain"), data.get("cutoff")
+        _require_fields(data, "the series", ("grain", "terms"))
+        g, cut, terms = _exact_int(data["grain"], "grain"), data.get("cutoff"), data["terms"]
         if cut is not None:
+            _require_fields(cut, "cutoff", ("num", "den"))
             num = _exact_int(cut["num"], "cutoff num")
             if not _exact_int(cut["den"], "cutoff den"):
                 raise ValueError(f"cutoff {cut} has a zero denominator")
             cut = Fraction(num, cut["den"])
+        if not isinstance(terms, (list, tuple)):
+            raise ValueError(f"terms must be a list, got {type(terms).__name__}")
         grid: dict[int, int] = {}
-        for num, den, coeff in data["terms"]:
+        for term in terms:
+            try:
+                num, den, coeff = term
+            except (TypeError, ValueError):
+                raise ValueError(f"term {term!r}: must be [num, den, coefficient]") from None
             if not (type(num) is type(den) is int and type(coeff) is str
                     and re.fullmatch("-?[0-9]+", coeff)):
                 raise ValueError(f"term {[num, den, coeff]}: num and den must be integers"
@@ -321,6 +329,15 @@ class QSeries:
     @classmethod
     def from_json(cls, text: str) -> "QSeries":
         return cls.from_json_dict(json.loads(text))
+
+
+def _require_fields(doc, name: str, keys: tuple[str, ...]) -> None:
+    """ValueError naming ``name`` unless ``doc`` is a JSON object with ``keys``."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{name} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{name} has no {key!r} field")
 
 
 def _format_power(num: int, den: int) -> str:

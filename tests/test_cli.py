@@ -493,6 +493,78 @@ def test_golden_outputs(argv, golden, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
+# -- the request entry that main shares: run on the parsed namespace -----------------
+
+
+def _leaf_parsers(parser):
+    commands = getattr(parser, "_commands", None)  # None on a leaf parser
+    if commands is None:
+        return [parser]
+    return [leaf for sub in commands.choices.values() for leaf in _leaf_parsers(sub)]
+
+
+def test_every_leaf_parser_sets_its_own_handler():
+    handlers = {leaf.prog: leaf.get_default("handler")
+                for leaf in _leaf_parsers(cli.build_parser())}
+    assert sorted(handlers) == [
+        "qtorus char", "qtorus jones", "qtorus kostka", "qtorus schur", "qtorus selftest",
+        "qtorus verify props", "qtorus verify singlet", "qtorus verify triplet"]
+    assert all(callable(handler) for handler in handlers.values())
+    assert len(set(handlers.values())) == len(handlers)
+
+
+@pytest.mark.parametrize("source", ["golden-and-readme", "verify_scan", "char_order",
+                                    "jones_full"])
+def test_run_returns_the_status_and_text_that_main_prints(source, capsys):
+    if source == "golden-and-readme":
+        lines = [argv for argv, _ in GOLDEN_CASES] + readme_commands()
+    else:
+        lines = _workload_lines()[source]
+    parser = cli.build_parser()
+    for argv in lines:
+        code, text = cli.run(cli.config_from_args(parser.parse_args(argv)))
+        assert run_cli(argv, capsys) == (code, text + "\n", ""), argv
+
+
+# -- two faults on one line: the cross-flag check comes before the order -------------
+
+CROSS_FLAG_FAULTS = [
+    (["char", "--kind", "singlet", "--rank", "3", "--p", "2", "--coset", "1"],
+     "--coset: the singlet character lives on coset 0, got 1"),
+    (["char", "--kind", "triplet", "--rank", "3", "--p", "2", "--coset", "3"],
+     "--coset must be in 0..2 at --rank 3, got 3"),
+    (["verify", "singlet", "--rank", "3", "--components", "5", "--p", "2", "--colour", "3"],
+     "verify singlet needs 2 <= --components <= --rank 3, got 5"),
+    (["verify", "triplet", "--rank", "4", "--p", "2", "--colour", "3", "--coset", "1"],
+     "--colour 3 is not congruent to --coset 1 modulo --rank 4"),
+    (["verify", "triplet", "--rank", "3", "--p", "2", "--colour", "3", "--coset", "4"],
+     "--coset must be in 0..2 at --rank 3, got 4"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CROSS_FLAG_FAULTS)
+@pytest.mark.parametrize("order,env", [
+    pytest.param(["--order", "0"], None, id="order-zero"),
+    pytest.param(["--order", "-3"], "7", id="order-negative"),
+    pytest.param([], "0", id="env-zero"),
+    pytest.param([], "abc", id="env-not-an-integer"),
+])
+def test_a_flag_mix_is_named_before_a_bad_order(argv, message, order, env, capsys,
+                                                monkeypatch):
+    if env is None:
+        monkeypatch.delenv("QTORUS_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("QTORUS_ORDER", env)
+    assert run_cli(argv + order, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", CROSS_FLAG_FAULTS)
+def test_an_order_that_is_no_integer_is_named_before_a_flag_mix(argv, message, capsys):
+    code, out, err = run_cli(argv + ["--order", "x"], capsys)
+    assert code == 2 and out == "" and message not in err
+    assert err.endswith("error: argument --order: invalid int value: 'x'\n")
+
+
 # -- one parse per request: the leaf dispatch against argparse's own path ------------
 
 

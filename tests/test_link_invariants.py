@@ -402,12 +402,6 @@ def test_pruning_skips_shapes_before_kostka(monkeypatch):
     assert 0 < len(kept) < 41
 
 
-def test_jones_below_needs_a_shift_window():
-    for spec in (TorusLinkSpec(3, 1, 2, 4), TorusLinkSpec(2, 4, 2, 1)):
-        with pytest.raises(ValueError, match="below"):
-            jones_torus_link(spec, Fraction(12))
-
-
 @pytest.mark.parametrize(
     "verify,args", [(verify_singlet_theorem, (3, 2, 2, 12, 16)),
                     (verify_singlet_theorem, (3, 3, 3, 6, 12)),
@@ -457,10 +451,8 @@ def test_one_pass_sum_matches_the_running_sum(rank, components, colour, p):
             shifted, shift = shifted_invariant_singlet, singlet_shift_exponent(spec)
             grain = 2
         exact = reference_jones_torus_link(spec)
+        assert jones_torus_link(spec).to_json_dict() == exact.to_json_dict()
         for cutoff in [None] + PRUNING_CUTOFFS:
-            below = None if cutoff is None else Fraction(cutoff) - shift
-            expected = exact if below is None else exact.truncate(below)
-            assert jones_torus_link(spec, below).to_json_dict() == expected.to_json_dict()
             expected = reference_shifted(exact, shift, grain, cutoff).to_json_dict()
             assert shifted(spec, cutoff).to_json_dict() == expected
 

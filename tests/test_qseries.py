@@ -1118,6 +1118,29 @@ def test_json_rejects_a_denominator_off_the_grain():
         QSeries.from_json_dict({"grain": 0, "cutoff": None, "terms": []})
 
 
+@pytest.mark.parametrize("data,message", [
+    pytest.param({"cutoff": None, "terms": []}, "the series has no 'grain' field",
+                 id="no-grain"),
+    pytest.param({"grain": 1, "cutoff": None}, "the series has no 'terms' field",
+                 id="no-terms"),
+    pytest.param({"grain": 1, "cutoff": {"den": 1}, "terms": []},
+                 "cutoff has no 'num' field", id="no-cutoff-num"),
+    pytest.param({"grain": 1, "cutoff": {"num": 1}, "terms": []},
+                 "cutoff has no 'den' field", id="no-cutoff-den"),
+    pytest.param({"grain": 1, "cutoff": 3, "terms": []},
+                 "cutoff must be a JSON object, got int", id="cutoff-not-an-object"),
+    pytest.param({"grain": 1, "cutoff": None, "terms": None},
+                 "terms must be a list, got NoneType", id="terms-null"),
+    pytest.param([{"grain": 1, "cutoff": None, "terms": []}],
+                 "the series must be a JSON object, got list", id="top-level-list"),
+    pytest.param({"grain": 2, "cutoff": None, "terms": [[1, 2]]},
+                 "term [1, 2]: must be [num, den, coefficient]", id="term-of-two"),
+])
+def test_json_rejects_a_malformed_document_naming_the_field(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QSeries.from_json_dict(data)
+
+
 def test_terms_is_a_read_only_fresh_view():
     series = QSeries({Fraction(-1, 2): 3, 2: -7}, cutoff=Fraction(21, 4), grain=4)
     before = series.to_json()

@@ -22,7 +22,6 @@ from qtorus import (
     euler_product,
     first_disagreement,
     invert_unit,
-    jones_torus_link,
     principal_spec_weight,
     rhs_singlet_limit,
     rhs_triplet_limit,
@@ -83,7 +82,6 @@ def test_spec_cutoff_must_be_a_fraction_or_an_int(monkeypatch, cutoff):
         lambda: verify_triplet_theorem(2, 2, 0, 10, cutoff),
         lambda: shifted_invariant_singlet(TorusLinkSpec(2, 2, 2, 10), cutoff),
         lambda: shifted_invariant_triplet(TorusLinkSpec(2, 3, 2, 10), cutoff),
-        lambda: jones_torus_link(TorusLinkSpec(2, 2, 2, 10), cutoff),
     ]
     match = re.escape(f"cutoff must be a Fraction or an integer, got {cutoff!r}")
     for call in calls:
