@@ -30,8 +30,6 @@ def main() -> int:
     print(f"{'colour':>7}  {'order':>8}  {'threshold':>9}  verdict")
     for colour in range(0, args.max_colour + 1):
         if triplet:
-            if colour % args.rank:
-                continue
             report = verify_triplet_theorem(
                 args.rank, args.p, colour % args.rank, colour, args.order
             )

@@ -12,7 +12,6 @@ from .combinatorics import (
     enumerate_ssyt_bounded,
     kappa,
     kostka,
-    kostka_numbers,
     partitions_of,
     schur_expand_oracle,
 )

@@ -13,7 +13,7 @@ path, and a brute-force tableau enumerator backs the bijection checks.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, permutations, zip_longest
+from itertools import accumulate, permutations
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -101,19 +101,6 @@ def kostka(shape: Iterable[int], content: Iterable[int]) -> int:
     return _kostka_table(lam, as_composition(content), lam).get(lam, 0)
 
 
-def kostka_numbers(
-    shapes: Iterable[Iterable[int]], content: Iterable[int]
-) -> dict[Partition, int]:
-    """Kostka numbers of several shapes for one content, keyed on the shape, from
-    one strip DP between their componentwise minimum and maximum (union)."""
-    lams = [as_partition(shape) for shape in shapes]
-    bound = tuple(map(max, zip_longest(*lams, fillvalue=0)))
-    floor = tuple(map(min, zip_longest(*lams, fillvalue=0)))
-    table = _kostka_table(bound, as_composition(content), floor)
-    rows = len(bound)
-    return {lam: table.get(lam + (0,) * (rows - len(lam)), 0) for lam in lams}
-
-
 # Least recently used evicted first.  Seed-1 benchmark runs fill 280 tables
 # in 400 verify_scan rounds, 156 in 200 jones_full rounds, 33 in 80 char_order.
 KOSTKA_TABLE_CACHE_SIZE = 512
@@ -131,7 +118,7 @@ def _kostka_table(bound: Partition, content: Composition, floor: Partition = ())
     floor_(i+c-k) (0 past the end) for each lam on or above ``floor``, and each
     row's range starts there.  Dominance: a partition of nc with at most c rows
     dominates (n)^c (its first j rows average at least n), and K(lam, mu) >= 1
-    when lam dominates mu; ``link_invariants._doubled_sum`` re-checks each summand's."""
+    when lam dominates mu; ``schur_spec._add_summands`` re-checks each summand's."""
     rows, c = len(bound), len(content)
     states: dict[tuple[int, ...], int] = {(0,) * rows: 1}
     for k, size in enumerate(content, 1):

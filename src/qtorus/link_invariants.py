@@ -21,7 +21,7 @@ from typing import Iterator
 from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
 from .lie_sl import _cone_window
 from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int
-from .schur_spec import _spec_of_gaps, principal_spec
+from .schur_spec import _add_summands, principal_spec
 
 
 @dataclass(frozen=True)
@@ -98,56 +98,7 @@ def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSerie
 
 def jones_torus_link(spec: TorusLinkSpec) -> QSeries:
     """The specialized coloured invariant, as an exact Laurent polynomial."""
-    return QSeries.from_grid(_doubled_sum(spec), 2)
-
-
-def _kept_shapes(spec: TorusLinkSpec, limit: int, shift: int) -> dict[Partition, int]:
-    """Each shape whose floor F has 2m F + ``shift`` (2m times the shift) below
-    ``limit``, with 2m F, from the rank-m cone window: partition_of_weight(mu, k)
-    is the nonzero entries of its rows plus k; see :func:`_doubled_floor`."""
-    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
-    m, kept = min(r, c), {}
-    for _, scaled, s, rows in _cone_window(m, p, n * c % m, limit):
-        k = (n * c - s) // m  # exact on the coset
-        if k >= 0:
-            kept[tuple([x + k for x in rows if x + k])] = scaled - shift
-    return kept
-
-
-def _doubled_sum(spec: TorusLinkSpec, limit: int | None = None, shift: int = 0,
-                 step: int = 1, offset: int = 0) -> dict[int, int]:
-    # jones_summands on integers: the k-th term of weight * q^(p*kappa/2 - D/2) P(q)
-    # is keyed step * (p*kappa - D + 2k) + offset; P(0) = 1 is its floor.  The shapes
-    # are partitions: Kostka from one table on their union (floored by their minimum
-    # if cut, each count re-checked), (P, D) by gaps.
-    # Cut at limit = ceil(2m cutoff), shift = 2m s: term k of doubled floor base stays
-    # iff m (base + 2k) + shift < limit, iff base + 2k < top2 = ceil((limit - shift)/m)
-    # (an integer x < y iff x < ceil(y)), iff k < (top2 - base + 1) // 2.  top2 is
-    # the former ceil(2 (cutoff - s)), as ceil(ceil(x)/m) = ceil(x/m).
-    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
-    m = min(r, c)
-    shapes = list(partitions_of(n * c, m)) if limit is None else _kept_shapes(spec, limit, shift)
-    bound = tuple(map(max, zip_longest(*shapes, fillvalue=0)))
-    floor = () if limit is None else tuple(map(min, zip_longest(*shapes, fillvalue=0)))
-    table, rows, zeros = _kostka_table(bound, (n,) * c, floor), len(bound), (0,) * r
-    top2 = None if limit is None else -((shift - limit) // m)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for lam in shapes:
-        padded = lam + zeros[len(lam):]
-        weight = table.get(padded[:rows], 0)
-        poly, d = _spec_of_gaps(tuple(map(sub, padded, padded[1:])))
-        base = p * sum(l * (l + 1 - 2 * i) for i, l in enumerate(lam, 1)) - d
-        if top2 is not None:
-            if base != _doubled_floor(spec, lam) or m * base != shapes[lam] or not poly[0]:
-                raise AssertionError(f"summand {lam} does not start at its floor")
-            poly = poly[:(top2 - base + 1) // 2]
-        if weight < 1:  # lam dominates (n)^c; see _kostka_table
-            raise AssertionError(f"summand {lam} reads Kostka number {weight}")
-        start = base * step + offset
-        for e, a in zip(range(start, start + 2 * step * len(poly), 2 * step), poly):
-            acc[e] = get(e, 0) + weight * a
-    return acc
+    return _shifted(spec, 0, 2, None)
 
 
 def singlet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
@@ -161,18 +112,43 @@ def triplet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
 
 
 def _shifted(
-    spec: TorusLinkSpec, shift: Fraction, grain: int, cutoff: Fraction | int | None
+    spec: TorusLinkSpec, shift: Fraction | int, grain: int, cutoff: Fraction | int | None
 ) -> QSeries:
-    # q^shift times the invariant, on the grid of 1/grain, from the integers
-    # grain shift, 2m shift (the grain, 2 or 2r, divides 2m) and ceil(2m cutoff)
+    # q^shift times jones_summands' sum, on the grid of 1/grain (2 or 2r, dividing
+    # 2m), framing 2m (p kappa/2 + shift).  Cut, the shapes and their 2m F come from
+    # the window below ceil(2m cutoff) (see _doubled_floor), each F re-checked in
+    # closed form; uncut, from partitions_of.  One Kostka table on their union,
+    # floored by their minimum if cut
     offset, rem = divmod(shift.numerator * grain, shift.denominator)
     if rem:
         raise ValueError(f"grain {grain} does not cover the shift {shift}")
-    cut = None if cutoff is None else _exact_cutoff(cutoff)
-    m = min(spec.rank, spec.components)
-    limit = None if cut is None else _ceil_times(cut, 2 * m)
-    terms = _doubled_sum(spec, limit, 2 * m * offset // grain, grain // 2, offset)
-    return QSeries.from_grid(terms, grain, cut)
+    n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
+    m, size = min(r, c), n * c
+    lift = 2 * m * offset // grain
+    if cutoff is None:
+        cut = top = None
+        shapes = dict.fromkeys(partitions_of(size, m))
+    else:
+        cut = _exact_cutoff(cutoff)
+        top, shapes = _ceil_times(cut, grain), {}
+        for _, scaled, s, sums in _cone_window(m, p, size % m, _ceil_times(cut, 2 * m)):
+            k = (size - s) // m  # exact on the coset
+            if k >= 0:
+                lam = tuple([x + k for x in sums if x + k])
+                if m * _doubled_floor(spec, lam) != scaled - lift:
+                    raise AssertionError(f"summand {lam} does not start at its floor")
+                shapes[lam] = scaled
+    bound = tuple(map(max, zip_longest(*shapes, fillvalue=0)))
+    floor = () if cut is None else tuple(map(min, zip_longest(*shapes, fillvalue=0)))
+    table, rows, zeros = _kostka_table(bound, (n,) * c, floor), len(bound), (0,) * r
+
+    def items():  # one at a time, so no list of every summand is held
+        for lam, scaled in shapes.items():
+            padded = lam + zeros[len(lam):]
+            framing = m * p * sum(l * (l + 1 - 2 * i) for i, l in enumerate(lam, 1)) + lift
+            yield table.get(padded[:rows], 0), tuple(map(sub, padded, padded[1:])), framing, scaled
+
+    return QSeries.from_grid(_add_summands(items(), m, grain, top), grain, cut)
 
 
 def shifted_invariant_singlet(

@@ -4,6 +4,7 @@ The symmetric normalization is used throughout: the Schur polynomial is
 evaluated at q^((r-1)/2), q^((r-3)/2), ..., q^((1-r)/2), giving a palindromic
 Laurent polynomial of grain 2.  The product form is evaluated on one integer
 coefficient list by the in-place (1 - q^h) kernels, with one exactness check.
+One adder sums weighted specializations on an integer grid for both sides.
 """
 
 from __future__ import annotations
@@ -67,6 +68,36 @@ def _spec_of_gaps(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     if any(poly[d + 1:]):
         raise ValueError(f"not exactly divisible by the (1 - q^(j - i)) at gaps {gaps}")
     return tuple(poly[:d + 1]), d
+
+
+def _add_summands(items: Iterable[tuple], m: int, grain: int,
+                  top: int | None = None) -> dict[int, int]:
+    """Sum of weight q^((framing - m D)/2m) P(q) over the items (weight, gaps,
+    framing, n), (P, D) = _spec_of_gaps(gaps), keyed on the grid of 1/grain.
+
+    n is the summand's floor times 2m (None: not known, so not checked), and an
+    AssertionError is raised unless framing - m D = n, P(0) != 0, the start
+    (framing - m D) grain/2m is an integer and the weight is at least 1.  Then
+    term k is keyed start + k grain, its exponent times grain, and an integer key
+    lies below top = ceil(grain cutoff) iff its exponent lies below the cutoff:
+    an integer x < y iff x < ceil(y).  So the terms kept are exactly those below
+    the cutoff, once the items hold every summand whose floor lies below it.
+    """
+    acc: dict[int, int] = {}
+    get, scale = acc.get, 2 * m
+    for weight, gaps, framing, n in items:
+        poly, d = _spec_of_gaps(gaps)
+        low = framing - m * d
+        start, rem = divmod(low * grain, scale)
+        if n is not None and low != n or not poly[0] or rem:
+            raise AssertionError(f"summand at gaps {gaps} does not start at its floor"
+                                 f" {n}/{scale} on the grid of 1/{grain}")
+        if weight < 1:
+            raise AssertionError(f"summand at gaps {gaps} reads weight {weight}")
+        stop = start + grain * len(poly) if top is None else top
+        for e, a in zip(range(start, stop, grain), poly):
+            acc[e] = get(e, 0) + weight * a
+    return acc
 
 
 def principal_spec_weight(mu: WeightVector) -> QSeries:

@@ -30,7 +30,7 @@ from .lie_sl import (
 )
 from .qseries import (QSeries, _ceil_times, _exact_cutoff, _exact_int, _pentagonal,
                       divide_series_one_minus_q, times_one_minus_q)
-from .schur_spec import _spec_of_gaps
+from .schur_spec import _add_summands
 
 _ExponentLike = Fraction | int
 
@@ -113,9 +113,9 @@ def _cone_sum(
     (p-1)(w_i,delta) > 0 for dominant mu, as p >= 2 and all these pairings are
     positive.  So {F < cutoff} is closed under lowering a coordinate, and
     :func:`_cone_window` stops each coordinate at its first value outside it,
-    2r F >= ceil(2r cutoff).  Each kept summand is added on the integer grid
-    of the grain, only below the cutoff, and an AssertionError is raised
-    unless it starts at F(mu).
+    2r F >= ceil(2r cutoff).  Each kept summand, framing p ``scaled_casimir``,
+    goes to :func:`schur_spec._add_summands`, which adds it on the integer grid
+    of the grain below the cutoff after re-checking that it starts at F(mu).
 
     Prefix: H_r / E^(r-1) is a series in integer powers of q, so
     :func:`_times_prefactor` applies it to each residue slice i::grain.  The
@@ -149,20 +149,11 @@ def _cone_sum(
     length = cutoff.numerator * (grain // cutoff.denominator)
     grid = _cone_sums.get(key, ())
     if len(grid) < length:
+        items = ((dim, mu.coeffs, p * scaled_casimir(mu), n)
+                 for mu, n, _, _ in _cone_window(rank, p, coset, limit) if (dim := dim_of(mu)))
         coeffs = [0] * length
-        for mu, n, _, _ in _cone_window(rank, p, coset, limit):
-            dim = dim_of(mu)
-            if dim == 0:
-                continue
-            poly, d = _spec_of_gaps(mu.coeffs)
-            start, rem = divmod(n * grain, 2 * rank)
-            if p * scaled_casimir(mu) - rank * d != n or not poly[0] or rem:
-                raise AssertionError(
-                    f"summand at {mu} does not start at its floor {Fraction(n, 2 * rank)}"
-                    f" on the grid of 1/{grain}; truncation would be unsound"
-                )
-            for k, a in zip(range(start, length, grain), poly):
-                coeffs[k] += dim * a
+        for k, a in _add_summands(items, rank, grain, length).items():
+            coeffs[k] = a
         for h in divisors:
             divide_series_one_minus_q(coeffs, h * grain)
         if prefactor:

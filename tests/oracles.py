@@ -5,18 +5,19 @@ compare the two: the bilinear form of the weight lattice for
 ``casimir_pairing``, the Weyl-group alternant quotient for
 ``principal_spec``, the Weyl denominator for the root-height products, the
 gap form of the framing statistic for ``kappa``, the recursive
-enumeration for ``partitions_of``, and the strip DP with no floor for the
-floored Kostka tables.
+enumeration for ``partitions_of``, the strip DP with no floor for the
+floored Kostka tables, and the Weyl-group form of the characters for the
+cone sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, permutations, product
+from math import ceil, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from qtorus import QSeries, WeightVector, exact_div, partition_of_weight
-from qtorus.combinatorics import perm_sign
 
 
 # -- the weight lattice -------------------------------------------------------
@@ -111,10 +112,14 @@ def alternant(v: tuple[Fraction, ...], d: tuple[Fraction, ...]) -> QSeries:
     """Sum over the symmetric group of sign(w) q^((w(v), d))."""
     acc: dict[Fraction, int] = {}
     for perm in permutations(range(len(v))):
-        sign = perm_sign(perm)
         e = sum((v[perm[i]] * d[i] for i in range(len(v))), Fraction(0))
-        acc[e] = acc.get(e, 0) + sign
+        acc[e] = acc.get(e, 0) + sign(perm)
     return QSeries(acc)
+
+
+def sign(perm: Sequence[int]) -> int:
+    """(-1) to the number of inversions of the permutation."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 # -- partitions ---------------------------------------------------------------
@@ -173,3 +178,54 @@ def unpruned_strips(nu: tuple[int, ...], size: int,
 
     rec(0, size, ())
     return out
+
+
+# -- characters -------------------------------------------------------------------
+
+
+def weyl_form_character(rank: int, p: int, coset: int, cutoff: Fraction | int,
+                        dim_of: Callable[[WeightVector], int], euler_power: int | None = None,
+                        heights: Sequence[int] = ()) -> dict[Fraction, int]:
+    """The terms below ``cutoff`` of E^(-euler_power) / prod (1 - q^h) over
+    ``heights`` times sum over the dominant mu of ``coset`` of dim_of(mu)
+    sum_(w in S_r) eps(w) q^(F(mu) + (rho - w rho, mu + rho)), with E the Euler
+    product and F(mu) = p/2 (mu, mu + 2 rho) - (mu, rho).
+
+    By the Weyl denominator identity the inner sum is q^F(mu) times the height
+    product H_r times the principal specialization of mu over q^(-(mu, rho)), so
+    euler_power = rank - 1 (the default) gives the normalized character, and
+    euler_power = 0 with the heights of H_r (and of the cross product) the
+    comparison series.  Each w != 1 adds a positive exponent, and F(mu) >=
+    (p + r (p - 1))/(2r) sum i a_i, so the weights run up to that level.
+    """
+    cut = Fraction(cutoff)
+    power = rank - 1 if euler_power is None else euler_power
+    level = int(cut * 2 * rank / (p + rank * (p - 1)))
+    rho = tuple(Fraction(rank + 1 - 2 * i, 2) for i in range(1, rank + 1))
+    signs = {w: sign(w) for w in permutations(range(rank))}
+    sums: dict[Fraction, int] = {}
+    for coeffs in product(*(range(level // i + 1) for i in range(1, rank))):
+        scaled = sum(i * a for i, a in enumerate(coeffs, 1))
+        if scaled > level or scaled % rank != coset:
+            continue
+        dim = dim_of(WeightVector(rank, coeffs))
+        if not dim:
+            continue
+        ones = (1,) * (rank - 1)
+        floor = (Fraction(p, 2) * bilinear_form(rank, coeffs, coeffs)
+                 + (p - 1) * bilinear_form(rank, coeffs, ones))
+        rows = [sum(coeffs[i:]) + rank - 1 - i for i in range(rank - 1)] + [0]
+        shifted = [row - Fraction(sum(rows), rank) for row in rows]  # mu + rho
+        for w, eps in signs.items():
+            e = floor + sum((rho[i] - rho[w[i]]) * x for i, x in enumerate(shifted))
+            if e < cut:
+                sums[e] = sums.get(e, 0) + eps * dim
+    grain = lcm(2 * rank, cut.denominator)
+    grid = [0] * ceil(cut * grain)
+    for e, c in sums.items():
+        grid[int(e * grain)] += c
+    divisors = [*heights, *(k for k in range(1, ceil(cut)) for _ in range(power))]
+    for h in divisors:
+        for k in range(h * grain, len(grid)):
+            grid[k] += grid[k - h * grain]
+    return {Fraction(k, grain): c for k, c in enumerate(grid) if c}

@@ -12,6 +12,7 @@ from qtorus import combinatorics, lie_sl, link_invariants, schur_spec
 from qtorus import (
     QSeries,
     TorusLinkSpec,
+    WeightVector,
     first_disagreement,
     jones_summands,
     jones_torus_link,
@@ -283,13 +284,34 @@ def _shift(spec):
     return singlet_shift_exponent(spec)
 
 
-def window_limits(spec, below):
-    """(limit, shift) of the integer sum truncated at ``below``: ceil(2m
-    (below + s)) and 2m s, m = min(rank, components), s the shift exponent."""
-    m, shift = min(spec.rank, spec.components), _shift(spec)
-    scaled = 2 * m * shift
-    assert scaled.denominator == 1
-    return ceil(2 * m * (below + shift)), scaled.numerator
+def summed(spec, cutoff):
+    """(items, grid, series) of the shifted invariant at ``cutoff``: each item
+    (weight, gaps, framing, n) it hands to the one adder, the grid it gets back
+    and the series it returns."""
+    calls, add = [], link_invariants._add_summands
+
+    def recorded(items, *args):
+        items = list(items)
+        calls.append((items, add(items, *args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(link_invariants, "_add_summands", recorded)
+        series = _shifted(spec)(spec, cutoff)
+    [(items, grid)] = calls
+    return items, grid, series
+
+
+def kept_shapes(spec, items):
+    """Each summed shape with its n (2m F): the shape of colour * components
+    whose rank-r row gaps the item carries."""
+    kept = {}
+    for _, gaps, _, n in items:
+        last, rem = divmod(spec.colour * spec.components
+                           - sum(i * g for i, g in enumerate(gaps, 1)), spec.rank)
+        assert not rem
+        kept[partition_of_weight(WeightVector(spec.rank, gaps), last)] = n
+    return kept
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -301,8 +323,8 @@ def test_walked_shapes_match_the_filtered_enumeration(rank, p):
             spec = TorusLinkSpec(rank, components, p, n)
             for cutoff in PRUNING_CUTOFFS:
                 below = cutoff - _shift(spec)
-                walked = link_invariants._kept_shapes(spec, *window_limits(spec, below))
-                floors = {lam: Fraction(v, 2 * m) for lam, v in walked.items()}
+                walked = kept_shapes(spec, summed(spec, cutoff)[0])
+                floors = {lam: Fraction(v, 2 * m) - _shift(spec) for lam, v in walked.items()}
                 assert floors == reference_kept_shapes(spec, below), (spec, cutoff)
 
 
@@ -341,9 +363,9 @@ def test_integer_limits_match_the_untruncated_invariant(rank, components, colour
             truncated = _shifted(spec)(spec, cutoff)
             assert truncated.to_json() == exact.truncate(cutoff).to_json(), (spec, cutoff)
             # the integer sum itself keeps no term at or above the cutoff
-            below = cutoff - _shift(spec)
-            doubled = link_invariants._doubled_sum(spec, *window_limits(spec, below))
-            assert doubled == {2 * e: a for e, a in unshifted.truncate(below).terms.items()}
+            below, grain = cutoff - _shift(spec), 2 * rank if components > rank else 2
+            grid = {Fraction(k, grain) - _shift(spec): a for k, a in summed(spec, cutoff)[1].items()}
+            assert grid == unshifted.truncate(below).terms
             if components == rank + 1:
                 coset = n % rank
                 report = verify_triplet_theorem(rank, p, coset, n, cutoff)
@@ -361,7 +383,7 @@ def record_the_integer_sum(monkeypatch):
     it builds, each key it reads from one, each gap vector it specializes, and
     the floor of each table."""
     bounds, looked_up, specialized, floors = [], [], [], []
-    table_of, spec_of = link_invariants._kostka_table, link_invariants._spec_of_gaps
+    table_of, spec_of = link_invariants._kostka_table, schur_spec._spec_of_gaps
 
     class RecordedTable(dict):
         def get(self, key, default=None):
@@ -378,7 +400,7 @@ def record_the_integer_sum(monkeypatch):
         return spec_of(gaps)
 
     monkeypatch.setattr(link_invariants, "_kostka_table", recorded_table)
-    monkeypatch.setattr(link_invariants, "_spec_of_gaps", recorded_spec)
+    monkeypatch.setattr(schur_spec, "_spec_of_gaps", recorded_spec)
     return bounds, looked_up, specialized, floors
 
 
@@ -475,33 +497,41 @@ def test_unshifted_sum_below_the_rank_matches_the_running_sum(rank, components, 
     "rank,components,p,n",
     [(2, 2, 3, 9), (3, 2, 2, 6), (3, 3, 2, 5), (2, 3, 2, 7), (3, 4, 3, 4), (4, 5, 2, 2)])
 def test_folded_keys_equal_the_remapped_doubled_sum(rank, components, p, n):
-    # folding must equal remapping each doubled key e to e * half + offset,
-    # half = grain // 2: 1 at grain 2 and rank at grain 2 * rank
-    spec = TorusLinkSpec(rank, components, p, n)
-    shift = _shift(spec)
-    for below in (None, Fraction(31, 6) - shift, 12 - shift):
-        limits = () if below is None else window_limits(spec, below)
-        doubled = link_invariants._doubled_sum(spec, *limits)
+    # adding 2m t to each framing and floor on the grid of 1/(2 half) must equal
+    # remapping each doubled key e to e * half + 2 half t: half is 1 at grain 2 and
+    # rank at grain 2 * rank; the shifted forms fold their shift the same way
+    spec, m = TorusLinkSpec(rank, components, p, n), min(rank, components)
+    lift = 2 * m * _shift(spec)
+    for cutoff in (None, Fraction(31, 6), 12):
+        items, grid, _ = summed(spec, cutoff)
+        unshifted = [(w, g, f - lift, v if v is None else v - lift) for w, g, f, v in items]
+        doubled = link_invariants._add_summands(unshifted, m, 2)
         assert doubled
+        grain = 2 * rank if components > rank else 2
+        offset = grain * _shift(spec)
+        remapped = {e * grain // 2 + offset.numerator: a for e, a in doubled.items()}
+        assert offset.denominator == 1 and grid == {
+            k: a for k, a in remapped.items() if cutoff is None or k < grain * cutoff}
         for half in (1, rank):
-            for offset in (int(shift * 2 * half), -1, -7 * rank - 3, 0, 5):
-                folded = link_invariants._doubled_sum(spec, *(limits or (None, 0)),
-                                                      half, offset)
-                assert folded == {e * half + offset: a for e, a in doubled.items()}
+            for t in (-7 * rank - 3, -1, 0, 5):
+                moved = [(w, g, f + 2 * m * t, v if v is None else v + 2 * m * t)
+                         for w, g, f, v in unshifted]
+                folded = link_invariants._add_summands(moved, m, 2 * half)
+                assert folded == {e * half + 2 * half * t: a for e, a in doubled.items()}
 
 
 @pytest.mark.parametrize(
     "rank,components,p,n", [(2, 2, 3, 40), (3, 3, 2, 9), (2, 3, 2, 30), (4, 5, 3, 3)]
 )
 def test_each_summand_stops_below_twice_the_window(rank, components, p, n):
-    spec = TorusLinkSpec(rank, components, p, n)
+    spec, grain = TorusLinkSpec(rank, components, p, n), 2 * rank if components > rank else 2
     low = min(summand_floor(spec, lam) for lam in partitions_of(n * components, rank))
     for below in (low + Fraction(1, 3), low + 1, low + Fraction(31, 6), low + 12):
-        doubled = link_invariants._doubled_sum(spec, *window_limits(spec, below))
-        assert doubled and max(doubled) < 2 * below
+        grid = summed(spec, below + _shift(spec))[1]
+        assert grid and max(grid) < grain * (below + _shift(spec))
         expected = reference_jones_torus_link(spec, below)
-        assert {2 * e: a for e, a in expected.terms.items()} == {
-            e: a for e, a in doubled.items() if a}
+        assert expected.terms == {
+            Fraction(k, grain) - _shift(spec): a for k, a in grid.items() if a}
 
 
 def test_a_truncated_sum_leaves_the_cached_specializations_whole():
@@ -514,7 +544,7 @@ def test_a_truncated_sum_leaves_the_cached_specializations_whole():
     # some kept summand reaches past the window, so the sum does cut one
     assert any(
         summand_floor(spec, lam) + len(schur_spec.principal_spec_poly(lam, 3)[0]) > below
-        for lam in link_invariants._kept_shapes(spec, *window_limits(spec, below)))
+        for lam in kept_shapes(spec, summed(spec, 12)[0]))
     shifted_invariant_singlet(spec, 12)
     assert jones_torus_link(spec).to_json_dict() == expected
 
@@ -551,13 +581,13 @@ def test_integer_sum_rechecks_each_floor(monkeypatch):
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(spec, 12)
     monkeypatch.setattr(link_invariants, "_doubled_floor", floor)
-    spec_of = link_invariants._spec_of_gaps
+    spec_of = schur_spec._spec_of_gaps
 
     def lowest_term_missing(gaps):
         poly, d = spec_of(gaps)
         return (0, *poly), d
 
-    monkeypatch.setattr(link_invariants, "_spec_of_gaps", lowest_term_missing)
+    monkeypatch.setattr(schur_spec, "_spec_of_gaps", lowest_term_missing)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_singlet(spec, 12)
 
@@ -574,16 +604,19 @@ def test_integer_sum_rechecks_the_window_floor(monkeypatch):
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
     monkeypatch.setattr(link_invariants, "_cone_window", window)
-    kept_shapes = link_invariants._kept_shapes
+    spec_of = schur_spec._spec_of_gaps
 
-    def one_column_more(*args):
-        # each shape of the same size with the last row moved to the first
-        return {(lam[0] + lam[-1],) + lam[1:-1] if len(lam) > 1 else lam: scaled
-                for lam, scaled in kept_shapes(*args).items()}
+    def one_more_d(gaps):
+        # the closed form of the floor reads no D, so only the window's 2m F
+        # can catch a D off by one; an even shift of m keeps the start on the grid
+        poly, d = spec_of(gaps)
+        return poly, d + 1
 
-    monkeypatch.setattr(link_invariants, "_kept_shapes", one_column_more)
-    with pytest.raises(AssertionError, match="floor"):
-        shifted_invariant_singlet(TorusLinkSpec(3, 3, 2, 5), 12)
+    monkeypatch.setattr(schur_spec, "_spec_of_gaps", one_more_d)
+    for build in (lambda: shifted_invariant_singlet(TorusLinkSpec(3, 3, 2, 5), 12),
+                  lambda: shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)):
+        with pytest.raises(AssertionError, match="floor"):
+            build()
 
 
 def test_integer_sum_rechecks_each_kostka_number(monkeypatch):
@@ -598,8 +631,55 @@ def test_integer_sum_rechecks_each_kostka_number(monkeypatch):
     for build in (lambda: shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12),
                   lambda: shifted_invariant_singlet(TorusLinkSpec(3, 3, 2, 5), 12),
                   lambda: jones_torus_link(TorusLinkSpec(2, 2, 2, 3))):
-        with pytest.raises(AssertionError, match="Kostka number 0"):
+        with pytest.raises(AssertionError, match="weight 0"):
             build()
+
+
+@pytest.mark.parametrize(
+    "rank,components,p,n", [(2, 2, 2, 7), (3, 2, 3, 5), (3, 3, 2, 4), (2, 3, 2, 6), (3, 4, 2, 3)])
+def test_the_uncut_invariant_never_walks_the_window(rank, components, p, n, monkeypatch):
+    # without a cutoff the shapes come from partitions_of alone, so the differential
+    # tests against the cut sum compare two independent shape sets
+    def no_window(*args):
+        raise AssertionError("the uncut invariant walked the cone window")
+
+    monkeypatch.setattr(link_invariants, "_cone_window", no_window)
+    spec = TorusLinkSpec(rank, components, p, n)
+    exact = reference_jones_torus_link(spec)
+    assert jones_torus_link(spec).to_json_dict() == exact.to_json_dict()
+    if components == rank + 1:
+        shifted, shift, grain = shifted_invariant_triplet, triplet_shift_exponent(spec), 2 * rank
+    else:
+        shifted, shift, grain = shifted_invariant_singlet, singlet_shift_exponent(spec), 2
+    expected = reference_shifted(exact, shift, grain, None).to_json_dict()
+    assert shifted(spec).to_json_dict() == shifted(spec, None).to_json_dict() == expected
+
+
+# (items, m, grain) the one adder must refuse: gaps (1,) at rank 2 have P = 1 + q, D = 1
+REFUSED_SUMS = [
+    ([(1, (1,), 5, 2)], 2, 4, "floor"),  # framing - m D = 3, not n = 2
+    ([(1, (1,), 3, 1)], 2, 2, "floor"),  # start 1 * 2/4 off the grid of 1/2
+    ([(1, (1,), 3, None)], 2, 2, "floor"),  # off the grid with no floor to check
+    ([(0, (1,), 3, 1)], 2, 4, "weight 0"),
+    ([(-2, (1,), 3, 1)], 2, 4, "weight -2"),
+]
+
+
+@pytest.mark.parametrize("items,m,grain,match", REFUSED_SUMS)
+def test_the_adder_refuses_a_summand_off_its_floor_or_grid(items, m, grain, match):
+    with pytest.raises(AssertionError, match=match):
+        link_invariants._add_summands(items, m, grain)
+
+
+def test_the_adder_keeps_exactly_the_keys_below_its_top():
+    # 3 q^(1/4) (1 + q) + 2 q^(1/2) (1 + q + q^2) at scale 4 on the grid of 1/4:
+    # keys 1, 5 and 2, 6, 10 (gaps (2,) have P = 1 + q + q^2, D = 2)
+    items = [(3, (1,), 3, 1), (2, (2,), 6, 2)]
+    whole = link_invariants._add_summands(items, 2, 4)
+    assert whole == {1: 3, 5: 3, 2: 2, 6: 2, 10: 2}
+    for top in range(12):
+        assert link_invariants._add_summands(items, 2, 4, top) == {
+            k: a for k, a in whole.items() if k < top}
 
 
 # -- the interlacing floor keeps the Kostka table flat in the colour ------------------
@@ -650,15 +730,16 @@ def test_doubling_the_colour_keeps_the_strip_dp_states(rank, colour, monkeypatch
 # -- one cone window per family, read by the invariant side ---------------------------
 
 
-def reference_window_shapes(spec, limit, shift):
-    """_kept_shapes from a cold walk, each shape built by partition_of_weight."""
+def reference_window_shapes(spec, limit):
+    """The summed shapes with their 2m F from a cold walk, each shape built by
+    partition_of_weight."""
     lie_sl._windows.clear()
     n, c, m = spec.colour, spec.components, min(spec.rank, spec.components)
     kept = {}
     for mu, scaled, _, _ in lie_sl._cone_window(m, spec.p, n * c % m, limit):
         k = (n * c - sum(i * a for i, a in enumerate(mu.coeffs, 1))) // m
         if k >= 0:
-            kept[partition_of_weight(mu, k)] = scaled - shift
+            kept[partition_of_weight(mu, k)] = scaled
     return kept
 
 
@@ -674,16 +755,15 @@ def test_warm_window_reads_equal_cold_walks_on_the_invariant_side(schedule):
         random.Random(4).shuffle(requests)
     warm, families = [], {}
     for spec, cutoff in requests:
-        limits = window_limits(spec, cutoff - _shift(spec))
         m = min(spec.rank, spec.components)
-        family = (m, spec.p, spec.colour * spec.components % m)
-        families[family] = max(families.get(family, 0), limits[0])
-        warm.append((limits, link_invariants._kept_shapes(spec, *limits),
-                     _shifted(spec)(spec, cutoff).to_json()))
+        limit, family = ceil(2 * m * cutoff), (m, spec.p, spec.colour * spec.components % m)
+        families[family] = max(families.get(family, 0), limit)
+        items, _, series = summed(spec, cutoff)
+        warm.append((limit, kept_shapes(spec, items), series.to_json()))
     # one window per family, kept at the longest limit asked
     assert {key: walked for key, (walked, _) in lie_sl._windows.items()} == families
-    for (spec, cutoff), (limits, shapes, series) in zip(requests, warm):
-        assert shapes == reference_window_shapes(spec, *limits)
+    for (spec, cutoff), (limit, shapes, series) in zip(requests, warm):
+        assert shapes == reference_window_shapes(spec, limit)
         lie_sl._windows.clear()
         assert series == _shifted(spec)(spec, cutoff).to_json()
 

@@ -118,16 +118,20 @@ def test_spec_raises_unless_the_quotient_stops_at_degree_d(
 
 
 def test_oracles_share_no_factor_kernel_with_production():
-    # the Weyl denominator oracle checks the (1 - q^h) kernels, so it must not
-    # reach them by an import, an attribute or a bare name
+    # the Weyl denominator oracle checks the (1 - q^h) kernels, and the Weyl-form
+    # characters the window, the adder and the prefactor, so they must not reach
+    # them (or the production sign) by an import, an attribute or a bare name
     tree = ast.parse(Path(oracles.__file__).read_text())
     names = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     kernels = {"times_one_minus_q", "divide_series_one_minus_q", "_spec_of_gaps",
-               "_times_prefactor"}
+               "_times_prefactor", "_pentagonal", "_cone_window", "_cone_sum",
+               "_add_summands", "dominant_weights", "perm_sign"}
     assert {"QSeries", "exact_div", "from_grid"} <= names  # the walk sees the module
+    assert {"weyl_form_character", "alternant"} <= {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not names & kernels
 
 

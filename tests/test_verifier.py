@@ -1,7 +1,10 @@
 """Verifier: agreement orders, both limit identities at small scale, the
 proposition checks, and the column-stripping bijection."""
 
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from qtorus import (
@@ -24,6 +27,26 @@ from qtorus import (
 
 
 # -- agreement order ---------------------------------------------------------------
+
+
+def test_the_triplet_scan_prints_every_colour(monkeypatch, capsys):
+    # every colour, each on its own coset colour % rank, not only coset 0
+    script = Path(__file__).parent.parent / "scripts" / "agreement_scan.py"
+    argv = ["--rank", "3", "--components", "4", "--p", "2", "--max-colour", "6"]
+    monkeypatch.setattr(sys, "argv", [str(script), *argv, "--order", "20"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    expected = []
+    for colour in range(7):
+        report = verify_triplet_theorem(3, 2, colour % 3, colour, 20)
+        order = "full" if report.order is None else str(report.order)
+        verdict = "pass" if report.passed else "FAIL"
+        expected.append(f"{colour:>7}  {order:>8}  {str(report.threshold):>9}  {verdict}")
+    assert rows == expected
+    assert [row.split()[1] for row in rows[1:3]] == ["14/3", "23/3"]
+
 
 
 def test_agreement_equal_series():

@@ -12,6 +12,7 @@ from operator import add, mul
 import pytest
 import qtorus.lie_sl as lie_sl
 import qtorus.link_invariants as link_invariants
+import qtorus.schur_spec as schur_spec
 import qtorus.voa_characters as voa_characters
 from qtorus import (
     CharacterSpec,
@@ -38,7 +39,7 @@ from qtorus.voa_characters import _cone_sum, _cone_window, _times_prefactor
 from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
 from qtorus.qseries import divide_series_one_minus_q
 
-from oracles import pairing, weyl_vector
+from oracles import pairing, weyl_form_character, weyl_vector
 
 
 def test_spec_validation():
@@ -73,7 +74,8 @@ def test_spec_cutoff_must_be_a_fraction_or_an_int(monkeypatch, cutoff):
     # Fraction(0.1) has the denominator 2^55, which would become the grain: the
     # character grid would be about 3.6e15 entries long, so no build may start
     monkeypatch.setattr(voa_characters, "_cone_sum", unreachable)
-    monkeypatch.setattr(link_invariants, "_doubled_sum", unreachable)
+    monkeypatch.setattr(link_invariants, "_cone_window", unreachable)
+    monkeypatch.setattr(link_invariants, "_add_summands", unreachable)
     calls = [
         lambda: CharacterSpec(2, 2, "singlet", cutoff),
         lambda: rhs_singlet_limit(3, 2, 2, cutoff),
@@ -310,15 +312,42 @@ def test_wrong_floor_raises(monkeypatch):
 
 
 def test_summand_without_its_floor_term_raises(monkeypatch):
-    spec_poly = voa_characters._spec_of_gaps
+    spec_poly = schur_spec._spec_of_gaps
 
     def raised(gaps):
         poly, d = spec_poly(gaps)
         return [0, *poly], d
 
-    monkeypatch.setattr(voa_characters, "_spec_of_gaps", raised)
+    monkeypatch.setattr(schur_spec, "_spec_of_gaps", raised)
     with pytest.raises(AssertionError, match="floor"):
         _cone_sum(2, 2, 0, Fraction(20), weyl_dim)
+
+
+def test_a_grain_too_coarse_for_the_coset_raises(monkeypatch):
+    # coset 1 of rank 3 needs the grain 6; on the grid of 1/2 the summand at w_1
+    # (floor 5/3) starts between two keys, and only the grid re-check sees it
+    monkeypatch.setitem(voa_characters._lowest_grains, (3, 2, 1, weyl_dim), 2)
+    with pytest.raises(AssertionError, match="grid of 1/2"):
+        _cone_sum(3, 2, 1, Fraction(12), weyl_dim)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3])
+def test_characters_match_the_weyl_form(rank, p):
+    # a second route to every cone sum: the Weyl-group form walks its own weights
+    # and uses no window, specialization, prefactor kernel or adder
+    heights = [j - i for j in range(1, rank + 1) for i in range(1, j)]
+    for cutoff in (Fraction(7, 3), 12, Fraction(61, 3) if rank < 4 else 14):
+        singlet = singlet_char(CharacterSpec(rank, p, "singlet", cutoff))
+        assert singlet.terms == weyl_form_character(rank, p, 0, cutoff, zero_weight_dim)
+        for coset in range(rank):
+            weyl = partial(weyl_form_character, rank, p, coset, cutoff, weyl_dim)
+            assert triplet_char(CharacterSpec(rank, p, "triplet", cutoff, coset)).terms == weyl()
+            assert rhs_triplet_limit(rank, p, coset, cutoff).terms == weyl(0, heights)
+        for big in range(rank, 5):
+            cross = [j - i for j in range(rank + 1, big + 1) for i in range(1, rank + 1)]
+            assert rhs_singlet_limit(big, rank, p, cutoff).terms == weyl_form_character(
+                rank, p, 0, cutoff, zero_weight_dim, 0, heights + cross)
 
 
 def test_cone_weights_lie_in_the_right_coset():
