@@ -20,7 +20,13 @@ def main() -> int:
     parser.add_argument("--max-colour", type=int, default=12)
     parser.add_argument("--order", type=int, default=16)
     args = parser.parse_args()
+    try:
+        return scan(args)
+    except ValueError as err:  # a flag the library rejects: usage and the reason, exit 2
+        parser.error(str(err))
 
+
+def scan(args: argparse.Namespace) -> int:
     triplet = args.components == args.rank + 1
     kind = "triplet" if triplet else "singlet"
     print(

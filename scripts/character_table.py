@@ -22,7 +22,13 @@ def main() -> int:
     parser.add_argument("--max-p", type=int, default=3)
     parser.add_argument("--order", type=int, default=16)
     args = parser.parse_args()
+    try:
+        return tabulate(args)
+    except ValueError as err:  # a flag the library rejects: usage and the reason, exit 2
+        parser.error(str(err))
 
+
+def tabulate(args: argparse.Namespace) -> int:
     print(f"# singlet rows list the coefficients of q^0 .. q^{args.order - 1}")
     for rank in range(2, args.max_rank + 1):
         for p in range(2, args.max_p + 1):

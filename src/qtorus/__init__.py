@@ -17,26 +17,21 @@ from .combinatorics import (
 )
 from .lie_sl import (
     WeightVector,
-    casimir_pairing,
-    dominant_weights,
     partition_of_weight,
-    scaled_coeff_sum,
     weight_of_partition,
     weyl_dim,
     zero_weight_dim,
 )
 from .link_invariants import (
     TorusLinkSpec,
-    jones_summands,
     jones_torus_link,
     shifted_invariant_singlet,
     shifted_invariant_triplet,
     singlet_shift_exponent,
-    summand_floor,
     triplet_shift_exponent,
 )
-from .qseries import QSeries, euler_product, exact_div, invert_unit
-from .schur_spec import principal_spec, principal_spec_weight
+from .qseries import QSeries
+from .schur_spec import principal_spec
 from .verifier import (
     VerificationReport,
     check_prop_full_dim,

@@ -40,13 +40,8 @@ class TorusLinkSpec:
                 raise ValueError(f"{field} must be at least {low}")
 
 
-def summand_floor(spec: TorusLinkSpec, lam: Partition) -> Fraction:
-    """Lowest exponent of the summand at ``lam`` in :func:`jones_summands`."""
-    return Fraction(_doubled_floor(spec, lam), 2)
-
-
 def _doubled_floor(spec: TorusLinkSpec, lam: Partition) -> int:
-    """Twice :func:`summand_floor`, an integer.
+    """Twice the lowest exponent of the summand at ``lam`` in :func:`jones_summands`.
 
     Floor: the summand is weight * q^(p kappa(lam)/2) times the principal
     specialization, the sum over the weights mu of s_lam of K(lam, mu)
@@ -85,7 +80,7 @@ def jones_summands(spec: TorusLinkSpec) -> Iterator[tuple[Partition, int, QSerie
 
     The sum runs over partitions of colour * components with at most
     min(rank, components) rows; shapes with Kostka weight zero are skipped.
-    Each term starts at :func:`summand_floor`.
+    Each term starts at half of :func:`_doubled_floor`.
     """
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     content = (n,) * c

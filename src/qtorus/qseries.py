@@ -55,6 +55,16 @@ def _ceil_times(cut: Fraction, g: int) -> int:
     return -(-g * cut.numerator // cut.denominator)
 
 
+def _covering_grain(grain: int, min_grain: int) -> int:
+    # the grain, once it is checked to be positive and a multiple of min_grain
+    if grain <= 0:
+        raise ValueError(f"grain must be positive, got {grain}")
+    if grain % min_grain:
+        raise ValueError(f"grain {grain} does not cover the exponent denominators "
+                         f"(needs a multiple of {min_grain})")
+    return grain
+
+
 def _min_cutoff(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     if a is None:
         return b
@@ -92,14 +102,8 @@ class QSeries:
         clean = {e: c for e, c in acc.items() if c}
         min_grain = lcm(*(e.denominator for e in clean),
                         1 if cut is None else cut.denominator)
-        grain = min_grain if grain is None else _exact_int(grain, "grain")
-        if grain <= 0:
-            raise ValueError(f"grain must be positive, got {grain}")
-        if grain % min_grain:
-            raise ValueError(
-                f"grain {grain} does not cover the exponent denominators "
-                f"(needs a multiple of {min_grain})"
-            )
+        grain = _covering_grain(min_grain if grain is None else _exact_int(grain, "grain"),
+                                min_grain)
         self._grid = {e.numerator * (grain // e.denominator): c for e, c in clean.items()}
         self.cutoff = cut
         self.grain = grain
@@ -312,8 +316,7 @@ class QSeries:
                 raise ValueError(f"term {[num, den, coeff]}: the grain {g} is not "
                                  f"a multiple of the denominator {den}")
             grid[num * (g // den)] = grid.get(num * (g // den), 0) + int(coeff)
-        # the constructor checks that the grain is positive and covers the cutoff
-        return cls.from_grid(grid, cls((), cut, g).grain, cut)
+        return cls.from_grid(grid, _covering_grain(g, 1 if cut is None else cut.denominator), cut)
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict())`` byte for byte, written in one

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 import qtorus.lie_sl as lie_sl
 import qtorus.voa_characters as voa_characters
@@ -13,3 +15,18 @@ def cold_cone_sums():
     yield voa_characters._cone_sums
     voa_characters._cone_sums.clear()
     lie_sl._windows.clear()
+
+
+@pytest.fixture
+def replace_everywhere(monkeypatch):
+    """``replace(orig, new)`` points every qtorus namespace that holds ``orig``
+    at ``new``, as a tracer that wraps a module function does: a module that
+    imported the function by name looks it up in its own namespace.  Undone
+    with the test."""
+    def replace(orig, new):
+        for name, module in list(sys.modules.items()):
+            if name == "qtorus" or name.startswith("qtorus."):
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, new)
+    return replace

@@ -17,7 +17,8 @@ from itertools import combinations, permutations, product
 from math import ceil, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from qtorus import QSeries, WeightVector, exact_div, partition_of_weight
+from qtorus import QSeries, WeightVector, partition_of_weight
+from qtorus.qseries import exact_div
 
 
 # -- the weight lattice -------------------------------------------------------

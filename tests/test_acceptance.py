@@ -14,13 +14,9 @@ from qtorus import (
     QSeries,
     TorusLinkSpec,
     WeightVector,
-    casimir_pairing,
     check_prop_full_dim,
     check_prop_zero_weight,
-    euler_product,
     first_disagreement,
-    invert_unit,
-    jones_summands,
     kappa,
     kostka,
     partition_of_weight,
@@ -28,7 +24,6 @@ from qtorus import (
     phi_bijection_check,
     principal_spec,
     rhs_singlet_limit,
-    scaled_coeff_sum,
     shifted_invariant_singlet,
     singlet_char,
     singlet_shift_exponent,
@@ -40,6 +35,9 @@ from qtorus import (
     weight_of_partition,
     weyl_dim,
 )
+from qtorus.lie_sl import casimir_pairing, scaled_coeff_sum
+from qtorus.link_invariants import jones_summands
+from qtorus.qseries import euler_product, invert_unit
 
 from oracles import alternant, epsilon_coords, weyl_denominator, weyl_vector
 

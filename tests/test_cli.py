@@ -9,8 +9,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import qtorus
 from qtorus import QSeries
-from qtorus import cli
+from qtorus import cli, combinatorics, lie_sl, link_invariants, qseries, schur_spec, voa_characters
 from qtorus.cli import main, parse_content, parse_partition
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -568,13 +569,13 @@ def test_an_order_that_is_no_integer_is_named_before_a_flag_mix(argv, message, c
 # -- one parse per request: the leaf dispatch against argparse's own path ------------
 
 
-def _workload_lines():
-    """The argv of 50 seed-1 rounds of every benchmark workload."""
+def _workload_lines(count=50):
+    """The argv of ``count`` seed-1 rounds of every benchmark workload."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return {name: [argv for batch in workloads.rounds(name, 1, 50) for argv in batch]
+    return {name: [argv for batch in workloads.rounds(name, 1, count) for argv in batch]
             for name in workloads.WORKLOADS}
 
 
@@ -661,3 +662,54 @@ def test_a_verify_line_runs_one_argparse_pass(monkeypatch):
                         argparse.ArgumentParser.parse_known_args)
     cli.build_parser().parse_args(SINGLET)
     assert passes == ["qtorus", "qtorus verify", "qtorus verify singlet"]
+
+
+# -- one series representation on every command path ---------------------------------
+
+# The Fraction-keyed series arithmetic and the reference forms built on it; the
+# tracer and the tests read them from their modules, and no command reaches them.
+DICT_LAYER_METHODS = ["__init__", "zero", "one", "monomial", "truncate", "__add__", "__radd__",
+                      "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__"]
+DICT_LAYER_FUNCTIONS = [
+    (qseries, ["invert_unit", "exact_div", "euler_product"]),
+    (link_invariants, ["jones_summands"]),
+    (lie_sl, ["dominant_weights", "scaled_coeff_sum", "casimir_pairing"]),
+    (schur_spec, ["principal_spec_weight"]),
+]
+
+
+def _cold_memos():
+    voa_characters._cone_sums.clear()
+    voa_characters._lowest_grains.clear()
+    lie_sl._windows.clear()
+    schur_spec._spec_of_gaps.cache_clear()
+    combinatorics._kostka_table.cache_clear()
+
+
+def test_no_command_reaches_the_dict_series_layer(capsys, monkeypatch, replace_everywhere):
+    lines = [argv for argv, _ in GOLDEN_CASES] + readme_commands() + [
+        ["selftest"], ["selftest", "--json"]] + [
+        ["verify", "props", "--rank", str(rank), "--max-weight", "6"] for rank in range(2, 6)]
+    lines += [argv for batch in _workload_lines(1).values() for argv in batch]
+    reached = []
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError(f"{name} was reached")
+        return refused
+
+    with monkeypatch.context() as patched:
+        for method in DICT_LAYER_METHODS:
+            patched.setattr(QSeries, method, refuse(f"QSeries.{method}"))
+        for module, names in DICT_LAYER_FUNCTIONS:
+            for name in names:
+                replace_everywhere(getattr(module, name), refuse(name))
+        _cold_memos()
+        guarded = [run_cli(argv, capsys) for argv in lines]
+    assert reached == []
+    assert not hasattr(link_invariants, "summand_floor")
+    assert not {name for _, names in DICT_LAYER_FUNCTIONS for name in names} & set(vars(qtorus))
+    _cold_memos()
+    for argv, outcome in zip(lines, guarded):
+        assert outcome == run_cli(argv, capsys), argv

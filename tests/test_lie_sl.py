@@ -12,19 +12,16 @@ from hypothesis import strategies as st
 
 from qtorus import (
     WeightVector,
-    casimir_pairing,
     compositions_of,
-    dominant_weights,
     kappa,
     kostka,
     partition_of_weight,
     partitions_of,
-    scaled_coeff_sum,
     weight_of_partition,
     weyl_dim,
     zero_weight_dim,
 )
-from qtorus.lie_sl import scaled_casimir
+from qtorus.lie_sl import casimir_pairing, dominant_weights, scaled_casimir, scaled_coeff_sum
 
 from oracles import bilinear_form, epsilon_coords, pairing, weyl_vector
 

@@ -9,12 +9,12 @@ from math import ceil
 
 import pytest
 from qtorus import combinatorics, lie_sl, link_invariants, schur_spec
+from qtorus.link_invariants import jones_summands
 from qtorus import (
     QSeries,
     TorusLinkSpec,
     WeightVector,
     first_disagreement,
-    jones_summands,
     jones_torus_link,
     kappa,
     kostka,
@@ -27,7 +27,6 @@ from qtorus import (
     shifted_invariant_triplet,
     singlet_shift_exponent,
     summand_exponent_bound,
-    summand_floor,
     triplet_shift_exponent,
     verify_singlet_theorem,
     verify_triplet_theorem,
@@ -234,18 +233,6 @@ def test_pruned_invariant_matches_truncated_exact(rank, components, colours, p):
             assert pruned.to_json_dict() == exact.truncate(cutoff).to_json_dict()
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4, 5])
-def test_summand_floor_is_half_the_doubled_floor(rank):
-    for components in range(1, rank + 2):
-        for p in (1, 2, 3):
-            for n in range(5 if rank < 5 else 3):
-                spec = TorusLinkSpec(rank, components, p, n)
-                for lam in partitions_of(n * components, min(rank, components)):
-                    doubled = link_invariants._doubled_floor(spec, lam)
-                    assert type(doubled) is int
-                    assert summand_floor(spec, lam) == Fraction(doubled, 2)
-
-
 @pytest.mark.parametrize(
     "rank,components,p,n", [(2, 2, 3, 9), (3, 2, 2, 6), (3, 4, 3, 3), (4, 4, 2, 3)]
 )
@@ -255,7 +242,8 @@ def test_summand_floor_is_lowest_exponent(rank, components, p, n):
     shapes = list(partitions_of(n * components, min(rank, components)))
     assert [lam for lam, _, _ in summands] == shapes
     for lam, weight, term in summands:
-        assert term.low == summand_floor(spec, lam)
+        doubled = link_invariants._doubled_floor(spec, lam)
+        assert type(doubled) is int and term.low == Fraction(doubled, 2)
         assert term.coefficient(term.low) == weight
 
 
@@ -274,7 +262,8 @@ def reference_kept_shapes(spec, below):
     colour * components with at most min(rank, components) rows whose floor
     lies below ``below``, with that floor."""
     n, c, r = spec.colour, spec.components, spec.rank
-    floors = {lam: summand_floor(spec, lam) for lam in partitions_of(n * c, min(r, c))}
+    floors = {lam: Fraction(link_invariants._doubled_floor(spec, lam), 2)
+              for lam in partitions_of(n * c, min(r, c))}
     return {lam: floor for lam, floor in floors.items() if floor < below}
 
 
@@ -525,7 +514,8 @@ def test_folded_keys_equal_the_remapped_doubled_sum(rank, components, p, n):
 )
 def test_each_summand_stops_below_twice_the_window(rank, components, p, n):
     spec, grain = TorusLinkSpec(rank, components, p, n), 2 * rank if components > rank else 2
-    low = min(summand_floor(spec, lam) for lam in partitions_of(n * components, rank))
+    low = min(Fraction(link_invariants._doubled_floor(spec, lam), 2)
+              for lam in partitions_of(n * components, rank))
     for below in (low + Fraction(1, 3), low + 1, low + Fraction(31, 6), low + 12):
         grid = summed(spec, below + _shift(spec))[1]
         assert grid and max(grid) < grain * (below + _shift(spec))
@@ -543,7 +533,8 @@ def test_a_truncated_sum_leaves_the_cached_specializations_whole():
     below = 12 - singlet_shift_exponent(spec)
     # some kept summand reaches past the window, so the sum does cut one
     assert any(
-        summand_floor(spec, lam) + len(schur_spec.principal_spec_poly(lam, 3)[0]) > below
+        Fraction(link_invariants._doubled_floor(spec, lam), 2)
+        + len(schur_spec.principal_spec_poly(lam, 3)[0]) > below
         for lam in kept_shapes(spec, summed(spec, 12)[0]))
     shifted_invariant_singlet(spec, 12)
     assert jones_torus_link(spec).to_json_dict() == expected

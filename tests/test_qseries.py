@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtorus import QSeries, euler_product, exact_div, first_disagreement, invert_unit
-from qtorus.qseries import divide_series_one_minus_q, times_one_minus_q
+from qtorus import QSeries, first_disagreement
+from qtorus.qseries import (divide_series_one_minus_q, euler_product, exact_div, invert_unit,
+                            times_one_minus_q)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -1112,9 +1113,10 @@ def test_json_rejects_a_denominator_off_the_grain():
     data = {"grain": 2, "cutoff": None, "terms": [[1, 3, "1"]]}
     with pytest.raises(ValueError, match="denominator 3"):
         QSeries.from_json_dict(data)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "grain 2 does not cover the exponent denominators (needs a multiple of 3)")):
         QSeries.from_json_dict({"grain": 2, "cutoff": {"num": 1, "den": 3}, "terms": []})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grain must be positive, got 0"):
         QSeries.from_json_dict({"grain": 0, "cutoff": None, "terms": []})
 
 

@@ -12,15 +12,15 @@ from qtorus import (
     QSeries,
     WeightVector,
     as_partition,
-    exact_div,
     partitions_of,
     TorusLinkSpec,
     jones_torus_link,
     principal_spec,
-    principal_spec_weight,
     weight_of_partition,
     weyl_dim,
 )
+from qtorus.qseries import exact_div
+from qtorus.schur_spec import principal_spec_weight
 
 import oracles
 from oracles import (

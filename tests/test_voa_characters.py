@@ -19,14 +19,9 @@ from qtorus import (
     QSeries,
     TorusLinkSpec,
     WeightVector,
-    dominant_weights,
-    euler_product,
     first_disagreement,
-    invert_unit,
-    principal_spec_weight,
     rhs_singlet_limit,
     rhs_triplet_limit,
-    scaled_coeff_sum,
     shifted_invariant_singlet,
     shifted_invariant_triplet,
     singlet_char,
@@ -36,8 +31,10 @@ from qtorus import (
     verify_triplet_theorem,
 )
 from qtorus.voa_characters import _cone_sum, _cone_window, _times_prefactor
-from qtorus.lie_sl import casimir_pairing, weyl_dim, zero_weight_dim
-from qtorus.qseries import divide_series_one_minus_q
+from qtorus.lie_sl import (casimir_pairing, dominant_weights, scaled_coeff_sum, weyl_dim,
+                           zero_weight_dim)
+from qtorus.qseries import divide_series_one_minus_q, euler_product, invert_unit
+from qtorus.schur_spec import principal_spec_weight
 
 from oracles import pairing, weyl_form_character, weyl_vector
 
