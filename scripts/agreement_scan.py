@@ -27,13 +27,25 @@ def main() -> int:
 
 
 def scan(args: argparse.Namespace) -> int:
+    if args.max_colour < 0:
+        raise ValueError(f"--max-colour must be at least 0, got {args.max_colour}")
     triplet = args.components == args.rank + 1
     kind = "triplet" if triplet else "singlet"
+    lines = rows(args, triplet)
+    first = next(lines)  # colour 0 hands every flag to the library before any output
     print(
         f"# {kind} comparison, rank={args.rank} components={args.components} "
         f"p={args.p}, series compared below q^{args.order}"
     )
     print(f"{'colour':>7}  {'order':>8}  {'threshold':>9}  verdict")
+    print(first)
+    for line in lines:
+        print(line)
+    return 0
+
+
+def rows(args: argparse.Namespace, triplet: bool):
+    """One table line per colour, each computed as it is read."""
     for colour in range(0, args.max_colour + 1):
         if triplet:
             report = verify_triplet_theorem(
@@ -45,8 +57,7 @@ def scan(args: argparse.Namespace) -> int:
             )
         order = "full" if report.order is None else str(report.order)
         verdict = "pass" if report.passed else "FAIL"
-        print(f"{colour:>7}  {order:>8}  {str(report.threshold):>9}  {verdict}")
-    return 0
+        yield f"{colour:>7}  {order:>8}  {str(report.threshold):>9}  {verdict}"
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ def main() -> int:
 
 
 def tabulate(args: argparse.Namespace) -> int:
+    for flag, value in (("--max-rank", args.max_rank), ("--max-p", args.max_p)):
+        if value < 2:
+            raise ValueError(f"{flag} must be at least 2, got {value}")
+    CharacterSpec(2, 2, "singlet", args.order)  # the library checks --order before any output
     print(f"# singlet rows list the coefficients of q^0 .. q^{args.order - 1}")
     for rank in range(2, args.max_rank + 1):
         for p in range(2, args.max_p + 1):

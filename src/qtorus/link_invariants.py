@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
 from .lie_sl import _cone_window
-from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int
+from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int, _kept_prefix
 from .schur_spec import _add_summands, principal_spec
 
 
@@ -106,25 +106,58 @@ def triplet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
     return Fraction(p * n * (r + 1) * (r * r - n * (r + 1)), 2 * r)
 
 
+_cut_sums: dict[tuple, tuple[int, ...]] = {}
+
+
 def _shifted(
     spec: TorusLinkSpec, shift: Fraction | int, grain: int, cutoff: Fraction | int | None
 ) -> QSeries:
-    # q^shift times jones_summands' sum, on the grid of 1/grain (2 or 2r, dividing
-    # 2m), framing 2m (p kappa/2 + shift).  Cut, the shapes and their 2m F come from
-    # the window below ceil(2m cutoff) (see _doubled_floor), each F re-checked in
-    # closed form; uncut, from partitions_of.  One Kostka table on their union,
-    # floored by their minimum if cut
+    """q^shift times :func:`jones_summands`' sum on the grid of 1/grain (2 or 2r,
+    dividing 2m), truncated at ``cutoff``; see :func:`_shifted_sum`.  Cut, the
+    shift must be the one the window's floor carries (see :func:`_doubled_floor`).
+
+    Prefix: cut, the summed grid of length top = ceil(grain cutoff) is kept in
+    ``_cut_sums`` per (spec, offset, grain) at the longest length built, and a
+    request reads its first top entries (:func:`qseries._kept_prefix`).  These
+    equal a build at top.  The window {2m F < ceil(2m cutoff)} grows with the
+    cutoff.  A shape only in the longer window has 2m F >= ceil(2m cutoff) >=
+    2m cutoff, so its start key, 2m F grain/2m, is an integer at least grain
+    cutoff (grain divides 2m), hence at least top, and its terms lie at or above
+    it.  Each kept shape reads the same Kostka entry from either table: a table
+    floored by the componentwise minimum and bounded by the maximum of its shapes
+    holds each such shape's full tableau count (``combinatorics._kostka_table``),
+    whatever that floor.  Its gaps and framing do not depend on the cutoff, so the
+    adder's sum below top is the same integer sum in both builds.
+    """
     offset, rem = divmod(shift.numerator * grain, shift.denominator)
     if rem:
         raise ValueError(f"grain {grain} does not cover the shift {shift}")
+    if cutoff is None:
+        return QSeries.from_grid(_shifted_sum(spec, offset, grain, None), grain)
+    cut = _exact_cutoff(cutoff)
+
+    def build(top: int) -> list[int]:
+        grid = _shifted_sum(spec, offset, grain, cut)
+        return [grid.get(k, 0) for k in range(top)]
+
+    return _kept_prefix(_cut_sums, (spec, offset, grain), _ceil_times(cut, grain), build,
+                        grain, cut)
+
+
+def _shifted_sum(spec: TorusLinkSpec, offset: int, grain: int,
+                 cut: Fraction | None) -> dict[int, int]:
+    # q^(offset/grain) times jones_summands' sum below cut, keyed on the grid of
+    # 1/grain, framing 2m (p kappa/2) + lift.  Cut, the shapes and their 2m F come
+    # from the window below ceil(2m cut) (see _doubled_floor), each F re-checked in
+    # closed form; uncut, from partitions_of.  One Kostka table on their union,
+    # floored by their minimum if cut
     n, c, r, p = spec.colour, spec.components, spec.rank, spec.p
     m, size = min(r, c), n * c
     lift = 2 * m * offset // grain
-    if cutoff is None:
-        cut = top = None
+    if cut is None:
+        top = None
         shapes = dict.fromkeys(partitions_of(size, m))
     else:
-        cut = _exact_cutoff(cutoff)
         top, shapes = _ceil_times(cut, grain), {}
         for _, scaled, s, sums in _cone_window(m, p, size % m, _ceil_times(cut, 2 * m)):
             k = (size - s) // m  # exact on the coset
@@ -143,7 +176,7 @@ def _shifted(
             framing = m * p * sum(l * (l + 1 - 2 * i) for i, l in enumerate(lam, 1)) + lift
             yield table.get(padded[:rows], 0), tuple(map(sub, padded, padded[1:])), framing, scaled
 
-    return QSeries.from_grid(_add_summands(items(), m, grain, top), grain, cut)
+    return _add_summands(items(), m, grain, top)
 
 
 def shifted_invariant_singlet(

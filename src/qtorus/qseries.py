@@ -360,6 +360,19 @@ def _least_grain(grid: dict[int, int], grain: int, cut: Fraction | None) -> QSer
     return QSeries.from_grid({k // d: c for k, c in grid.items()}, grain // d, cut)
 
 
+def _kept_prefix(memo: dict, key: tuple, length: int, build: Callable[[int], list[int]],
+                 grain: int, cut: Fraction) -> QSeries:
+    """The series of the first ``length`` entries of the grid ``memo`` keeps at
+    ``key``, entry k at q^(k/grain), truncated at ``cut``.  A kept grid shorter
+    than ``length``, or none, is replaced by the tuple of ``build(length)``, so
+    each key keeps its longest grid; the caller proves that the prefix of a
+    longer build equals a build at ``length``.  The series gets a dict of its own."""
+    grid = memo.get(key, ())
+    if len(grid) < length:
+        grid = memo[key] = tuple(build(length))
+    return QSeries.from_grid({k: a for k, a in enumerate(grid[:length]) if a}, grain, cut)
+
+
 def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries:
     """Multiplicative inverse of a series whose lowest coefficient is +-1.
 

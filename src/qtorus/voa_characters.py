@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from typing import Callable
 
@@ -28,8 +27,8 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import (QSeries, _ceil_times, _exact_cutoff, _exact_int, _pentagonal,
-                      divide_series_one_minus_q, times_one_minus_q)
+from .qseries import (QSeries, _ceil_times, _exact_cutoff, _exact_int, _kept_prefix,
+                      _pentagonal, divide_series_one_minus_q, times_one_minus_q)
 from .schur_spec import _add_summands
 
 _ExponentLike = Fraction | int
@@ -122,7 +121,7 @@ def _cone_sum(
     final grid is kept in ``_cone_sums`` per family and grain, at the longest
     length built, and a request reads its first L = cutoff grain entries (an
     integer: the grain is a multiple of the cutoff's denominator) into a
-    dict of its own, without the zeros.  These equal a build at L: the window
+    dict of its own, without the zeros (:func:`qseries._kept_prefix`).  These equal a build at L: the window
     {F < cutoff} grows with the cutoff, and a weight outside the shorter one
     starts at index F grain >= L; every later step is a strided sum, a
     strided difference or the pentagonal recurrence, and each reads only
@@ -145,10 +144,8 @@ def _cone_sum(
     grain = cutoff.denominator
     if (p + rank * (p - 1)) * coset < limit:
         grain = lcm(grain, _lowest_grains[family])
-    key = (rank, p, coset, dim_of, divisors, prefactor, grain)
-    length = cutoff.numerator * (grain // cutoff.denominator)
-    grid = _cone_sums.get(key, ())
-    if len(grid) < length:
+
+    def build(length: int) -> list[int]:
         items = ((dim, mu.coeffs, p * scaled_casimir(mu), n)
                  for mu, n, _, _ in _cone_window(rank, p, coset, limit) if (dim := dim_of(mu)))
         coeffs = [0] * length
@@ -160,8 +157,11 @@ def _cone_sum(
             for i in range(grain):
                 if any(coeffs[i::grain]):
                     coeffs[i::grain] = _times_prefactor(coeffs[i::grain], rank)
-        grid = _cone_sums[key] = tuple(coeffs)
-    return QSeries.from_grid(dict(compress(zip(range(length), grid), grid)), grain, cutoff)
+        return coeffs
+
+    key = (rank, p, coset, dim_of, divisors, prefactor, grain)
+    length = cutoff.numerator * (grain // cutoff.denominator)
+    return _kept_prefix(_cone_sums, key, length, build, grain, cutoff)
 
 
 def singlet_char(spec: CharacterSpec) -> QSeries:

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 import qtorus.lie_sl as lie_sl
+import qtorus.link_invariants as link_invariants
 import qtorus.voa_characters as voa_characters
 
 
@@ -15,6 +16,16 @@ def cold_cone_sums():
     yield voa_characters._cone_sums
     voa_characters._cone_sums.clear()
     lie_sl._windows.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_cut_sums():
+    """Each test starts and ends with an empty memo of cut invariant sums, so a
+    test that spies on the adder, the Kostka table or the window sees a build
+    instead of a prefix read of a grid that an earlier test left behind."""
+    link_invariants._cut_sums.clear()
+    yield link_invariants._cut_sums
+    link_invariants._cut_sums.clear()
 
 
 @pytest.fixture

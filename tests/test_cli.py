@@ -680,6 +680,7 @@ DICT_LAYER_FUNCTIONS = [
 
 def _cold_memos():
     voa_characters._cone_sums.clear()
+    link_invariants._cut_sums.clear()
     voa_characters._lowest_grains.clear()
     lie_sl._windows.clear()
     schur_spec._spec_of_gaps.cache_clear()

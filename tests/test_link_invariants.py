@@ -274,9 +274,9 @@ def _shift(spec):
 
 
 def summed(spec, cutoff):
-    """(items, grid, series) of the shifted invariant at ``cutoff``: each item
-    (weight, gaps, framing, n) it hands to the one adder, the grid it gets back
-    and the series it returns."""
+    """(items, grid, series) of the shifted invariant at ``cutoff``, built on an
+    empty memo of cut sums: each item (weight, gaps, framing, n) it hands to the
+    one adder, the grid it gets back and the series it returns."""
     calls, add = [], link_invariants._add_summands
 
     def recorded(items, *args):
@@ -286,6 +286,7 @@ def summed(spec, cutoff):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(link_invariants, "_add_summands", recorded)
+        patch.setattr(link_invariants, "_cut_sums", {})
         series = _shifted(spec)(spec, cutoff)
     [(items, grid)] = calls
     return items, grid, series
@@ -583,14 +584,16 @@ def test_integer_sum_rechecks_each_floor(monkeypatch):
         shifted_invariant_singlet(spec, 12)
 
 
-def test_integer_sum_rechecks_the_window_floor(monkeypatch):
+def test_integer_sum_rechecks_the_window_floor(monkeypatch, cold_cut_sums):
     window = link_invariants._cone_window
 
     def shifted(*args):
         return [(mu, n + 1, *rest) for mu, n, *rest in window(*args)]
 
     # a warm window memo is read through the same name, so the shift reaches it
+    # once the cut sum is built again instead of read from its memo
     shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
+    cold_cut_sums.clear()
     monkeypatch.setattr(link_invariants, "_cone_window", shifted)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
@@ -762,3 +765,67 @@ def test_warm_window_reads_equal_cold_walks_on_the_invariant_side(schedule):
 def test_a_grain_that_misses_the_shift_raises():
     with pytest.raises(ValueError, match="does not cover the shift"):
         link_invariants._shifted(TorusLinkSpec(3, 4, 2, 1), Fraction(1, 3), 2, None)
+
+
+# -- one kept grid per cut invariant, read by its prefix ------------------------------
+
+# singlet at c < r and c = r, and the triplet on every coset of ranks 2 and 3
+CUT_MEMO_SPECS = [TorusLinkSpec(3, 2, 2, 5), TorusLinkSpec(4, 2, 3, 3), TorusLinkSpec(3, 3, 2, 4),
+                  TorusLinkSpec(2, 2, 3, 6), *(TorusLinkSpec(3, 4, 2, n) for n in (3, 4, 5)),
+                  *(TorusLinkSpec(2, 3, 3, n) for n in (6, 7))]
+# 37/3 lifts the grain of the singlet (2) to 6
+CUT_MEMO_CUTOFFS = [Fraction(1, 2), Fraction(31, 2), Fraction(37, 3)]
+
+
+@pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
+def test_cut_memo_reads_equal_the_cold_builds(cold_cut_sums, schedule):
+    requests = [(spec, cutoff) for spec in CUT_MEMO_SPECS for cutoff in CUT_MEMO_CUTOFFS]
+    if schedule != "shuffled":
+        requests.sort(key=lambda request: request[1], reverse=schedule == "descending")
+    else:
+        random.Random(30).shuffle(requests)
+    for spec, cutoff in requests:
+        warm = _shifted(spec)(spec, cutoff).to_json()
+        kept = dict(cold_cut_sums)
+        # a repeat at the same length reads the kept grid and builds nothing
+        assert _shifted(spec)(spec, cutoff).to_json() == warm, (spec, cutoff)
+        assert all(cold_cut_sums[key] is grid for key, grid in kept.items()), (spec, cutoff)
+        cold_cut_sums.clear()
+        assert _shifted(spec)(spec, cutoff).to_json() == warm, (spec, cutoff)
+        assert _shifted(spec)(spec).truncate(cutoff).to_json() == warm, (spec, cutoff)
+        cold_cut_sums.clear()
+        cold_cut_sums.update(kept)
+    # one grid per family, kept at the longest top = ceil(grain 31/2)
+    assert len(cold_cut_sums) == len(CUT_MEMO_SPECS)
+    assert {spec: len(grid) for (spec, _, _), grid in cold_cut_sums.items()} == {
+        spec: 31 * (spec.rank if spec.components > spec.rank else 1) for spec in CUT_MEMO_SPECS}
+
+
+@pytest.mark.parametrize("spec", [TorusLinkSpec(3, 3, 2, 3), TorusLinkSpec(2, 2, 3, 2)])
+def test_unshifted_and_singlet_reads_share_one_grid(cold_cut_sums, spec):
+    # at colour = components = rank the singlet shift is 0, so both forms key
+    # (spec, 0, 2): each read, in either order, equals its own cold build
+    assert singlet_shift_exponent(spec) == 0
+    forms = [lambda cutoff: link_invariants._shifted(spec, 0, 2, cutoff),
+             lambda cutoff: shifted_invariant_singlet(spec, cutoff)]
+    cold = {}
+    for i, form in enumerate(forms):
+        for cutoff in CUT_MEMO_CUTOFFS:
+            cold_cut_sums.clear()
+            cold[i, cutoff] = form(cutoff).to_json()
+    cold_cut_sums.clear()
+    for cutoff in (Fraction(37, 3), Fraction(1, 2), Fraction(31, 2), Fraction(37, 3)):
+        for i in (1, 0):
+            assert forms[i](cutoff).to_json() == cold[i, cutoff], (i, cutoff)
+    assert [(key, len(grid)) for key, grid in cold_cut_sums.items()] == [((spec, 0, 2), 31)]
+
+
+def test_a_returned_grid_is_the_callers_own(cold_cut_sums):
+    spec = TorusLinkSpec(3, 4, 2, 5)
+    first = shifted_invariant_triplet(spec, Fraction(31, 2))
+    expected, kept = first.to_json(), dict(cold_cut_sums)
+    first._grid.clear()
+    shorter = shifted_invariant_triplet(spec, Fraction(37, 3))
+    shorter._grid[0] = shorter._grid.get(0, 0) + 1
+    assert cold_cut_sums == kept
+    assert shifted_invariant_triplet(spec, Fraction(31, 2)).to_json() == expected

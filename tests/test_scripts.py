@@ -1,5 +1,6 @@
-"""The experiment scripts as a shell runs them: a flag the library rejects
-exits 2 with usage and the reason, not with a traceback."""
+"""The experiment scripts as a shell runs them: a flag the library rejects, or
+a loop bound that leaves no row, exits 2 with usage and the reason before
+anything is printed, not with a traceback."""
 
 import os
 import subprocess
@@ -16,11 +17,15 @@ ROOT = Path(__file__).parent.parent
      "need 2 <= components <= rank, got components=5 rank=3"),
     ("agreement_scan.py", ["--p", "1"], "the character family is defined for p >= 2"),
     ("character_table.py", ["--order", "0"], "cutoff must be positive"),
+    ("agreement_scan.py", ["--max-colour", "-1"], "--max-colour must be at least 0, got -1"),
+    ("character_table.py", ["--max-rank", "1"], "--max-rank must be at least 2, got 1"),
+    ("character_table.py", ["--max-p", "1"], "--max-p must be at least 2, got 1"),
 ])
 def test_a_rejected_flag_exits_two_with_usage(script, argv, reason):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
+    assert done.stdout == ""
     assert done.stderr.startswith("usage:") and f"error: {reason}\n" in done.stderr
     assert "Traceback" not in done.stderr
