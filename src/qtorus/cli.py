@@ -4,10 +4,11 @@ Subcommands mirror the library surface: ``kostka`` and ``schur`` for the
 combinatorial layer, ``jones`` for torus-link invariants, ``char`` for the
 character series, ``verify`` for the limit identities and propositions, and
 ``selftest`` for a quick health battery.  Each ``verify`` mode declares only
-its own flags, so argparse rejects any other; ``_Parser`` hands a leading
-subcommand straight down, so each request is parsed once, at its leaf parser.
-Each leaf parser sets the ``handler`` that :func:`run` calls with the parsed
-namespace.  Output is canonical text or JSON.
+its own flags, so argparse rejects any other.  ``_Parser`` hands a leading
+subcommand straight down; a leaf reads a line of exact flags with good values
+from its own argparse actions into argparse's namespace, and leaves help and bad
+lines to argparse's own pass, which writes each message.  Each leaf sets the
+``handler`` that :func:`run` calls with it.  Output is canonical text or JSON.
 """
 
 from __future__ import annotations
@@ -82,10 +83,12 @@ def _int_at_least(low: int, reason: str | None = None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Hands a line whose first word names a subcommand straight to its parser.
-    Besides ``-h`` the subcommand is the only argument, and its ``PARSER`` nargs
-    take that word and all after it, so argparse's own pass would only convert
-    and copy the rest once more.  Other lines (help, errors) take that pass."""
+    """Reads a well-formed line without argparse's own pass.  A leading subcommand
+    goes straight to its parser: besides ``-h`` it is the only argument.  A leaf reads
+    exact ``store_true`` and ``store`` flags whose values do not begin with ``-`` and
+    pass argparse's type and choice checks, with every required flag given, setting
+    defaults, ``set_defaults`` and values in argparse's order.  Help, ``--``, ``=``
+    forms, abbreviations and bad values take that pass, which writes each message."""
 
     def add_subparsers(self, **kwargs):
         self._commands = super().add_subparsers(**kwargs)
@@ -93,12 +96,44 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        commands = getattr(self, "_commands", None)  # None on a leaf parser
-        if commands is None or not args or args[0] not in commands.choices:
-            return super().parse_known_args(args, namespace)
         namespace = argparse.Namespace() if namespace is None else namespace
-        setattr(namespace, commands.dest, args[0])
-        return commands.choices[args[0]].parse_known_args(args[1:], namespace)
+        commands = getattr(self, "_commands", None)  # None on a leaf parser
+        if commands is None and self._walk(args, namespace) is not None:
+            return namespace, []
+        if commands is not None and args and args[0] in commands.choices:
+            setattr(namespace, commands.dest, args[0])
+            return commands.choices[args[0]].parse_known_args(args[1:], namespace)
+        return super().parse_known_args(args, namespace)
+
+    def _walk(self, args, namespace):
+        """``namespace`` filled as argparse's own pass fills it, or None if it cannot be."""
+        given, words = {}, iter(args)
+        try:
+            for word in words:
+                action = self._option_string_actions.get(word)
+                if type(action) is argparse._StoreTrueAction:
+                    given[action] = action.const
+                elif type(action) is argparse._StoreAction and action.nargs is None and not (
+                        value := next(words, "-")).startswith("-"):
+                    given[action] = self._get_value(action, value)
+                    self._check_value(action, given[action])
+                else:
+                    return None
+            if self._mutually_exclusive_groups or self.fromfile_prefix_chars or any(
+                    getattr(action, "deprecated", False) or action.required and action not in given
+                    for action in self._actions):
+                return None
+            attrs = vars(namespace)
+            for action in self._actions:  # a string default not given goes through type
+                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                    kept = attrs.setdefault(action.dest, action.default)
+                    if kept is action.default and isinstance(kept, str) and action not in given:
+                        attrs[action.dest] = self._get_value(action, kept)
+            attrs.update((dest, v) for dest, v in self._defaults.items() if dest not in attrs)
+            attrs.update((action.dest, value) for action, value in given.items())
+        except argparse.ArgumentError:  # a bad value: argparse's own pass reports it
+            return None
+        return namespace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if not args.output:
+    if args.output is None:
         print(text)
         return code
     try:

@@ -409,6 +409,13 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "q^(-1/2) + q^(1/2)\n"
 
 
+def test_an_empty_output_path_is_a_usage_error(capsys):
+    argv = ["kostka", "--shape", "2,1", "--content", "1,1,1", "--output", ""]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --output: ") and "Traceback" not in err
+
+
 def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     argv = ["kostka", "--shape", "1", "--content", "1", "--output", str(target)]
@@ -566,16 +573,16 @@ def test_an_order_that_is_no_integer_is_named_before_a_flag_mix(argv, message, c
     assert err.endswith("error: argument --order: invalid int value: 'x'\n")
 
 
-# -- one parse per request: the leaf dispatch against argparse's own path ------------
+# -- the leaf dispatch and walk against argparse's own path ---------------------------
 
 
-def _workload_lines(count=50):
-    """The argv of ``count`` seed-1 rounds of every benchmark workload."""
+def _workload_lines(count=50, seed=1):
+    """The argv of ``count`` rounds at ``seed`` of every benchmark workload."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return {name: [argv for batch in workloads.rounds(name, 1, count) for argv in batch]
+    return {name: [argv for batch in workloads.rounds(name, seed, count) for argv in batch]
             for name in workloads.WORKLOADS}
 
 
@@ -600,11 +607,26 @@ MALFORMED_LINES = [
     ["verify", "singlet", "verify", "singlet"], ["char", "kostka"], ["Verify"],
 ]
 
+CHAR = ["char", "--kind", "triplet", "--rank", "3", "--p", "2"]
+KOSTKA = ["kostka", "--shape", "2,1", "--content", "1,1,1"]
+# One line for each branch of the leaf walk that the sets above leave out.
+WALK_BRANCH_LINES = [
+    SINGLET[:2] + ["--rank", "2"] + SINGLET[2:], SINGLET + ["--json", "--json"],
+    KOSTKA + ["--output", "series.txt"], KOSTKA + ["--output", ""],
+    KOSTKA + ["--output", "--json"], CHAR + ["--order"], SINGLET + ["--order", "-3"],
+    CHAR + ["--coset", "-1"], SINGLET[:-2] + ["--col", "4"], SINGLET + ["--coset", "0"],
+    ["verify", "singlet", "--colour", "4", "--json", "--p", "2", "--components", "3",
+     "--order", "5", "--rank", "3"],
+    ["jones", "--rank", "2", "--components", "2", "--p", "3", "--colour", "2"],
+]
+
 
 def _outcome(parser, argv, capsys):
-    """The namespace's items in order, or the exit status; then stdout and stderr."""
+    """The namespace's items in order with their types, or the exit status; then
+    stdout and stderr."""
     try:
-        result = list(vars(parser.parse_args(argv)).items())
+        result = [(key, type(value), value)
+                  for key, value in vars(parser.parse_args(argv)).items()]
     except SystemExit as exit:
         result = exit.code
     captured = capsys.readouterr()
@@ -638,6 +660,11 @@ def test_leaf_dispatch_matches_argparse_on_malformed_lines(argv, capsys, monkeyp
     _assert_dispatch_matches_argparse([argv], capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("argv", WALK_BRANCH_LINES, ids=" ".join)
+def test_leaf_dispatch_matches_argparse_on_every_walk_branch(argv, capsys, monkeypatch):
+    _assert_dispatch_matches_argparse([argv], capsys, monkeypatch)
+
+
 def test_leaf_dispatch_reads_sys_argv_when_given_none(capsys, monkeypatch):
     parser = cli.build_parser()
     monkeypatch.setattr(sys, "argv", ["qtorus"] + SINGLET)
@@ -646,7 +673,8 @@ def test_leaf_dispatch_reads_sys_argv_when_given_none(capsys, monkeypatch):
     assert _outcome(parser, None, capsys) == _outcome(parser, ["bogus"], capsys)
 
 
-def test_a_verify_line_runs_one_argparse_pass(monkeypatch):
+def _spy_argparse_passes(monkeypatch):
+    """The prog of every parser that runs argparse's own pass, in order."""
     core, passes = argparse.ArgumentParser._parse_known_args, []
 
     def spy(self, *args, **kwargs):
@@ -654,7 +682,15 @@ def test_a_verify_line_runs_one_argparse_pass(monkeypatch):
         return core(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", spy)
+    return passes
+
+
+def test_a_well_formed_verify_line_runs_no_argparse_pass(monkeypatch):
+    passes = _spy_argparse_passes(monkeypatch)
     cli.build_parser().parse_args(SINGLET)
+    assert passes == []
+    # the walk leaves a "--flag=value" line to argparse's pass at the leaf
+    cli.build_parser().parse_args(SINGLET[:2] + ["--rank=3"] + SINGLET[4:])
     assert passes == ["qtorus verify singlet"]
     # argparse's own path runs one pass per level
     passes.clear()
@@ -662,6 +698,33 @@ def test_a_verify_line_runs_one_argparse_pass(monkeypatch):
                         argparse.ArgumentParser.parse_known_args)
     cli.build_parser().parse_args(SINGLET)
     assert passes == ["qtorus", "qtorus verify", "qtorus verify singlet"]
+
+
+def test_the_walk_leaves_mutex_groups_argument_files_and_deprecated_flags_to_argparse(
+        tmp_path, monkeypatch):
+    (tmp_path / "args").write_text("x\n")
+    mutex = cli._Parser(prog="mutex")
+    mutex.add_mutually_exclusive_group().add_argument("--name")
+    files = cli._Parser(prog="files", fromfile_prefix_chars="@")
+    files.add_argument("--name")
+    deprecated = cli._Parser(prog="deprecated")
+    deprecated.add_argument("--name").deprecated = True
+    passes = _spy_argparse_passes(monkeypatch)
+    assert mutex.parse_args(["--name", "x"]).name == "x"
+    assert files.parse_args(["--name", f"@{tmp_path / 'args'}"]).name == "x"
+    assert deprecated.parse_args(["--name", "x"]).name == "x"
+    assert passes == ["mutex", "files", "deprecated"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_walk_reads_every_workload_line(seed, monkeypatch):
+    lines = [argv for batch in _workload_lines(400, seed).values() for argv in batch]
+    assert len(lines) == 22_800
+    passes = _spy_argparse_passes(monkeypatch)
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
+    assert passes == []
 
 
 # -- one series representation on every command path ---------------------------------
