@@ -1,9 +1,9 @@
 """Command-line entry point: computation, verification, and regression output.
 
 Subcommands mirror the library surface: ``kostka`` and ``schur`` for the
-combinatorial layer, ``jones`` for torus-link invariants, ``char`` for the
-character series, ``verify`` for the limit identities and propositions, and
-``selftest`` for a quick health battery.  Each ``verify`` mode declares only
+combinatorial layer, ``jones`` for torus-link invariants, ``char`` and ``char-table`` for
+the character series, ``verify`` for the limit identities (``verify scan`` over the colour)
+and propositions, and ``selftest`` for a health battery.  Each ``verify`` mode declares only
 its own flags, so argparse rejects any other.  ``_Parser`` hands a leading
 subcommand straight down; a leaf reads a line of exact flags with good values
 from its own argparse actions into argparse's namespace, and leaves help and bad
@@ -188,14 +188,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coset", type=int, default=0)
     common(p, _run_char, with_order=True)
 
+    p = sub.add_parser("char-table", help="singlet and triplet characters for ranks and p from 2")
+    for flag in ("--max-rank", "--max-p"):
+        p.add_argument(flag, type=_int_at_least(2), required=True)
+    common(p, _run_char_table, with_order=True)
+
     p = sub.add_parser("verify", help="check a limit identity or the propositions")
     modes = p.add_subparsers(dest="mode", required=True)
 
-    m = modes.add_parser("singlet", help="singlet limit identity, 2 <= components <= rank")
-    for flag, kind in (("--rank", _int_at_least(2)), ("--components", _int_at_least(2)),
-                       ("--p", character_p), ("--colour", _int_at_least(0))):
-        m.add_argument(flag, type=kind, required=True)
-    common(m, _run_singlet, with_order=True)
+    for mode, last, handler, about in (
+        ("singlet", "--colour", _run_singlet, "singlet limit identity, 2 <= components <= rank"),
+        ("scan", "--max-colour", _run_scan, "agreement order of each colour up to --max-colour")):
+        m = modes.add_parser(mode, help=about)
+        for flag, kind in (("--rank", _int_at_least(2)), ("--components", _int_at_least(2)),
+                           ("--p", character_p), (last, _int_at_least(0))):
+            m.add_argument(flag, type=kind, required=True)
+        common(m, handler, with_order=True)
 
     m = modes.add_parser("triplet", help="triplet limit identity, components = rank + 1")
     for flag, kind in (("--rank", _int_at_least(2)), ("--p", character_p),
@@ -306,11 +314,30 @@ def _run_char(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _render_series(series, args)
 
 
+def _run_char_table(args: argparse.Namespace) -> tuple[int, str]:
+    order, rows = _resolve_order(args.order), []
+    for rank in range(2, args.max_rank + 1):
+        for p in range(2, args.max_p + 1):
+            for kind, coset in [("singlet", 0)] + [("triplet", coset) for coset in range(rank)]:
+                spec = CharacterSpec(rank, p, kind, order, coset)
+                series = singlet_char(spec) if kind == "singlet" else triplet_char(spec)
+                if args.json:
+                    rows.append({"kind": kind, "rank": rank, "p": p, "coset": coset,
+                                 "series": series.to_json_dict()})
+                elif kind == "singlet":
+                    rows.append(f"singlet rank={rank} p={p}: "
+                                + " ".join(str(series.coefficient(n)) for n in range(order)))
+                else:
+                    rows.append(f"triplet rank={rank} p={p} coset={coset}: {series}")
+    header = f"# singlet rows list the coefficients of q^0 .. q^{order - 1}"
+    return 0, json.dumps(rows) if args.json else "\n".join([header, *rows])
+
+
 def _run_singlet(args: argparse.Namespace) -> tuple[int, str]:
     _check_components(args, "singlet", "verify singlet")
     order = _resolve_order(args.order)
-    return _report(
-        verify_singlet_theorem(args.rank, args.components, args.p, args.colour, order), args)
+    report = verify_singlet_theorem(args.rank, args.components, args.p, args.colour, order)
+    return _report([report], args, report.describe)
 
 
 def _run_triplet(args: argparse.Namespace) -> tuple[int, str]:
@@ -319,13 +346,32 @@ def _run_triplet(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError(f"--colour {args.colour} is not congruent to --coset "
                          f"{args.coset} modulo --rank {args.rank}")
     order = _resolve_order(args.order)
-    return _report(
-        verify_triplet_theorem(args.rank, args.p, args.coset, args.colour, order), args)
+    report = verify_triplet_theorem(args.rank, args.p, args.coset, args.colour, order)
+    return _report([report], args, report.describe)
 
 
-def _report(report, args: argparse.Namespace) -> tuple[int, str]:
-    text = json.dumps([report.to_json_dict()]) if args.json else report.describe()
-    return (0 if report.passed else 1), text
+def _run_scan(args: argparse.Namespace) -> tuple[int, str]:
+    """A row per colour: the triplet, on coset colour mod rank, at --components = --rank + 1."""
+    triplet = args.components > args.rank
+    _check_components(args, "triplet" if triplet else "singlet", "verify scan")
+    rank, components, p, order = args.rank, args.components, args.p, _resolve_order(args.order)
+    reports = [verify_triplet_theorem(rank, p, colour % rank, colour, order) if triplet
+               else verify_singlet_theorem(rank, components, p, colour, order)
+               for colour in range(args.max_colour + 1)]
+    lines = [f"# {'triplet' if triplet else 'singlet'} comparison, rank={rank} "
+             f"components={components} p={p}, series compared below q^{order}",
+             f"{'colour':>7}  {'order':>8}  {'threshold':>9}  verdict"]
+    for colour, report in enumerate(reports):
+        agreed = "full" if report.order is None else str(report.order)
+        lines.append(f"{colour:>7}  {agreed:>8}  {str(report.threshold):>9}  "
+                     f"{'pass' if report.passed else 'FAIL'}")
+    return _report(reports, args, lambda: "\n".join(lines))
+
+
+def _report(reports, args: argparse.Namespace, describe) -> tuple[int, str]:
+    """Exit 0 exactly when every verdict passes; --json lists every report, else describe()."""
+    text = json.dumps([report.to_json_dict() for report in reports]) if args.json else describe()
+    return (0 if all(report.passed for report in reports) else 1), text
 
 
 def _run_props(args: argparse.Namespace) -> tuple[int, str]:
@@ -385,7 +431,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.output is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left: stdout goes to devnull for the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return code
     try:
         with open(args.output, "w") as handle:

@@ -4,13 +4,15 @@ golden regressions, and the README's examples."""
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 import qtorus
-from qtorus import QSeries
+from qtorus import QSeries, verify_singlet_theorem
 from qtorus import cli, combinatorics, lie_sl, link_invariants, qseries, schur_spec, voa_characters
 from qtorus.cli import main, parse_content, parse_partition
 
@@ -425,6 +427,90 @@ def test_output_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+SCAN = ["verify", "scan", "--rank", "2", "--components", "2", "--p", "2", "--max-colour", "12",
+        "--order", "16"]
+TABLE = ["char-table", "--max-rank", "3", "--max-p", "3", "--order", "16"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(SCAN[:2] + ["--rank", "3", "--components", "5"] + SCAN[6:],
+                 "error: verify scan needs --components = --rank + 1 = 4, got 5\n",
+                 id="scan-components-above-rank-plus-one"),
+    pytest.param(SCAN[:6] + ["--p", "1"] + SCAN[8:],
+                 "error: argument --p: the character family is defined for p >= 2, got 1\n",
+                 id="scan-p-below-two"),
+    pytest.param(TABLE[:-1] + ["0"], "error: --order must be positive, got 0\n",
+                 id="table-order-zero"),
+    pytest.param(SCAN[:8] + ["--max-colour", "-1"] + SCAN[10:],
+                 "error: argument --max-colour: must be at least 0, got -1\n",
+                 id="scan-max-colour-negative"),
+    pytest.param(["char-table", "--max-rank", "1"] + TABLE[3:],
+                 "error: argument --max-rank: must be at least 2, got 1\n",
+                 id="table-max-rank-below-two"),
+    pytest.param(TABLE[:3] + ["--max-p", "1"] + TABLE[5:],
+                 "error: argument --max-p: must be at least 2, got 1\n",
+                 id="table-max-p-below-two"),
+])
+def test_a_bad_scan_or_table_line_exits_two(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and err.endswith(message)
+    assert err == message or err.startswith("usage: qtorus ")
+
+
+@pytest.mark.parametrize("components,mode", [("2", "singlet"), ("3", "triplet")])
+def test_the_scan_json_lists_each_colours_verify_report(components, mode, capsys):
+    scan = ["verify", "scan", "--rank", "2", "--components", components, "--p", "2",
+            "--max-colour", "3", "--order", "12", "--json"]
+    code, out, _ = run_cli(scan, capsys)
+    rows = []
+    for colour in range(4):
+        flags = ["--components", components] if mode == "singlet" else ["--coset", str(colour % 2)]
+        argv = ["verify", mode, "--rank", "2", "--p", "2", "--colour", str(colour), "--order",
+                "12", "--json", *flags]
+        rows += json.loads(run_cli(argv, capsys)[1])
+    assert code == 0 and json.loads(out) == rows
+
+
+def test_a_failing_colour_makes_the_scan_exit_one(capsys, monkeypatch):
+    def fail_colour_two(*args):
+        report = verify_singlet_theorem(*args)
+        report.passed = args[3] != 2
+        return report
+
+    monkeypatch.setattr(cli, "verify_singlet_theorem", fail_colour_two)
+    code, out, _ = run_cli(SCAN[:8] + ["--max-colour", "3"] + SCAN[10:], capsys)
+    assert code == 1
+    assert [row.split()[-1] for row in out.splitlines()[2:]] == ["pass", "pass", "FAIL", "pass"]
+
+
+def test_the_table_json_holds_each_char_json_series(capsys):
+    code, out, _ = run_cli(["char-table", "--max-rank", "3", "--max-p", "2", "--order", "9",
+                            "--json"], capsys)
+    expected = []
+    for kind, rank, coset in [("singlet", 2, 0), ("triplet", 2, 0), ("triplet", 2, 1),
+                              ("singlet", 3, 0), ("triplet", 3, 0), ("triplet", 3, 1),
+                              ("triplet", 3, 2)]:
+        argv = ["char", "--kind", kind, "--rank", str(rank), "--p", "2", "--coset", str(coset),
+                "--order", "9", "--json"]
+        series = json.loads(run_cli(argv, capsys)[1])
+        expected.append({"kind": kind, "rank": rank, "p": 2, "coset": coset, "series": series})
+    assert code == 0 and json.loads(out) == expected
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # one line of about 0.9 MB: far more than a pipe buffer holds
+    argv = ["jones", "--rank", "2", "--components", "2", "--p", "3", "--colour", "300",
+            "--shift", "singlet"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    with subprocess.Popen([sys.executable, "-m", "qtorus.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as reader:
+        assert reader.stdout.read(7) == b"1 + q^5"
+        reader.stdout.close()
+        err = reader.stderr.read().decode()
+        assert reader.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 # -- golden regressions ------------------------------------------------------------
 
 
@@ -491,6 +577,24 @@ GOLDEN_CASES = [
         ],
         "char_triplet_r3_p2_i1_o7.json",
     ),
+    (
+        [
+            "verify", "scan", "--rank", "3", "--components", "4", "--p", "2",
+            "--max-colour", "12", "--order", "20",
+        ],
+        "scan_triplet_r3_c4_p2_m12_o20.txt",
+    ),
+    (
+        [
+            "verify", "scan", "--rank", "2", "--components", "2", "--p", "2",
+            "--max-colour", "12", "--order", "16",
+        ],
+        "scan_singlet_r2_c2_p2_m12_o16.txt",
+    ),
+    (
+        ["char-table", "--max-rank", "3", "--max-p", "3", "--order", "16"],
+        "char_table_r3_p3_o16.txt",
+    ),
 ]
 
 
@@ -515,8 +619,9 @@ def test_every_leaf_parser_sets_its_own_handler():
     handlers = {leaf.prog: leaf.get_default("handler")
                 for leaf in _leaf_parsers(cli.build_parser())}
     assert sorted(handlers) == [
-        "qtorus char", "qtorus jones", "qtorus kostka", "qtorus schur", "qtorus selftest",
-        "qtorus verify props", "qtorus verify singlet", "qtorus verify triplet"]
+        "qtorus char", "qtorus char-table", "qtorus jones", "qtorus kostka", "qtorus schur",
+        "qtorus selftest", "qtorus verify props", "qtorus verify scan", "qtorus verify singlet",
+        "qtorus verify triplet"]
     assert all(callable(handler) for handler in handlers.values())
     assert len(set(handlers.values())) == len(handlers)
 
@@ -547,6 +652,8 @@ CROSS_FLAG_FAULTS = [
      "--colour 3 is not congruent to --coset 1 modulo --rank 4"),
     (["verify", "triplet", "--rank", "3", "--p", "2", "--colour", "3", "--coset", "4"],
      "--coset must be in 0..2 at --rank 3, got 4"),
+    (["verify", "scan", "--rank", "3", "--components", "5", "--p", "2", "--max-colour", "3"],
+     "verify scan needs --components = --rank + 1 = 4, got 5"),
 ]
 
 
@@ -605,6 +712,10 @@ MALFORMED_LINES = [
     ["kostka", "--shape", "2,1", "--content", "1,1,1", "--shape", "3"],
     ["kostka", "--shape", "1", "--content", "0^100001"],
     ["verify", "singlet", "verify", "singlet"], ["char", "kostka"], ["Verify"],
+    ["verify", "scan", "-h"], ["char-table", "--help"], ["char-table", "--max-rank", "3"],
+    SCAN[:8] + ["--max-colour", "-1"] + SCAN[10:], SCAN[:4] + ["--components", "1"] + SCAN[6:],
+    ["char-table", "--max-rank", "3", "--max-p", "1"], TABLE + ["--order", "x"],
+    SCAN + ["--colour", "4"], ["char-table", "--max-rank=3", "--max-p=3"], ["char_table"],
 ]
 
 CHAR = ["char", "--kind", "triplet", "--rank", "3", "--p", "2"]
@@ -618,6 +729,9 @@ WALK_BRANCH_LINES = [
     ["verify", "singlet", "--colour", "4", "--json", "--p", "2", "--components", "3",
      "--order", "5", "--rank", "3"],
     ["jones", "--rank", "2", "--components", "2", "--p", "3", "--colour", "2"],
+    SCAN, SCAN[:-2] + ["--json"], SCAN + ["--order", "0"], TABLE, TABLE + ["--json", "--json"],
+    ["char-table", "--order", "5", "--max-p", "2", "--max-rank", "2", "--output", "t.txt"],
+    ["char-table", "--max-rank", "2", "--max-p", "2", "--order"],
 ]
 
 
@@ -688,6 +802,7 @@ def _spy_argparse_passes(monkeypatch):
 def test_a_well_formed_verify_line_runs_no_argparse_pass(monkeypatch):
     passes = _spy_argparse_passes(monkeypatch)
     cli.build_parser().parse_args(SINGLET)
+    cli.build_parser().parse_args(SCAN)
     assert passes == []
     # the walk leaves a "--flag=value" line to argparse's pass at the leaf
     cli.build_parser().parse_args(SINGLET[:2] + ["--rank=3"] + SINGLET[4:])
