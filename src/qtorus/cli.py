@@ -37,13 +37,15 @@ DEFAULT_ORDER = 20
 # second or two; one step higher, rank 4 takes over 10 s and rank 5 over 60 s.
 PROPS_WEIGHT_CAP = {2: 16, 3: 16, 4: 11, 5: 9}
 CONTENT_REPEAT_CAP = 100_000  # largest count in --content's base^count, checked first
+SHAPE_ROW_CAP = 500  # most rows in --shape: the Kostka strip recursion goes a call deeper per row
 
 
 def parse_partition(text: str):
     body = text.strip().strip("[]")
-    if not body:
-        return ()
-    return as_partition(int(x) for x in body.split(","))
+    shape = as_partition(int(x) for x in body.split(",")) if body else ()
+    if len(shape) > SHAPE_ROW_CAP:
+        raise ValueError(f"{len(shape)} rows exceed the cap {SHAPE_ROW_CAP}")
+    return shape
 
 
 def parse_content(text: str):
@@ -161,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("kostka", help="count tableaux of a shape and content")
-    p.add_argument("--shape", type=_flag_type(parse_partition), required=True,
-                   help="partition, e.g. 2,1")
+    shape_help = f"partition, e.g. 2,1 (rows <= {SHAPE_ROW_CAP})"
+    p.add_argument("--shape", type=_flag_type(parse_partition), required=True, help=shape_help)
     p.add_argument("--content", type=_flag_type(parse_content), required=True,
                    help=f"composition, e.g. 1,1,1 or 7^4 (count <= {CONTENT_REPEAT_CAP:,})")
     common(p, _run_kostka)
 
     p = sub.add_parser("schur", help="principal specialization of a Schur polynomial")
-    p.add_argument("--shape", type=_flag_type(parse_partition), required=True)
+    p.add_argument("--shape", type=_flag_type(parse_partition), required=True, help=shape_help)
     p.add_argument("--rank", type=_int_at_least(1), required=True)
     common(p, _run_schur)
 

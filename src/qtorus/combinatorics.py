@@ -5,16 +5,18 @@ intermediate shapes (one content row at a time), which stays fast for the
 rectangular contents (n)^c that dominate this package.  One run tables every
 shape between the componentwise minimum and maximum of the asked shapes for
 one content; a single number is the table between its own shape and itself.
-One LRU cache holds the tables, keyed on (bound, content, floor).  A
-Jacobi-Trudi determinant expansion is provided as an independent cross-check
-path, and a brute-force tableau enumerator backs the bijection checks.
+One LRU cache in the memo registry, ``kostka_tables``, holds the tables, keyed
+on (bound, content, floor); ``qseries.clear_memos()`` empties it.  A Jacobi-Trudi
+determinant expansion is provided as an independent cross-check path, and a
+brute-force tableau enumerator backs the bijection checks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, permutations
 from typing import Iterable, Iterator
+
+from .qseries import _cache
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -101,13 +103,13 @@ def kostka(shape: Iterable[int], content: Iterable[int]) -> int:
     return _kostka_table(lam, as_composition(content), lam).get(lam, 0)
 
 
-# Least recently used evicted first.  Seed-1 benchmark runs fill 280 tables
-# in 400 verify_scan rounds, 156 in 200 jones_full rounds, 33 in 80 char_order.
+# Least recently used evicted first.  400 seed-1 benchmark rounds fill 240
+# tables in verify_scan, 156 in jones_full and 33 in char_order.
 KOSTKA_TABLE_CACHE_SIZE = 512
 
 
 # shared by every caller, which must not mutate a table
-@lru_cache(maxsize=KOSTKA_TABLE_CACHE_SIZE)
+@_cache("kostka_tables", KOSTKA_TABLE_CACHE_SIZE)
 def _kostka_table(bound: Partition, content: Composition, floor: Partition = ()) -> dict:
     """Tableau counts of every shape between ``floor`` and ``bound`` filled with
     ``content``, one strip per content entry, keyed padded to ``len(bound)`` rows.
@@ -252,7 +254,7 @@ def schur_expand_oracle(shape: Iterable[int], rank: int) -> dict[Composition, in
     return dict(_schur_expand(lam, rank))
 
 
-@lru_cache(maxsize=256)  # oracle expansions, up to a few thousand terms each
+@_cache("schur_expansions", 256)  # oracle expansions, up to a few thousand terms each
 def _schur_expand(lam: Partition, rank: int) -> tuple[tuple[Composition, int], ...]:
     m = len(lam)
     if m == 0:

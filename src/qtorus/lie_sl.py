@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .combinatorics import Partition, as_partition, kostka
-from .qseries import _exact_int
+from .qseries import _exact_int, _kept, _memos
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def scaled_coeff_sum(mu: WeightVector) -> int:
     return sum(i * a for i, a in enumerate(mu.coeffs, 1))
 
 
-_windows: dict[tuple[int, int, int], tuple[int, list[tuple]]] = {}
+_memos["windows"] = {}
 
 
 def _cone_window(rank: int, p: int, coset: int, limit: int) -> list[tuple]:
@@ -124,9 +124,9 @@ def _cone_window(rank: int, p: int, coset: int, limit: int) -> list[tuple]:
     The walk yields exactly {2r F < limit}: it recurses only on prefixes whose
     zero-padded 2r F lies below the limit, and as F grows in every coordinate, each
     such prefix of a weight below the limit lies below it.  So the window at L <= L'
-    is the prefix with 2r F < L of the walk at L': ``_windows`` keeps the longest."""
-    walked, entries = _windows.get((rank, p, coset), (0, []))
-    if limit > walked:
+    is the prefix with 2r F < L of the walk at L': the registry entry ``windows``
+    keeps the longest (:func:`qseries._kept`)."""
+    def build(limit: int) -> list[tuple]:
         coords = range(1, rank)
         gram = [[min(i, j) * (rank - max(i, j)) for j in coords] for i in coords]
         linear = [rank * (p - 1) * i * (rank - i) for i in coords]
@@ -145,8 +145,8 @@ def _cone_window(rank: int, p: int, coset: int, limit: int) -> list[tuple]:
                 n += cross + p * gram[k][k] * (2 * a + 1) + linear[k]
                 scaled += k + 1
                 a += 1
-        entries = sorted(walk(0, (), 0, 0), key=itemgetter(1))
-        _windows[rank, p, coset] = limit, entries
+        return sorted(walk(0, (), 0, 0), key=itemgetter(1))
+    entries = _kept("windows", (rank, p, coset), limit, build)
     return entries[:bisect_left(entries, limit, key=itemgetter(1))]
 
 

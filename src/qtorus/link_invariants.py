@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .combinatorics import Partition, _kostka_table, kappa, kostka, partitions_of
 from .lie_sl import _cone_window
-from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int, _kept_prefix
+from .qseries import QSeries, _ceil_times, _exact_cutoff, _exact_int, _kept_prefix, _memos
 from .schur_spec import _add_summands, principal_spec
 
 
@@ -106,7 +106,7 @@ def triplet_shift_exponent(spec: TorusLinkSpec) -> Fraction:
     return Fraction(p * n * (r + 1) * (r * r - n * (r + 1)), 2 * r)
 
 
-_cut_sums: dict[tuple, tuple[int, ...]] = {}
+_memos["cut_sums"] = {}
 
 
 def _shifted(
@@ -116,18 +116,18 @@ def _shifted(
     dividing 2m), truncated at ``cutoff``; see :func:`_shifted_sum`.  Cut, the
     shift must be the one the window's floor carries (see :func:`_doubled_floor`).
 
-    Prefix: cut, the summed grid of length top = ceil(grain cutoff) is kept in
-    ``_cut_sums`` per (spec, offset, grain) at the longest length built, and a
-    request reads its first top entries (:func:`qseries._kept_prefix`).  These
-    equal a build at top.  The window {2m F < ceil(2m cutoff)} grows with the
-    cutoff.  A shape only in the longer window has 2m F >= ceil(2m cutoff) >=
-    2m cutoff, so its start key, 2m F grain/2m, is an integer at least grain
-    cutoff (grain divides 2m), hence at least top, and its terms lie at or above
-    it.  Each kept shape reads the same Kostka entry from either table: a table
-    floored by the componentwise minimum and bounded by the maximum of its shapes
-    holds each such shape's full tableau count (``combinatorics._kostka_table``),
-    whatever that floor.  Its gaps and framing do not depend on the cutoff, so the
-    adder's sum below top is the same integer sum in both builds.
+    Prefix: cut, the summed grid of length top = ceil(grain cutoff) is kept in the
+    registry entry ``cut_sums`` per (spec, offset, grain) at the longest length
+    built, and a request reads its first top entries (:func:`qseries._kept_prefix`).
+    These equal a build at top.  The window {2m F < ceil(2m cutoff)} grows with the
+    cutoff.  A shape only in the longer window has 2m F >= ceil(2m cutoff) >= 2m
+    cutoff, so its start key, 2m F grain/2m, is an integer at least grain cutoff
+    (grain divides 2m), hence at least top, and its terms lie at or above it.  Each
+    kept shape reads the same Kostka entry from either table: a table floored by the
+    componentwise minimum and bounded by the maximum of its shapes holds each such
+    shape's full tableau count (``combinatorics._kostka_table``), whatever that
+    floor.  Its gaps and framing do not depend on the cutoff, so the adder's sum
+    below top is the same integer sum in both builds.
     """
     offset, rem = divmod(shift.numerator * grain, shift.denominator)
     if rem:
@@ -140,7 +140,7 @@ def _shifted(
         grid = _shifted_sum(spec, offset, grain, cut)
         return [grid.get(k, 0) for k in range(top)]
 
-    return _kept_prefix(_cut_sums, (spec, offset, grain), _ceil_times(cut, grain), build,
+    return _kept_prefix("cut_sums", (spec, offset, grain), _ceil_times(cut, grain), build,
                         grain, cut)
 
 

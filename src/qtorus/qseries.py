@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import ceil, gcd, inf, isqrt, lcm
 from operator import sub
-from typing import Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 _ExponentLike = Union[Fraction, int, str]
 
@@ -360,16 +362,42 @@ def _least_grain(grid: dict[int, int], grain: int, cut: Fraction | None) -> QSer
     return QSeries.from_grid({k // d: c for k, c in grid.items()}, grain // d, cut)
 
 
-def _kept_prefix(memo: dict, key: tuple, length: int, build: Callable[[int], list[int]],
+_memos: dict[str, Any] = {}  # every memo the package keeps, by name: a dict or an lru_cache
+_counts: Counter = Counter()  # (name, "builds" or "reads") -> count, for _kept's memos
+
+
+def clear_memos() -> None:
+    """Empty every registered memo and zero every count, so that a run starts cold."""
+    _counts.clear()
+    for memo in _memos.values():
+        (getattr(memo, "cache_clear", None) or memo.clear)()
+
+
+def _cache(name: str, maxsize: int) -> Callable:
+    """A decorator: an lru_cache of ``maxsize`` entries, registered as ``name``."""
+    def register(function: Callable) -> Callable:
+        _memos[name] = cached = lru_cache(maxsize)(function)
+        return cached
+    return register
+
+
+def _kept(name: str, key: tuple, extent: int, build: Callable[[int], Any]):
+    """The value the memo ``name`` keeps at ``key`` if built at ``extent`` or more,
+    else ``build(extent)``, kept as (extent, value) in its place: each key keeps
+    its longest build, which the caller proves serves a shorter extent."""
+    _counts[name, "reads"] += 1
+    kept = _memos[name].get(key)
+    if kept is None or kept[0] < extent:
+        _counts[name, "builds"] += 1
+        kept = _memos[name][key] = extent, build(extent)
+    return kept[1]
+
+
+def _kept_prefix(name: str, key: tuple, length: int, build: Callable[[int], list[int]],
                  grain: int, cut: Fraction) -> QSeries:
-    """The series of the first ``length`` entries of the grid ``memo`` keeps at
-    ``key``, entry k at q^(k/grain), truncated at ``cut``.  A kept grid shorter
-    than ``length``, or none, is replaced by the tuple of ``build(length)``, so
-    each key keeps its longest grid; the caller proves that the prefix of a
-    longer build equals a build at ``length``.  The series gets a dict of its own."""
-    grid = memo.get(key, ())
-    if len(grid) < length:
-        grid = memo[key] = tuple(build(length))
+    """The series, in a dict of its own, of the first ``length`` entries of the tuple
+    of ``build(length)`` kept by :func:`_kept`, entry k at q^(k/grain), cut at ``cut``."""
+    grid = _kept(name, key, length, lambda n: tuple(build(n)))
     return QSeries.from_grid({k: a for k, a in enumerate(grid[:length]) if a}, grain, cut)
 
 

@@ -9,12 +9,11 @@ One adder sums weighted specializations on an integer grid for both sides.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from .combinatorics import as_partition
 from .lie_sl import WeightVector, partition_of_weight
-from .qseries import QSeries, divide_series_one_minus_q, times_one_minus_q
+from .qseries import QSeries, _cache, divide_series_one_minus_q, times_one_minus_q
 
 
 def principal_spec(shape: Iterable[int], rank: int) -> QSeries:
@@ -47,7 +46,7 @@ def principal_spec_poly(shape: Iterable[int], rank: int) -> tuple[tuple[int, ...
 SPEC_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
+@_cache("specializations", SPEC_CACHE_SIZE)
 def _spec_of_gaps(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(P, D) at rank len(gaps) + 1 for the shapes with row differences
     ``gaps``; the gap at k is counted in D by the k(rank - k) pairs i <= k < j.

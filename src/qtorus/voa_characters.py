@@ -27,7 +27,7 @@ from .lie_sl import (
     weyl_dim,
     zero_weight_dim,
 )
-from .qseries import (QSeries, _ceil_times, _exact_cutoff, _exact_int, _kept_prefix,
+from .qseries import (QSeries, _ceil_times, _exact_cutoff, _exact_int, _kept_prefix, _memos,
                       _pentagonal, divide_series_one_minus_q, times_one_minus_q)
 from .schur_spec import _add_summands
 
@@ -83,8 +83,7 @@ def _times_prefactor(coeffs: list[int], rank: int) -> list[int]:
     return coeffs
 
 
-_cone_sums: dict[tuple, tuple[int, ...]] = {}
-_lowest_grains: dict[tuple, int] = {}
+_memos.update(cone_sums={}, lowest_grains={})
 
 
 def _cone_sum(
@@ -118,7 +117,7 @@ def _cone_sum(
 
     Prefix: H_r / E^(r-1) is a series in integer powers of q, so
     :func:`_times_prefactor` applies it to each residue slice i::grain.  The
-    final grid is kept in ``_cone_sums`` per family and grain, at the longest
+    final grid is kept in the registry's ``cone_sums`` per family and grain, at the longest
     length built, and a request reads its first L = cutoff grain entries (an
     integer: the grain is a multiple of the cutoff's denominator) into a
     dict of its own, without the zeros (:func:`qseries._kept_prefix`).  These equal a build at L: the window
@@ -136,14 +135,15 @@ def _cone_sum(
     this bound at w_k lies below the cutoff, even if no summand is kept.
     """
     family, limit = (rank, p, coset, dim_of), _ceil_times(cutoff, 2 * rank)
-    if family not in _lowest_grains:  # p/2 (w_k, w_k + 2 delta) = p scaled_casimir / 2r
+    grains = _memos["lowest_grains"]
+    if family not in grains:  # p/2 (w_k, w_k + 2 delta) = p scaled_casimir / 2r
         lowest = WeightVector(rank, tuple(int(i == coset) for i in range(1, rank)))
         half = 2 * rank // gcd(p * scaled_casimir(lowest), 2 * rank)
-        _lowest_grains[family] = lcm(2, half) if dim_of(lowest) else 1
+        grains[family] = lcm(2, half) if dim_of(lowest) else 1
     # 2r times the linear bound at w_k is the integer (p + r (p - 1)) k
     grain = cutoff.denominator
     if (p + rank * (p - 1)) * coset < limit:
-        grain = lcm(grain, _lowest_grains[family])
+        grain = lcm(grain, grains[family])
 
     def build(length: int) -> list[int]:
         items = ((dim, mu.coeffs, p * scaled_casimir(mu), n)
@@ -161,7 +161,7 @@ def _cone_sum(
 
     key = (rank, p, coset, dim_of, divisors, prefactor, grain)
     length = cutoff.numerator * (grain // cutoff.denominator)
-    return _kept_prefix(_cone_sums, key, length, build, grain, cutoff)
+    return _kept_prefix("cone_sums", key, length, build, grain, cutoff)
 
 
 def singlet_char(spec: CharacterSpec) -> QSeries:

@@ -1,31 +1,17 @@
 import sys
 
 import pytest
-import qtorus.lie_sl as lie_sl
-import qtorus.link_invariants as link_invariants
-import qtorus.voa_characters as voa_characters
+from qtorus.qseries import clear_memos
 
 
 @pytest.fixture(autouse=True)
-def cold_cone_sums():
-    """Each test starts and ends with empty cone-sum and cone-window memos, so
-    a test that patches the window or the specialization walks it instead of
-    reading a grid or a window that an earlier test left behind."""
-    voa_characters._cone_sums.clear()
-    lie_sl._windows.clear()
-    yield voa_characters._cone_sums
-    voa_characters._cone_sums.clear()
-    lie_sl._windows.clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_cut_sums():
-    """Each test starts and ends with an empty memo of cut invariant sums, so a
-    test that spies on the adder, the Kostka table or the window sees a build
-    instead of a prefix read of a grid that an earlier test left behind."""
-    link_invariants._cut_sums.clear()
-    yield link_invariants._cut_sums
-    link_invariants._cut_sums.clear()
+def cold_memos():
+    """Each test starts and ends with every registered memo and cache empty
+    (``qseries.clear_memos``), so a test that patches or spies on a layer sees
+    it run instead of a value that an earlier test left behind."""
+    clear_memos()
+    yield
+    clear_memos()
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import qtorus
 from qtorus import QSeries, verify_singlet_theorem
-from qtorus import cli, combinatorics, lie_sl, link_invariants, qseries, schur_spec, voa_characters
+from qtorus import cli, combinatorics, lie_sl, link_invariants, qseries, schur_spec
 from qtorus.cli import main, parse_content, parse_partition
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,6 +58,21 @@ def test_content_repeat_cap_is_checked_before_the_content_is_built():
         tracemalloc.stop()
     assert peak < 50_000
     assert parse_content(f"0^{count - 1}") == (0,) * (count - 1)
+
+
+@pytest.mark.parametrize("leaf,rest", [("kostka", ["--content", "1^990"]),
+                                       ("schur", ["--rank", "990"])])
+def test_a_shape_past_the_row_cap_exits_2_naming_the_flag(leaf, rest, capsys):
+    # 990 rows took the strip recursion past Python's depth limit: a traceback, exit 1
+    code, out, err = run_cli([leaf, "--shape", ",".join(["1"] * 990), *rest], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --shape: 990 rows exceed the cap {cli.SHAPE_ROW_CAP}\n")
+    assert f"rows <= {cli.SHAPE_ROW_CAP}" in " ".join(run_cli([leaf, "--help"], capsys)[1].split())
+
+
+def test_a_shape_at_the_row_cap_is_counted(capsys):
+    shape, cap = ",".join(["1"] * cli.SHAPE_ROW_CAP), cli.SHAPE_ROW_CAP
+    assert run_cli(["kostka", "--shape", shape, "--content", f"1^{cap}"], capsys) == (0, "1\n", "")
 
 
 # -- worked outputs -----------------------------------------------------------
@@ -856,15 +871,6 @@ DICT_LAYER_FUNCTIONS = [
 ]
 
 
-def _cold_memos():
-    voa_characters._cone_sums.clear()
-    link_invariants._cut_sums.clear()
-    voa_characters._lowest_grains.clear()
-    lie_sl._windows.clear()
-    schur_spec._spec_of_gaps.cache_clear()
-    combinatorics._kostka_table.cache_clear()
-
-
 def test_no_command_reaches_the_dict_series_layer(capsys, monkeypatch, replace_everywhere):
     lines = [argv for argv, _ in GOLDEN_CASES] + readme_commands() + [
         ["selftest"], ["selftest", "--json"]] + [
@@ -884,11 +890,52 @@ def test_no_command_reaches_the_dict_series_layer(capsys, monkeypatch, replace_e
         for module, names in DICT_LAYER_FUNCTIONS:
             for name in names:
                 replace_everywhere(getattr(module, name), refuse(name))
-        _cold_memos()
+        qseries.clear_memos()
         guarded = [run_cli(argv, capsys) for argv in lines]
     assert reached == []
     assert not hasattr(link_invariants, "summand_floor")
     assert not {name for _, names in DICT_LAYER_FUNCTIONS for name in names} & set(vars(qtorus))
-    _cold_memos()
+    qseries.clear_memos()
     for argv, outcome in zip(lines, guarded):
         assert outcome == run_cli(argv, capsys), argv
+
+
+# -- one registry for the kept memos --------------------------------------------------
+
+# 400 seed-1 rounds from cold: (builds, reads, keys) of each kept memo, and the entries
+# of the Kostka table and specialization caches, whose size comments quote them
+REGISTRY_TRAFFIC = {
+    "verify_scan": ({"cut_sums": (381, 6000, 217), "cone_sums": (37, 6000, 18),
+                     "windows": (23, 418, 12)}, 240, 67),
+    "char_order": ({"cut_sums": (0, 0, 0), "cone_sums": (86, 9600, 24),
+                    "windows": (61, 86, 18)}, 33, 105),
+}
+
+
+@pytest.mark.parametrize("workload", REGISTRY_TRAFFIC)
+def test_the_registry_counts_the_workload_traffic(workload):
+    parser, (kept, tables, specs) = cli.build_parser(), REGISTRY_TRAFFIC[workload]
+    qseries.clear_memos()
+    for argv in _workload_lines(400)[workload]:
+        cli.run(parser.parse_args(argv))
+    assert {name: (qseries._counts[name, "builds"], qseries._counts[name, "reads"],
+                   len(qseries._memos[name])) for name in kept} == kept
+    assert combinatorics._kostka_table.cache_info().currsize == tables
+    assert schur_spec._spec_of_gaps.cache_info().currsize == specs
+
+
+def test_every_memo_is_registered_and_cleared(capsys):
+    caches = {id(value) for name, module in sys.modules.items() if name.startswith("qtorus")
+              for value in vars(module).values() if hasattr(value, "cache_clear")}
+    assert caches and caches <= set(map(id, qseries._memos.values()))
+    for argv in (SINGLET, ["char", "--kind", "triplet", "--rank", "3", "--p", "2"],
+                 ["verify", "props", "--rank", "2", "--max-weight", "4"]):
+        assert run_cli(argv, capsys)[0] == 0
+
+    def sizes():
+        return [memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
+                for memo in qseries._memos.values()] + list(qseries._counts.values())
+
+    assert all(sizes())
+    qseries.clear_memos()
+    assert not any(sizes())

@@ -503,16 +503,12 @@ def test_partitions_of_agree_with_recurrence(n, k):
 def test_caches_are_bounded_and_evict(cached, call):
     bound = cached.cache_info().maxsize
     assert bound is not None and 0 < bound < 1 << 20
-    cached.cache_clear()
-    try:
-        for k in range(bound + 1):
-            call(k)
-        assert cached.cache_info().currsize == bound
-        misses = cached.cache_info().misses
-        call(0)  # the least recently used entry was evicted
-        assert cached.cache_info().misses == misses + 1
-    finally:
-        cached.cache_clear()
+    for k in range(bound + 1):
+        call(k)
+    assert cached.cache_info().currsize == bound
+    misses = cached.cache_info().misses
+    call(0)  # the least recently used entry was evicted
+    assert cached.cache_info().misses == misses + 1
 
 
 def test_a_normalized_content_is_kept_as_is():

@@ -10,6 +10,7 @@ from math import ceil
 import pytest
 from qtorus import combinatorics, lie_sl, link_invariants, schur_spec
 from qtorus.link_invariants import jones_summands
+from qtorus.qseries import _counts, _memos, clear_memos
 from qtorus import (
     QSeries,
     TorusLinkSpec,
@@ -286,7 +287,7 @@ def summed(spec, cutoff):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(link_invariants, "_add_summands", recorded)
-        patch.setattr(link_invariants, "_cut_sums", {})
+        patch.setitem(_memos, "cut_sums", {})
         series = _shifted(spec)(spec, cutoff)
     [(items, grid)] = calls
     return items, grid, series
@@ -528,7 +529,6 @@ def test_each_summand_stops_below_twice_the_window(rank, components, p, n):
 def test_a_truncated_sum_leaves_the_cached_specializations_whole():
     # the truncated sum cuts each summand below its window; it must not cut
     # the cached polynomial that the next, untruncated sum reads
-    schur_spec._spec_of_gaps.cache_clear()
     spec = TorusLinkSpec(3, 3, 2, 5)
     expected = reference_jones_torus_link(spec).to_json_dict()
     below = 12 - singlet_shift_exponent(spec)
@@ -584,7 +584,7 @@ def test_integer_sum_rechecks_each_floor(monkeypatch):
         shifted_invariant_singlet(spec, 12)
 
 
-def test_integer_sum_rechecks_the_window_floor(monkeypatch, cold_cut_sums):
+def test_integer_sum_rechecks_the_window_floor(monkeypatch):
     window = link_invariants._cone_window
 
     def shifted(*args):
@@ -593,7 +593,7 @@ def test_integer_sum_rechecks_the_window_floor(monkeypatch, cold_cut_sums):
     # a warm window memo is read through the same name, so the shift reaches it
     # once the cut sum is built again instead of read from its memo
     shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
-    cold_cut_sums.clear()
+    monkeypatch.setitem(_memos, "cut_sums", {})
     monkeypatch.setattr(link_invariants, "_cone_window", shifted)
     with pytest.raises(AssertionError, match="floor"):
         shifted_invariant_triplet(TorusLinkSpec(3, 4, 2, 5), 12)
@@ -696,7 +696,7 @@ def strip_dp_work(monkeypatch, rank, colour):
             calls[0] += 1
 
     monkeypatch.setattr(combinatorics, "_horizontal_extensions", counted)
-    combinatorics._kostka_table.cache_clear()
+    clear_memos()
     sys.setprofile(profile)
     try:
         assert verify_triplet_theorem(rank, 2, colour % rank, colour, 16).passed
@@ -727,7 +727,7 @@ def test_doubling_the_colour_keeps_the_strip_dp_states(rank, colour, monkeypatch
 def reference_window_shapes(spec, limit):
     """The summed shapes with their 2m F from a cold walk, each shape built by
     partition_of_weight."""
-    lie_sl._windows.clear()
+    clear_memos()
     n, c, m = spec.colour, spec.components, min(spec.rank, spec.components)
     kept = {}
     for mu, scaled, _, _ in lie_sl._cone_window(m, spec.p, n * c % m, limit):
@@ -755,10 +755,10 @@ def test_warm_window_reads_equal_cold_walks_on_the_invariant_side(schedule):
         items, _, series = summed(spec, cutoff)
         warm.append((limit, kept_shapes(spec, items), series.to_json()))
     # one window per family, kept at the longest limit asked
-    assert {key: walked for key, (walked, _) in lie_sl._windows.items()} == families
+    assert {key: walked for key, (walked, _) in _memos["windows"].items()} == families
     for (spec, cutoff), (limit, shapes, series) in zip(requests, warm):
         assert shapes == reference_window_shapes(spec, limit)
-        lie_sl._windows.clear()
+        clear_memos()
         assert series == _shifted(spec)(spec, cutoff).to_json()
 
 
@@ -778,31 +778,31 @@ CUT_MEMO_CUTOFFS = [Fraction(1, 2), Fraction(31, 2), Fraction(37, 3)]
 
 
 @pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
-def test_cut_memo_reads_equal_the_cold_builds(cold_cut_sums, schedule):
+def test_cut_memo_reads_equal_the_cold_builds(monkeypatch, schedule):
     requests = [(spec, cutoff) for spec in CUT_MEMO_SPECS for cutoff in CUT_MEMO_CUTOFFS]
     if schedule != "shuffled":
         requests.sort(key=lambda request: request[1], reverse=schedule == "descending")
     else:
         random.Random(30).shuffle(requests)
+    memo = _memos["cut_sums"]
     for spec, cutoff in requests:
         warm = _shifted(spec)(spec, cutoff).to_json()
-        kept = dict(cold_cut_sums)
+        kept, builds = dict(memo), _counts["cut_sums", "builds"]
         # a repeat at the same length reads the kept grid and builds nothing
         assert _shifted(spec)(spec, cutoff).to_json() == warm, (spec, cutoff)
-        assert all(cold_cut_sums[key] is grid for key, grid in kept.items()), (spec, cutoff)
-        cold_cut_sums.clear()
-        assert _shifted(spec)(spec, cutoff).to_json() == warm, (spec, cutoff)
+        assert memo == kept and _counts["cut_sums", "builds"] == builds, (spec, cutoff)
+        with monkeypatch.context() as cold:  # an empty memo in place of the kept one
+            cold.setitem(_memos, "cut_sums", {})
+            assert _shifted(spec)(spec, cutoff).to_json() == warm, (spec, cutoff)
         assert _shifted(spec)(spec).truncate(cutoff).to_json() == warm, (spec, cutoff)
-        cold_cut_sums.clear()
-        cold_cut_sums.update(kept)
     # one grid per family, kept at the longest top = ceil(grain 31/2)
-    assert len(cold_cut_sums) == len(CUT_MEMO_SPECS)
-    assert {spec: len(grid) for (spec, _, _), grid in cold_cut_sums.items()} == {
+    assert len(memo) == len(CUT_MEMO_SPECS)
+    assert {spec: len(grid) for (spec, _, _), (_, grid) in memo.items()} == {
         spec: 31 * (spec.rank if spec.components > spec.rank else 1) for spec in CUT_MEMO_SPECS}
 
 
 @pytest.mark.parametrize("spec", [TorusLinkSpec(3, 3, 2, 3), TorusLinkSpec(2, 2, 3, 2)])
-def test_unshifted_and_singlet_reads_share_one_grid(cold_cut_sums, spec):
+def test_unshifted_and_singlet_reads_share_one_grid(spec):
     # at colour = components = rank the singlet shift is 0, so both forms key
     # (spec, 0, 2): each read, in either order, equals its own cold build
     assert singlet_shift_exponent(spec) == 0
@@ -811,21 +811,22 @@ def test_unshifted_and_singlet_reads_share_one_grid(cold_cut_sums, spec):
     cold = {}
     for i, form in enumerate(forms):
         for cutoff in CUT_MEMO_CUTOFFS:
-            cold_cut_sums.clear()
+            clear_memos()
             cold[i, cutoff] = form(cutoff).to_json()
-    cold_cut_sums.clear()
+    clear_memos()
     for cutoff in (Fraction(37, 3), Fraction(1, 2), Fraction(31, 2), Fraction(37, 3)):
         for i in (1, 0):
             assert forms[i](cutoff).to_json() == cold[i, cutoff], (i, cutoff)
-    assert [(key, len(grid)) for key, grid in cold_cut_sums.items()] == [((spec, 0, 2), 31)]
+    assert [(key, len(grid)) for key, (_, grid) in _memos["cut_sums"].items()] == [
+        ((spec, 0, 2), 31)]
 
 
-def test_a_returned_grid_is_the_callers_own(cold_cut_sums):
+def test_a_returned_grid_is_the_callers_own():
     spec = TorusLinkSpec(3, 4, 2, 5)
     first = shifted_invariant_triplet(spec, Fraction(31, 2))
-    expected, kept = first.to_json(), dict(cold_cut_sums)
+    expected, kept = first.to_json(), dict(_memos["cut_sums"])
     first._grid.clear()
     shorter = shifted_invariant_triplet(spec, Fraction(37, 3))
     shorter._grid[0] = shorter._grid.get(0, 0) + 1
-    assert cold_cut_sums == kept
+    assert _memos["cut_sums"] == kept
     assert shifted_invariant_triplet(spec, Fraction(31, 2)).to_json() == expected

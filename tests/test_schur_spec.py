@@ -69,16 +69,7 @@ def test_matches_the_half_bracket_reference_on_random_large_shapes():
         assert principal_spec(lam, rank).to_json_dict() == expected
 
 
-@pytest.fixture
-def cold_spec_cache():
-    """An empty specialization cache, emptied again afterwards, so that every
-    lookup computes and no patched computation is left cached."""
-    schur_spec._spec_of_gaps.cache_clear()
-    yield schur_spec._spec_of_gaps
-    schur_spec._spec_of_gaps.cache_clear()
-
-
-def test_dividing_by_a_wrong_height_raises(monkeypatch, cold_spec_cache):
+def test_dividing_by_a_wrong_height_raises(monkeypatch):
     divide = schur_spec.divide_series_one_minus_q
 
     def off_by_one(coeffs, d):
@@ -103,7 +94,7 @@ def test_dividing_by_a_wrong_height_raises(monkeypatch, cold_spec_cache):
     ],
 )
 def test_spec_raises_unless_the_quotient_stops_at_degree_d(
-        monkeypatch, cold_spec_cache, gaps, call, wrong):
+        monkeypatch, gaps, call, wrong):
     # one divisor replaced: (1 - q^wrong) at the call-th division
     divide, calls = schur_spec.divide_series_one_minus_q, []
 
@@ -149,17 +140,17 @@ def test_cached_core_matches_the_reference_at_the_jones_tops(rank, components, c
             assert {Fraction(2 * k - d, 2): a for k, a in enumerate(poly) if a} == expected
 
 
-def test_shapes_with_equal_row_gaps_share_one_entry(cold_spec_cache):
+def test_shapes_with_equal_row_gaps_share_one_entry():
     first = schur_spec.principal_spec_poly((5, 3), 2)
-    info = cold_spec_cache.cache_info()
+    info = schur_spec._spec_of_gaps.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
     assert schur_spec.principal_spec_poly((2,), 2) is first
     assert schur_spec.principal_spec_poly([9, 7, 0], 2) is first
-    info = cold_spec_cache.cache_info()
+    info = schur_spec._spec_of_gaps.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     # the same shape at another rank has other gaps, so another entry
     schur_spec.principal_spec_poly((5, 3), 3)
-    assert cold_spec_cache.cache_info().currsize == 2
+    assert schur_spec._spec_of_gaps.cache_info().currsize == 2
 
 
 def test_cached_coefficients_are_immutable():

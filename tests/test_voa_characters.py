@@ -33,7 +33,8 @@ from qtorus import (
 from qtorus.voa_characters import _cone_sum, _cone_window, _times_prefactor
 from qtorus.lie_sl import (casimir_pairing, dominant_weights, scaled_coeff_sum, weyl_dim,
                            zero_weight_dim)
-from qtorus.qseries import divide_series_one_minus_q, euler_product, invert_unit
+from qtorus.qseries import (_counts, _memos, clear_memos, divide_series_one_minus_q,
+                            euler_product, invert_unit)
 from qtorus.schur_spec import principal_spec_weight
 
 from oracles import pairing, weyl_form_character, weyl_vector
@@ -269,8 +270,8 @@ CONE_ENTRY_POINTS = [
 
 
 @pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
-def test_warm_window_reads_equal_cold_walks_on_the_character_side(schedule):
-    # each call drops the kept grids, so it builds its cone sum from the window
+def test_warm_window_reads_equal_cold_walks_on_the_character_side(monkeypatch, schedule):
+    # each call sees no kept grid, so it builds its cone sum from the window
     cutoffs = [Fraction(1, 2), Fraction(7, 3), 5, Fraction(25, 2), 20, Fraction(61, 3)]
     requests = [(call, cut, family) for call, family in CONE_ENTRY_POINTS
                 for cut in cutoffs]
@@ -280,17 +281,17 @@ def test_warm_window_reads_equal_cold_walks_on_the_character_side(schedule):
         random.Random(5).shuffle(requests)
     warm = []
     for call, cut, family in requests:
-        voa_characters._cone_sums.clear()
         limit = ceil(2 * family[0] * Fraction(cut))
-        warm.append((call(cut).to_json(), lie_sl._cone_window(*family, limit)))
+        with monkeypatch.context() as cold:
+            cold.setitem(_memos, "cone_sums", {})
+            warm.append((call(cut).to_json(), lie_sl._cone_window(*family, limit)))
     # one window per family, kept at the longest limit asked
-    assert {key: walked for key, (walked, _) in lie_sl._windows.items()} == {
+    assert {key: walked for key, (walked, _) in _memos["windows"].items()} == {
         family: ceil(2 * family[0] * max(cutoffs)) for _, family in CONE_ENTRY_POINTS}
     for (call, cut, family), (series, window) in zip(requests, warm):
-        voa_characters._cone_sums.clear()
-        lie_sl._windows.clear()
+        clear_memos()
         assert window == lie_sl._cone_window(*family, ceil(2 * family[0] * Fraction(cut)))
-        lie_sl._windows.clear()
+        clear_memos()
         assert series == call(cut).to_json()
 
 
@@ -323,7 +324,7 @@ def test_summand_without_its_floor_term_raises(monkeypatch):
 def test_a_grain_too_coarse_for_the_coset_raises(monkeypatch):
     # coset 1 of rank 3 needs the grain 6; on the grid of 1/2 the summand at w_1
     # (floor 5/3) starts between two keys, and only the grid re-check sees it
-    monkeypatch.setitem(voa_characters._lowest_grains, (3, 2, 1, weyl_dim), 2)
+    monkeypatch.setitem(_memos["lowest_grains"], (3, 2, 1, weyl_dim), 2)
     with pytest.raises(AssertionError, match="grid of 1/2"):
         _cone_sum(3, 2, 1, Fraction(12), weyl_dim)
 
@@ -428,7 +429,7 @@ def test_rhs_triplet_leading_terms():
     assert series.low == 1
 
 
-def test_characters_are_schedule_independent_values(cold_cone_sums):
+def test_characters_are_schedule_independent_values():
     # two independent evaluations construct equal values
     spec = CharacterSpec(3, 2, "singlet", 14)
     assert singlet_char(spec) == singlet_char(spec)
@@ -436,14 +437,14 @@ def test_characters_are_schedule_independent_values(cold_cone_sums):
     # then reads the longer one; neither may change what the other computes
     low, high = (CharacterSpec(3, 2, "singlet", order) for order in (100, 300))
     cold_low = singlet_char(low).to_json_dict()
-    cold_cone_sums.clear()
+    clear_memos()
     cold_high = singlet_char(high).to_json_dict()
     assert singlet_char(low).to_json_dict() == cold_low
-    cold_cone_sums.clear()
+    clear_memos()
     assert singlet_char(low).to_json_dict() == cold_low
     assert singlet_char(high).to_json_dict() == cold_high
     # one grid for the family, at order 300 on the grain 2
-    assert [len(grid) for grid in cold_cone_sums.values()] == [600]
+    assert [len(grid) for _, grid in _memos["cone_sums"].values()] == [600]
 
 
 # -- the pentagonal prefactor against the per-factor division -----------------
@@ -489,29 +490,29 @@ def test_prefactor_matches_the_per_factor_division_past_a_power_of_two():
     assert prefactor_series(2, 2049) == per_factor_prefactor(2, 2049)
 
 
-def test_cone_memo_keeps_one_grid_per_family_at_the_longest_length(cold_cone_sums):
+def test_cone_memo_keeps_one_grid_per_family_at_the_longest_length():
     # a longer order rebuilds at exactly its length, cutoff times the grain 2,
     # with no rounding up; a shorter one reads the longer grid
+    memo = _memos["cone_sums"]
     for rank, n in [(2, 1), (3, 65), (2, 129), (3, 33), (5, 17), (2, 100)]:
         singlet_char(CharacterSpec(rank, 2, "singlet", n))
-    assert {key[0]: len(grid) for key, grid in cold_cone_sums.items()} == {
-        2: 258, 3: 130, 5: 34}
-    (key,) = (key for key in cold_cone_sums if key[0] == 2)
-    longest = cold_cone_sums[key]
+    assert {key[0]: len(grid) for key, (_, grid) in memo.items()} == {2: 258, 3: 130, 5: 34}
+    (key,) = (key for key in memo if key[0] == 2)
+    longest = memo[key]
     for n in (129, 5):
         singlet_char(CharacterSpec(2, 2, "singlet", n))
-        assert cold_cone_sums[key] is longest
+        assert memo[key] is longest
     singlet_char(CharacterSpec(2, 2, "singlet", Fraction(401, 2)))
-    assert len(cold_cone_sums[key]) == 401  # cutoff times the grain
+    assert len(memo[key][1]) == 401  # cutoff times the grain
 
 
-def test_cone_reads_share_no_dict_with_each_other_or_the_memo(cold_cone_sums):
+def test_cone_reads_share_no_dict_with_each_other_or_the_memo():
     # one read at the kept length, one shorter: each is a dict of its own, and
     # the memo keeps a tuple that no read can change
     spec_long = CharacterSpec(2, 2, "singlet", 60)
     spec_short = CharacterSpec(2, 2, "singlet", 25)
     long, short = singlet_char(spec_long), singlet_char(spec_short)
-    (grid,) = cold_cone_sums.values()
+    ((_, grid),) = _memos["cone_sums"].values()
     assert type(grid) is tuple and len(grid) == 120  # 60 times the grain 2
     assert long._grid is not short._grid
     expected_long, expected_short = long.to_json(), short.to_json()
@@ -520,7 +521,8 @@ def test_cone_reads_share_no_dict_with_each_other_or_the_memo(cold_cone_sums):
     long._grid.clear()
     assert singlet_char(spec_long).to_json() == expected_long
     assert singlet_char(spec_short).to_json() == expected_short
-    assert cold_cone_sums[next(iter(cold_cone_sums))] is grid
+    ((_, kept),) = _memos["cone_sums"].values()
+    assert kept is grid
 
 
 # Integer and fractional cutoffs; on each family they change the grain, and
@@ -548,25 +550,25 @@ def memo_requests():
 
 
 @pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
-def test_memo_reads_equal_the_cold_builds(cold_cone_sums, schedule):
+def test_memo_reads_equal_the_cold_builds(monkeypatch, schedule):
     boundary = [triplet_char(CharacterSpec(3, 2, "triplet", 1, coset)) for coset in (1, 2)]
     assert [(series.grain, series.terms) for series in boundary] == [(6, {}), (1, {})]
-    cold_cone_sums.clear()
+    clear_memos()
     requests = sorted(memo_requests(), key=lambda request: Fraction(request[0][-1]))
     if schedule == "descending":
         requests.reverse()
     elif schedule == "shuffled":
         random.Random(18).shuffle(requests)
+    memo = _memos["cone_sums"]
     for label, thunk in requests:
         warm = thunk().to_json()
-        kept = dict(cold_cone_sums)
+        kept, builds = dict(memo), _counts["cone_sums", "builds"]
         # a repeat at the same length reads the kept grid and builds nothing
         assert thunk().to_json() == warm, label
-        assert all(cold_cone_sums[key] is grid for key, grid in kept.items()), label
-        cold_cone_sums.clear()
-        assert thunk().to_json() == warm, label
-        cold_cone_sums.clear()
-        cold_cone_sums.update(kept)
+        assert memo == kept and _counts["cone_sums", "builds"] == builds, label
+        with monkeypatch.context() as cold:  # an empty memo in place of the kept one
+            cold.setitem(_memos, "cone_sums", {})
+            assert thunk().to_json() == warm, label
 
 
 def test_prefactor_is_an_immutable_prefix_of_the_longer_ones():
@@ -616,8 +618,7 @@ def test_times_prefactor_matches_the_product_and_is_causal():
 
 
 @pytest.mark.parametrize("grain", [1, 2, 6, 8, 10, 24])
-def test_cone_sum_applies_the_prefactor_to_every_residue_slice(
-        cold_cone_sums, monkeypatch, grain):
+def test_cone_sum_applies_the_prefactor_to_every_residue_slice(monkeypatch, grain):
     # zero_weight_dim off the root lattice keeps no weight, so the grain is
     # the cutoff's denominator and the grid is the one the division leaves:
     # here a random one, so that every residue slice can be nonzero
@@ -632,7 +633,7 @@ def test_cone_sum_applies_the_prefactor_to_every_residue_slice(
         grid = random_grid(rng, max(lengths), grain, rank % 2)
         results = {}
         for n in lengths:
-            cold_cone_sums.clear()
+            clear_memos()
             grids.append(grid[:n])
             char = _cone_sum(rank, 2, 1, Fraction(n, grain), zero_weight_dim, (1,), True)
             assert char.grain == grain
