@@ -37,7 +37,8 @@ DEFAULT_ORDER = 20
 # second or two; one step higher, rank 4 takes over 10 s and rank 5 over 60 s.
 PROPS_WEIGHT_CAP = {2: 16, 3: 16, 4: 11, 5: 9}
 CONTENT_REPEAT_CAP = 100_000  # largest count in --content's base^count, checked first
-SHAPE_ROW_CAP = 500  # most rows in --shape: the Kostka strip recursion goes a call deeper per row
+SHAPE_ROW_CAP = 500  # most rows in --shape, an input budget: each Kostka strip walks every row
+SCHUR_CELL_BUDGET = 2_000_000  # most schur kernel cells, at least its D + 1 terms: 1.5 s at rank 2
 
 
 def parse_partition(text: str):
@@ -171,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="principal specialization of a Schur polynomial")
     p.add_argument("--shape", type=_flag_type(parse_partition), required=True, help=shape_help)
-    p.add_argument("--rank", type=_int_at_least(1), required=True)
+    p.add_argument("--rank", type=_int_at_least(1), required=True, help=f"rank(rank-1)/2 (D + "
+                   f"rank(rank^2-1)/6) <= {SCHUR_CELL_BUDGET:,} cells, D = sum of lam_i - lam_j")
     common(p, _run_schur)
 
     p = sub.add_parser("jones", help="coloured invariant of the torus link T(c, cp)")
@@ -276,9 +278,15 @@ def _run_kostka(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_schur(args: argparse.Namespace) -> tuple[int, str]:
-    if len(args.shape) > args.rank:
-        raise ValueError(f"--shape has {len(args.shape)} rows, more than --rank {args.rank}")
-    return 0, _render_series(principal_spec(args.shape, args.rank), args)
+    rank, shape = args.rank, args.shape
+    if len(shape) > rank:
+        raise ValueError(f"--shape has {len(shape)} rows, more than --rank {rank}")
+    d = sum(part * (rank - 1 - 2 * i) for i, part in enumerate(shape))  # sum of lam_i - lam_j
+    cells = rank * (rank - 1) // 2 * (d + rank * (rank * rank - 1) // 6)
+    if cells > SCHUR_CELL_BUDGET:
+        raise ValueError(f"--rank {rank} and --shape need {cells:,} cells, over the budget of "
+                         f"{SCHUR_CELL_BUDGET:,}")
+    return 0, _render_series(principal_spec(shape, rank), args)
 
 
 def _run_jones(args: argparse.Namespace) -> tuple[int, str]:

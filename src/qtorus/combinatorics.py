@@ -13,7 +13,8 @@ brute-force tableau enumerator backs the bijection checks.
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import accumulate, compress, permutations
+from operator import gt, lt, sub
 from typing import Iterable, Iterator
 
 from .qseries import _cache
@@ -146,26 +147,26 @@ def _horizontal_extensions(nu: tuple[int, ...], size: int, bound: Partition,
     [start_i, cap_i], cap_i = min(bound_i, nu_(i-1)), is fixed, and rows j >= i
     can add exactly need_i = sum (start_j - nu_j) to room_i = sum (cap_j - nu_j)
     cells.  Row i keeps the v that leave a count in [need_(i+1), room_(i+1)]:
-    no strip is lost, and every call ends in a leaf.
+    no strip is lost, and every partial strip ends in a shape.  So a pinned row,
+    start_i = cap_i, takes start_i in each: only the free rows branch, in order,
+    each appending the pinned rows above it at once (linear work in the rows),
+    and the shapes come out in increasing lexicographic order.
     """
-    rows, starts = len(bound), tuple(map(max, nu, low))
+    starts = tuple(map(max, nu, low))
     caps = tuple(map(min, bound, bound[:1] + nu))
-    need = [*accumulate((s - n for s, n in zip(starts[::-1], nu[::-1])), initial=0)][::-1]
-    room = [*accumulate((c - n for c, n in zip(caps[::-1], nu[::-1])), initial=0)][::-1]
-    if any(s > c for s, c in zip(starts, caps)) or not need[0] <= size <= room[0]:
+    need = [*accumulate(map(sub, starts[::-1], nu[::-1]), initial=0)][::-1]
+    room = [*accumulate(map(sub, caps[::-1], nu[::-1]), initial=0)][::-1]
+    if any(map(gt, starts, caps)) or not need[0] <= size <= room[0]:
         return []
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: tuple[int, ...]) -> None:
-        if i == rows:
-            out.append(acc)
-            return
-        top = nu[i] + remaining  # row i's value if it took every cell left
-        for v in range(max(starts[i], top - room[i + 1]), min(caps[i], top - need[i + 1]) + 1):
-            rec(i + 1, top - v, acc + (v,))
-
-    rec(0, size, ())
-    return out
+    partial, done = [(size, ())], 0  # (cells left after row done - 1, rows 0..done - 1)
+    for i in compress(range(len(nu)), map(lt, starts, caps)):
+        head, n = starts[done:i], nu[i] - need[done] + need[i]  # rows done..i - 1 are pinned
+        partial = [(top - v, acc + (v,)) for remaining, acc in partial
+                   for top, acc in ((n + remaining, acc + head),)  # row i's value if it took all
+                   for v in range(max(starts[i], top - room[i + 1]),
+                                  min(caps[i], top - need[i + 1]) + 1)]
+        done = i + 1
+    return [acc + starts[done:] for _, acc in partial]
 
 
 def kappa(shape: Iterable[int]) -> int:

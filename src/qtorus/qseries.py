@@ -85,7 +85,7 @@ class QSeries:
     ``terms`` is a ``Fraction``-keyed view of ``_grid``, built on each access.
     """
 
-    __slots__ = ("_grid", "cutoff", "grain")
+    __slots__ = ("_grid", "cutoff", "grain", "_kept_at")
 
     def __init__(
         self,
@@ -109,6 +109,7 @@ class QSeries:
         self._grid = {e.numerator * (grain // e.denominator): c for e, c in clean.items()}
         self.cutoff = cut
         self.grain = grain
+        self._kept_at = None
 
     # -- constructors ------------------------------------------------------
 
@@ -144,7 +145,7 @@ class QSeries:
         if type(coeffs) is not dict or 0 in coeffs.values() or max(coeffs, default=0) >= top:
             coeffs = {k: c for k, c in coeffs.items() if c and k < top}
         series = cls.__new__(cls)
-        series._grid, series.cutoff, series.grain = coeffs, cut, g
+        series._grid, series.cutoff, series.grain, series._kept_at = coeffs, cut, g, None
         return series
 
     # -- inspection --------------------------------------------------------
@@ -255,34 +256,15 @@ class QSeries:
 
     # -- rendering ---------------------------------------------------------
 
-    def _reductions(self, fmt: Callable[[int], str]) -> dict[int, tuple[int, str]]:
-        # k mod grain -> (d, fmt(grain // d)) with d = gcd(k, grain), so that
-        # k/grain reduces to (k // d)/(grain // d); at most one entry per term
-        g, grid = self.grain, self._grid
-        residues = range(g) if g <= len(grid) else {k % g for k in grid}
-        return {i: (d, fmt(g // d)) for i in residues for d in (gcd(i, g),)}
-
     def to_text(self) -> str:
-        """Canonical rendering: terms in increasing exponent order, one pass
-        with each term formatted in place as its sign, magnitude and power."""
-        g, grid, parts = self.grain, self._grid, []
-        table = self._reductions(lambda den: "" if den == 1 else f"/{den})")
-        append = parts.append
-        for k in sorted(grid):
-            c = grid[k]
-            sign = (" + " if c == 1 else f" + {c}*") if c > 0 else (
-                " - " if c == -1 else f" - {-c}*")
-            d, tail = table[k % g]
-            n = k // d  # the power as one f-string; n = 0 is the constant term
-            append(f"{sign}q^({n}{tail}" if tail else f"{sign}q^{n}" if n > 1
-                   else f"{sign}q" if n == 1 else f"{sign}q^({n})" if n
-                   else f" + {c}" if c > 0 else f" - {-c}")
-        if parts:  # the first term has no separator, only its minus sign
-            parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
-        cut = self.cutoff
-        if cut is not None:
-            parts.append(f" + O({_format_power(cut.numerator, cut.denominator)})")
-        return ("" if grid else "0") + "".join(parts)
+        """Canonical rendering: the terms in increasing exponent order, finished by
+        :func:`_finish`; a prefix of a kept grid slices its body (:func:`_kept_prefix`)."""
+        if self._kept_at is None:
+            body = "".join(_term_texts(self.grain, self._grid))
+            return _finish(body, len(body), self.cutoff)
+        name, key, grid, grain, length = self._kept_at
+        body, ends = _kept("texts", (name, key), len(grid), lambda _: _grid_text(grid, grain))
+        return _finish(body, ends[length], self.cutoff)
 
     __str__ = to_text
 
@@ -324,7 +306,7 @@ class QSeries:
         """``json.dumps(self.to_json_dict())`` byte for byte, written in one
         pass: terms as reduced ``[num, den, "coefficient"]`` in increasing order."""
         cut, g, grid = self.cutoff, self.grain, self._grid
-        table = self._reductions(lambda den: f', {den}, "')
+        table = _reductions(g, grid, lambda den: f', {den}, "')
         terms = ", ".join([f'[{k // d}{mid}{grid[k]}"]' for k in sorted(grid)
                            for d, mid in (table[k % g],)])
         cutoff = "null" if cut is None else (
@@ -354,6 +336,44 @@ def _format_power(num: int, den: int) -> str:
     return f"q^{num}" if num >= 0 else f"q^({num})"
 
 
+def _reductions(grain: int, grid: Mapping[int, int], fmt: Callable[[int], str]) -> dict:
+    # k mod grain -> (d, fmt(grain // d)) with d = gcd(k, grain), so that
+    # k/grain reduces to (k // d)/(grain // d); at most one entry per term
+    residues = range(grain) if grain <= len(grid) else {k % grain for k in grid}
+    return {i: (d, fmt(grain // d)) for i in residues for d in (gcd(i, grain),)}
+
+
+def _term_texts(grain: int, grid: Mapping[int, int]) -> list[str]:
+    """Each term c q^(k/grain), k increasing, formatted as separator, magnitude, power."""
+    table, parts = _reductions(grain, grid, lambda den: "" if den == 1 else f"/{den})"), []
+    append = parts.append
+    for k in sorted(grid):
+        c = grid[k]
+        sign = (" + " if c == 1 else f" + {c}*") if c > 0 else (
+            " - " if c == -1 else f" - {-c}*")
+        d, tail = table[k % grain]
+        n = k // d  # the power as one f-string; n = 0 is the constant term
+        append(f"{sign}q^({n}{tail}" if tail else f"{sign}q^{n}" if n > 1
+               else f"{sign}q" if n == 1 else f"{sign}q^({n})" if n
+               else f" + {c}" if c > 0 else f" - {-c}")
+    return parts
+
+
+def _finish(body: str, end: int, cut: Fraction | None) -> str:
+    """``body[:end]`` less its first separator (not a minus), 0 if empty, then the O-term."""
+    head = "0" if not end else "-" if body[1] == "-" else ""
+    tail = "" if cut is None else f" + O({_format_power(cut.numerator, cut.denominator)})"
+    return f"{head}{body[3:end]}{tail}"
+
+
+def _grid_text(grid: tuple[int, ...], grain: int) -> tuple[str, list[int]]:
+    """The body of a grid's terms, entry k at q^(k/grain), and the end of each prefix."""
+    nonzero = {k: a for k, a in enumerate(grid) if a}
+    texts = dict(zip(nonzero, _term_texts(grain, nonzero)))
+    return "".join(texts.values()), [*accumulate(
+        (len(texts.get(k, "")) for k in range(len(grid))), initial=0)]
+
+
 def _least_grain(grid: dict[int, int], grain: int, cut: Fraction | None) -> QSeries:
     # from_grid of nonzero terms on the least grain covering them and the cutoff
     d = gcd(grain, *grid)
@@ -362,7 +382,7 @@ def _least_grain(grid: dict[int, int], grain: int, cut: Fraction | None) -> QSer
     return QSeries.from_grid({k // d: c for k, c in grid.items()}, grain // d, cut)
 
 
-_memos: dict[str, Any] = {}  # every memo the package keeps, by name: a dict or an lru_cache
+_memos: dict[str, Any] = {"texts": {}}  # every memo kept, by name: a dict or an lru_cache
 _counts: Counter = Counter()  # (name, "builds" or "reads") -> count, for _kept's memos
 
 
@@ -396,9 +416,15 @@ def _kept(name: str, key: tuple, extent: int, build: Callable[[int], Any]):
 def _kept_prefix(name: str, key: tuple, length: int, build: Callable[[int], list[int]],
                  grain: int, cut: Fraction) -> QSeries:
     """The series, in a dict of its own, of the first ``length`` entries of the tuple
-    of ``build(length)`` kept by :func:`_kept`, entry k at q^(k/grain), cut at ``cut``."""
+    of ``build(length)`` kept by :func:`_kept`, entry k at q^(k/grain), cut at ``cut``.
+    Its text slices the grid's body, which ``texts`` keeps by :func:`_kept` at the
+    grid's length: the terms are the grid's nonzero entries below ``length`` in
+    increasing order, and a term's text depends only on its coefficient and its
+    reduced exponent k/grain, which from_grid's lift of the grain leaves as it is."""
     grid = _kept(name, key, length, lambda n: tuple(build(n)))
-    return QSeries.from_grid({k: a for k, a in enumerate(grid[:length]) if a}, grain, cut)
+    series = QSeries.from_grid({k: a for k, a in enumerate(grid[:length]) if a}, grain, cut)
+    series._kept_at = name, key, grid, grain, length
+    return series
 
 
 def invert_unit(series: QSeries, cutoff: _ExponentLike | None = None) -> QSeries:

@@ -5,6 +5,7 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,8 @@ import qtorus
 from qtorus import QSeries, verify_singlet_theorem
 from qtorus import cli, combinatorics, lie_sl, link_invariants, qseries, schur_spec
 from qtorus.cli import main, parse_content, parse_partition
+from qtorus.link_invariants import (TorusLinkSpec, shifted_invariant_singlet,
+                                    shifted_invariant_triplet)
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -63,7 +66,7 @@ def test_content_repeat_cap_is_checked_before_the_content_is_built():
 @pytest.mark.parametrize("leaf,rest", [("kostka", ["--content", "1^990"]),
                                        ("schur", ["--rank", "990"])])
 def test_a_shape_past_the_row_cap_exits_2_naming_the_flag(leaf, rest, capsys):
-    # 990 rows took the strip recursion past Python's depth limit: a traceback, exit 1
+    # the row cap is an input budget, read before any work
     code, out, err = run_cli([leaf, "--shape", ",".join(["1"] * 990), *rest], capsys)
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument --shape: 990 rows exceed the cap {cli.SHAPE_ROW_CAP}\n")
@@ -73,6 +76,39 @@ def test_a_shape_past_the_row_cap_exits_2_naming_the_flag(leaf, rest, capsys):
 def test_a_shape_at_the_row_cap_is_counted(capsys):
     shape, cap = ",".join(["1"] * cli.SHAPE_ROW_CAP), cli.SHAPE_ROW_CAP
     assert run_cli(["kostka", "--shape", shape, "--content", f"1^{cap}"], capsys) == (0, "1\n", "")
+
+
+def schur_cells(rank, shape):
+    """rank(rank - 1)/2 kernel passes over D + rank(rank^2 - 1)/6 cells, D = sum of
+    lam_i - lam_j over i < j, counted pair by pair."""
+    lam = list(shape) + [0] * (rank - len(shape))
+    pairs = [(i, j) for j in range(rank) for i in range(j)]
+    return len(pairs) * sum(lam[i] - lam[j] + j - i for i, j in pairs)
+
+
+@pytest.mark.parametrize("rank,shape,admitted", [
+    (2, "1999999", True), (2, "2000000", False), (30, "", True), (31, "", False),
+    (4, "111107", True), (4, "111108", False), (80, "1", False), (500, "", False)])
+def test_schur_refuses_a_line_over_its_cell_budget_before_any_work(
+        rank, shape, admitted, capsys, monkeypatch):
+    cells = schur_cells(rank, tuple(map(int, shape.split(","))) if shape else ())
+    assert (cells <= cli.SCHUR_CELL_BUDGET) == admitted
+    reached = []
+    monkeypatch.setattr(cli, "principal_spec", lambda *args: reached.append(args) or QSeries.one())
+    code, out, err = run_cli(["schur", "--rank", str(rank), "--shape", shape], capsys)
+    if admitted:
+        assert (code, out, err, len(reached)) == (0, "1\n", "", 1)
+    else:
+        assert (code, out, reached) == (2, "", [])
+        assert err == (f"error: --rank {rank} and --shape need {cells:,} cells, over the budget "
+                       f"of {cli.SCHUR_CELL_BUDGET:,}\n")
+
+
+def test_schur_runs_the_largest_admitted_rank_and_states_its_budget(capsys):
+    # the empty shape at rank 30 is the highest rank the budget admits: P = 1
+    assert run_cli(["schur", "--rank", "30", "--shape", ""], capsys) == (0, "1\n", "")
+    assert f"<= {cli.SCHUR_CELL_BUDGET:,} cells" in " ".join(
+        run_cli(["schur", "--help"], capsys)[1].split())
 
 
 # -- worked outputs -----------------------------------------------------------
@@ -906,9 +942,9 @@ def test_no_command_reaches_the_dict_series_layer(capsys, monkeypatch, replace_e
 # of the Kostka table and specialization caches, whose size comments quote them
 REGISTRY_TRAFFIC = {
     "verify_scan": ({"cut_sums": (381, 6000, 217), "cone_sums": (37, 6000, 18),
-                     "windows": (23, 418, 12)}, 240, 67),
+                     "windows": (23, 418, 12), "texts": (0, 0, 0)}, 240, 67),
     "char_order": ({"cut_sums": (0, 0, 0), "cone_sums": (86, 9600, 24),
-                    "windows": (61, 86, 18)}, 33, 105),
+                    "windows": (61, 86, 18), "texts": (86, 9600, 24)}, 33, 105),
 }
 
 
@@ -922,6 +958,63 @@ def test_the_registry_counts_the_workload_traffic(workload):
                    len(qseries._memos[name])) for name in kept} == kept
     assert combinatorics._kostka_table.cache_info().currsize == tables
     assert schur_spec._spec_of_gaps.cache_info().currsize == specs
+
+
+def _scheduled(requests, schedule):
+    """The (family, order) requests with each family's orders ascending, descending or
+    shuffled, in the places that family held in the stream."""
+    places, out, rng = {}, list(requests), random.Random(35)
+    for i, (family, _) in enumerate(requests):
+        places.setdefault(family, []).append(i)
+    for family, where in places.items():
+        orders = sorted(requests[i][1] for i in where)
+        if schedule == "descending":
+            orders.reverse()
+        elif schedule == "shuffled":
+            rng.shuffle(orders)
+        for i, order in zip(where, orders):
+            out[i] = family, order
+    return out
+
+
+def _fresh_text(series):
+    """The text of a series built afresh from its terms, which no kept body serves."""
+    return QSeries.from_grid(dict(series._grid), series.grain, series.cutoff).to_text()
+
+
+@pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
+def test_char_order_texts_equal_fresh_renders(monkeypatch, schedule):
+    # each kept grid's body is sliced at every order the family asks for, in any order
+    parser, rendered = cli.build_parser(), []
+    render = cli._render_series
+    monkeypatch.setattr(cli, "_render_series",
+                        lambda series, args: rendered.append(series) or render(series, args))
+    requests = [(tuple(argv[:-1]), int(argv[-1])) for argv in _workload_lines(400)["char_order"]]
+    assert all(argv[-1] == "--order" for argv, _ in requests)
+    qseries.clear_memos()
+    for argv, order in _scheduled(requests, schedule):
+        code, text = cli.run(parser.parse_args([*argv, str(order)]))
+        assert code == 0 and text == _fresh_text(rendered[-1]), (argv, order)
+    # a body is rendered at most once per grid built, and read by every request
+    counts = qseries._counts
+    assert counts["texts", "builds"] <= counts["cone_sums", "builds"]
+    assert len(rendered) == counts["texts", "reads"] == 9600
+
+
+@pytest.mark.parametrize("schedule", ["ascending", "descending", "shuffled"])
+def test_cut_invariant_texts_equal_fresh_renders(schedule):
+    # the cut invariants verify_scan reads, each rendered from its kept grid's body
+    parser, requests = cli.build_parser(), []
+    for argv in _workload_lines(400)["verify_scan"]:
+        args = parser.parse_args(argv)
+        components = args.rank + 1 if args.mode == "triplet" else args.components
+        requests.append(((args.mode, args.rank, components, args.p, args.colour), args.order))
+    qseries.clear_memos()
+    for (mode, *spec), order in _scheduled(requests, schedule):
+        shifted = shifted_invariant_triplet if mode == "triplet" else shifted_invariant_singlet
+        series = shifted(TorusLinkSpec(*spec), order)
+        assert series.to_text() == _fresh_text(series), (mode, spec, order)
+    assert qseries._counts["texts", "reads"] == len(requests) == 6000
 
 
 def test_every_memo_is_registered_and_cleared(capsys):

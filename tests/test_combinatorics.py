@@ -133,6 +133,25 @@ def test_kostka_ignores_zero_entries():
     assert kostka((4, 2), (0, 2, 0, 2, 2)) == kostka((4, 2), (2, 2, 2))
 
 
+def test_kostka_counts_a_column_of_2000_rows():
+    # one strip per row, every row pinned: no recursion, so no depth limit
+    assert kostka((1,) * 2000, (1,) * 2000) == 1
+
+
+def test_kostka_of_tall_small_shapes_matches_the_tableau_oracle():
+    # every shape of up to 8 cells, columns included, against enumeration: the
+    # standard content, one with a 2 first and one with internal zeros
+    for weight in range(1, 9):
+        contents = {(1,) * weight, (2,) + (1,) * (weight - 2) if weight > 1 else (1,),
+                    (0, 1) * weight}
+        for lam in partitions_of(weight, weight):
+            for content in contents:
+                expected = len(enumerate_ssyt(lam, content))
+                assert kostka(lam, content) == expected, (lam, content)
+            assert table_numbers([lam, (weight,)], (1,) * weight)[lam] == len(
+                enumerate_ssyt(lam, (1,) * weight))
+
+
 def test_kostka_large_rectangular_content():
     # the dynamic program must stay fast at colour-40 scale
     assert kostka((80,), (40, 40)) == 1
@@ -258,29 +277,29 @@ def test_floored_tables_match_the_unpruned_dp_and_enumeration(rank):
     assert checked >= 500  # 2,527 entries over the four ranks
 
 
-def _strip_calls(nu, size, bound, low):
-    """``_horizontal_extensions``' strips and the calls of its row recursion."""
-    calls = [0]
+def _strip_partials(nu, size, bound, low):
+    """``_horizontal_extensions``' strips and the most partial strips it held at once,
+    read from its ``partial`` list at every line it runs."""
+    widest, code = [0], combinatorics._horizontal_extensions.__code__
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "rec" and (
-                frame.f_globals is vars(combinatorics)):
-            calls[0] += 1
+    def line(frame, event, arg):
+        widest[0] = max(widest[0], len(frame.f_locals.get("partial", ())))
+        return line
 
-    sys.setprofile(profile)
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
     try:
         out = combinatorics._horizontal_extensions(nu, size, bound, low)
     finally:
-        sys.setprofile(None)
-    return out, calls[0]
+        sys.settrace(None)
+    return out, widest[0]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
 def test_strip_ranges_drop_no_strip_and_make_no_dead_end(rows):
     # each row's range, cut by what the rows after it can still take, yields
     # the unpruned strips on or above the floor, in the same order, and every
-    # call of the recursion lies on a path to a strip: at most 1 + rows calls
-    # per strip, none when there is no strip
+    # partial strip lies on a path to a strip: never more partial strips than
+    # strips, none when there is no strip
     rng, strips = random.Random(300 + rows), 0
     for _ in range(400):
         bound = tuple(sorted((rng.randint(1, 9) for _ in range(rows)), reverse=True))
@@ -291,9 +310,9 @@ def test_strip_ranges_drop_no_strip_and_make_no_dead_end(rows):
         low = tuple(rng.randint(0, b) if rng.random() < 0.4 else 0 for b in bound)
         size = rng.randint(0, 12)
         expected = [mu for mu in unpruned_strips(nu, size, bound) if all(map(ge, mu, low))]
-        out, calls = _strip_calls(nu, size, bound, low)
+        out, widest = _strip_partials(nu, size, bound, low)
         assert out == expected, (nu, size, bound, low)
-        assert calls <= (1 + rows * len(out) if out else 0)
+        assert widest <= len(out)
         strips += len(out)
     assert strips >= 50
 

@@ -525,6 +525,23 @@ def test_cone_reads_share_no_dict_with_each_other_or_the_memo():
     assert kept is grid
 
 
+def test_a_grown_grid_is_rendered_anew_before_its_longer_prefix_is_read():
+    # order 10 renders the grid of length 20; order 99/2 grows it to 99, and its
+    # text must not be a slice of the shorter body
+    short = singlet_char(CharacterSpec(2, 2, "singlet", 10))
+    short_text = short.to_text()
+    assert [extent for extent, _ in _memos["texts"].values()] == [20]
+    long = singlet_char(CharacterSpec(2, 2, "singlet", Fraction(99, 2)))
+    fresh = QSeries.from_grid(dict(long._grid), long.grain, long.cutoff).to_text()
+    assert long.to_text() == fresh and fresh.endswith(" + O(q^(99/2))")
+    ((extent, (body, ends)),) = _memos["texts"].values()
+    assert extent == 99 and len(ends) == 100
+    assert body[3:ends[20]] == short_text.removesuffix(" + O(q^10)")
+    assert short.to_text() == short_text == QSeries.from_grid(
+        dict(short._grid), short.grain, short.cutoff).to_text()
+    assert _counts["texts", "builds"] == 2 and _counts["texts", "reads"] == 3
+
+
 # Integer and fractional cutoffs; on each family they change the grain, and
 # order 1 holds the grain boundary of the triplet r3 p2 (grain 6 on coset 1,
 # 1 on coset 2, both with no terms).
